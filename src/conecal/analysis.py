@@ -24,6 +24,7 @@ from .raytrace import (
     STAGE_NAMES,
     SceneParams,
     TraceStatus,
+    _intersect_plane_batch,
     _raise_for_status,
     _trace_batch,
     trace_pixels,
@@ -38,12 +39,11 @@ def _trace_to_frontal_plane(params: SceneParams, pixels: np.ndarray, depth: floa
     """
     dirs = pixel_to_ray(params.intrinsics, pixels)
     batch = _trace_batch(params.cone, params.surface, np.zeros_like(dirs), dirs)
+    _, points, hit = _intersect_plane_batch(
+        np.array([0.0, 0.0, depth]), np.array([0.0, 0.0, 1.0]), batch.x_outer, batch.dir_out
+    )
     status = batch.status.copy()
-    rz = batch.dir_out[..., 2]
-    t = (depth - batch.x_outer[..., 2]) / np.where(np.abs(rz) > 1e-12, rz, 1.0)
-    bad = (np.abs(rz) <= 1e-12) | (t <= 0.0)
-    status[bad & (status == TraceStatus.OK)] = TraceStatus.MISS_BOARD
-    points = batch.x_outer + t[..., None] * batch.dir_out
+    status[(~hit) & (status == TraceStatus.OK)] = TraceStatus.MISS_BOARD
     return points, status
 
 

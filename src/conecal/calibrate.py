@@ -23,24 +23,25 @@ from scipy.optimize import least_squares
 from scipy.spatial.transform import Rotation
 
 from .errors import ConfigurationError, DataError, DivergenceError
-from .geometry import RbfSurface, _outer_tangents, rbf_kernel_terms
+from .geometry import RbfSurface, _outer_normal_linearization, rbf_kernel_terms
 from .observations import ImageObservations, ObservationSet
 from .raytrace import (
     STAGE_NAMES,
     BoardPose,
     SceneParams,
     TraceStatus,
+    _board_coords,
+    _intersect_plane_batch,
     pinhole_raycast,
     trace_pixels,
 )
 
 _STEP_RULES = ("adam", "fixed")
-_REFINE_METHODS = ("gauss-newton", "adam", "fixed")
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Settings for the first-order descent loops.
+    """Settings for the first-order amplitude descent.
 
     ``rate_decay=None`` resolves per rule: the adaptive rule anneals the
     rate with a half-cosine (full rate at the start, near zero at the
@@ -124,18 +125,28 @@ def _sorted_images(observations: ObservationSet):
 
 
 def _errored_rows(im: ImageObservations, status: np.ndarray) -> list:
-    rows = []
-    for ij, st in zip(im.grid_ij, status):
-        if st != TraceStatus.OK:
-            rows.append((im.image_index, int(ij[0]), int(ij[1]), STAGE_NAMES[TraceStatus(st)]))
-    return rows
+    return [
+        (
+            im.image_index,
+            int(im.grid_ij[r, 0]),
+            int(im.grid_ij[r, 1]),
+            STAGE_NAMES[TraceStatus(status[r])],
+        )
+        for r in np.flatnonzero(status != TraceStatus.OK)
+    ]
 
 
-def loss(params: SceneParams, observations: ObservationSet) -> LossResult:
-    """Sum of squared corner residuals in board coordinates (m^2)."""
+def _residual_pass(params: SceneParams, observations: ObservationSet, image_term=None):
+    """Trace every image once and accumulate the loss and its exclusions.
+
+    ``image_term(params, im, batch, rho, ok)``, when given, is evaluated
+    for each image right after its trace; the results are returned in
+    image order next to the :class:`LossResult`.
+    """
     total = 0.0
     n_active = 0
     errored = []
+    per_image = []
     for im in _sorted_images(observations):
         batch = trace_pixels(params, im.image_index, im.pixels)
         ok = batch.ok
@@ -143,16 +154,26 @@ def loss(params: SceneParams, observations: ObservationSet) -> LossResult:
         total += float(np.sum(rho[ok] ** 2))
         n_active += int(np.count_nonzero(ok))
         errored.extend(_errored_rows(im, batch.status))
+        if image_term is not None:
+            per_image.append(image_term(params, im, batch, rho, ok))
     if n_active == 0:
         raise DataError("no corner completed the trace; loss is undefined")
-    return LossResult(value=total, n_active=n_active, errored=tuple(sorted(errored)))
+    return LossResult(value=total, n_active=n_active, errored=tuple(sorted(errored))), per_image
+
+
+def loss(params: SceneParams, observations: ObservationSet) -> LossResult:
+    """Sum of squared corner residuals in board coordinates (m^2)."""
+    return _residual_pass(params, observations)[0]
 
 
 def _board_residual_adjoints(batch, pose, rho, ok):
     """Shared first links of the backward chain, restricted to valid rows.
 
-    Returns (w3, r_o, nb_ro, dL/dr_o): ``w3`` is the gradient of the loss
-    with respect to the board-plane hit point.
+    Returns (w3, nb_ro, ro_w3, dL/dr_o): ``w3`` is the gradient of the
+    loss with respect to the board-plane hit point, ``nb_ro`` and
+    ``ro_w3`` are the exit direction dotted with the board normal and
+    with ``w3``, and ``dL/dr_o`` is the gradient with respect to the
+    exit direction.
     """
     r1, r2, n_b = pose.rotation[:, 0], pose.rotation[:, 1], pose.normal
     rho = rho[ok]
@@ -161,7 +182,7 @@ def _board_residual_adjoints(batch, pose, rho, ok):
     nb_ro = r_o @ n_b
     ro_w3 = np.sum(r_o * w3, axis=-1)
     dl_dro = batch.t_board[ok, None] * (w3 - n_b * (ro_w3 / nb_ro)[:, None])
-    return w3, r_o, nb_ro, ro_w3, dl_dro
+    return w3, nb_ro, ro_w3, dl_dro
 
 
 def _amplitude_gradient_image(params: SceneParams, im: ImageObservations, batch, rho, ok):
@@ -169,7 +190,7 @@ def _amplitude_gradient_image(params: SceneParams, im: ImageObservations, batch,
     cone = params.cone
     surface = params.surface
     pose = params.pose(im.image_index)
-    _, r_o, nb_ro, ro_w3, dl_dro = _board_residual_adjoints(batch, pose, rho, ok)
+    dl_dro = _board_residual_adjoints(batch, pose, rho, ok)[-1]
 
     # backward through the exit refraction: r_o depends on the oriented
     # outer normal both directly and via the incidence cosine
@@ -186,30 +207,14 @@ def _amplitude_gradient_image(params: SceneParams, im: ImageObservations, batch,
     dl_dneff = f[:, None] * dl_dro - (df_dci * np.sum(n_eff * dl_dro, axis=-1))[:, None] * r_m
     dl_dnhat = sigma[:, None] * dl_dneff
 
-    # backward through the normalization and the tangent cross product
+    # backward through the normal to the field value, slope and angular
+    # derivative; all three are linear in the amplitudes
     s_o = batch.s_outer[ok]
-    u, v, sin2, cos2 = _outer_tangents(cone, surface, s_o)
-    raw = np.cross(u, v)
-    norm = np.linalg.norm(raw, axis=-1)
-    g = np.stack([sin2, np.zeros_like(sin2), cos2], axis=-1)
-    gp = np.stack([cos2, np.zeros_like(sin2), -sin2], axis=-1)
-    sgn = np.where(np.sum(raw * g, axis=-1) < 0.0, -1.0, 1.0)
-    n_unit = raw * (sgn / norm)[:, None]
-    dl_draw = (sgn / norm)[:, None] * (
-        dl_dnhat - n_unit * np.sum(n_unit * dl_dnhat, axis=-1)[:, None]
-    )
-    dl_du = np.cross(v, dl_draw)
-    dl_dv = np.cross(dl_draw, u)
-
-    # the field enters u through its slope, v through its value and its
-    # angular derivative; all three are linear in the amplitudes
-    c_phi1 = np.sum(g * dl_du, axis=-1)
-    c_phi = np.sum(gp * dl_dv, axis=-1)
-    c_phi2 = np.sum(g * dl_dv, axis=-1)
-    k, k1, k2 = rbf_kernel_terms(surface, s_o)
-    return np.sum(
-        k * c_phi[:, None] + k1 * c_phi1[:, None] + k2 * c_phi2[:, None], axis=0
-    )
+    terms = rbf_kernel_terms(surface, s_o)
+    _, dn = _outer_normal_linearization(cone, surface, s_o, terms, derivatives=True)
+    c = np.sum(dl_dnhat[:, :, None] * dn, axis=1)
+    k, k1, k2 = terms
+    return np.sum(k * c[:, 0, None] + k1 * c[:, 1, None] + k2 * c[:, 2, None], axis=0)
 
 
 def _pose_gradient_image(params: SceneParams, im: ImageObservations, batch, rho, ok):
@@ -217,7 +222,7 @@ def _pose_gradient_image(params: SceneParams, im: ImageObservations, batch, rho,
     translation, evaluated at the current pose; shape (6,)."""
     pose = params.pose(im.image_index)
     n_b = pose.normal
-    w3, r_o, nb_ro, ro_w3, _ = _board_residual_adjoints(batch, pose, rho, ok)
+    w3, nb_ro, ro_w3, _ = _board_residual_adjoints(batch, pose, rho, ok)
     x_t = batch.x_board[ok]
     t_b = pose.translation
 
@@ -236,24 +241,8 @@ def loss_gradient(params: SceneParams, observations: ObservationSet, wrt: str = 
     """
     if wrt not in ("amplitudes", "poses"):
         raise ConfigurationError(f"unknown gradient target {wrt!r}")
-    total = 0.0
-    n_active = 0
-    errored = []
-    grads = []
-    for im in _sorted_images(observations):
-        batch = trace_pixels(params, im.image_index, im.pixels)
-        ok = batch.ok
-        rho = batch.board_local - im.board_local()
-        total += float(np.sum(rho[ok] ** 2))
-        n_active += int(np.count_nonzero(ok))
-        errored.extend(_errored_rows(im, batch.status))
-        if wrt == "amplitudes":
-            grads.append(_amplitude_gradient_image(params, im, batch, rho, ok))
-        else:
-            grads.append(_pose_gradient_image(params, im, batch, rho, ok))
-    if n_active == 0:
-        raise DataError("no corner completed the trace; loss is undefined")
-    result = LossResult(value=total, n_active=n_active, errored=tuple(sorted(errored)))
+    image_gradient = _amplitude_gradient_image if wrt == "amplitudes" else _pose_gradient_image
+    result, grads = _residual_pass(params, observations, image_gradient)
     if wrt == "amplitudes":
         grad = grads[0]
         for g in grads[1:]:
@@ -286,7 +275,7 @@ def _check_divergence(
     value: float,
     grad: np.ndarray | None,
     iteration: int,
-    last_stable: "FitResult | None" = None,
+    last_stable: "FitResult | None",
 ) -> None:
     bad = not np.isfinite(value) or value > 1e6
     if grad is not None:
@@ -344,7 +333,7 @@ def optimize_amplitudes(
             and len(history) >= 2
             and abs(history[-2] - history[-1]) <= options.tolerance
         ):
-            break
+            return last_stable  # set just above: the check passed at this iterate
         rate = options.rate_at(it)
         if adam is not None:
             x = x - adam.step(grad, rate)
@@ -410,15 +399,8 @@ def _refine_image_gauss_newton(params: SceneParams, im: ImageObservations) -> tu
     def residual(p):
         rot = Rotation.from_rotvec(p[:3]).as_matrix() @ pose0.rotation
         t_b = p[3:]
-        n_b = rot[:, 2]
-        denom = r_o @ n_b
-        safe = np.abs(denom) > 1e-12
-        t_star = ((t_b - x_o) @ n_b) / np.where(safe, denom, 1.0)
-        good = safe & (t_star > 0.0)
-        x_t = x_o + t_star[:, None] * r_o
-        rel = x_t - t_b
-        m = np.stack([rel @ rot[:, 0], rel @ rot[:, 1]], axis=-1)
-        res = np.where(good[:, None], m - x_cb, 1e3)
+        _, x_t, hit = _intersect_plane_batch(t_b, rot[:, 2], x_o, r_o)
+        res = np.where(hit[:, None], _board_coords(rot, t_b, x_t) - x_cb, 1e3)
         return res.ravel()
 
     p0 = np.concatenate([np.zeros(3), pose0.translation])
@@ -435,92 +417,31 @@ def _refine_image_gauss_newton(params: SceneParams, im: ImageObservations) -> tu
     )
 
 
-def refine_poses(
-    params: SceneParams,
-    observations: ObservationSet,
-    method: str = "gauss-newton",
-    options: OptimizerOptions | None = None,
-) -> RefineResult:
+def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineResult:
     """Improve the per-image board poses under the zero-field model.
 
-    The poses carried by ``params`` are the starting point. Refinement
-    never worsens an image: if an update fails to lower that image's
-    cost, its starting pose is kept. The surface carried by ``params``
-    is preserved in the returned parameters (the refinement itself
-    always runs with amplitudes zeroed).
+    Each image's pose is a separate 6-parameter least-squares problem
+    (rotation increment and translation) started from the pose carried
+    by ``params``. Refinement never worsens an image: if an update fails
+    to lower that image's cost, its starting pose is kept. The surface
+    carried by ``params`` is preserved in the returned parameters (the
+    refinement itself always runs with amplitudes zeroed).
     """
-    if method not in _REFINE_METHODS:
-        raise ConfigurationError(f"refine method must be one of {_REFINE_METHODS}")
     zero = _zero_surface_params(params)
-    images = _sorted_images(observations)
-
-    if method == "gauss-newton":
-        poses = []
-        reports = []
-        for im in images:
-            pose, cost0, cost1, n_valid = _refine_image_gauss_newton(zero, im)
-            poses.append(pose)
-            reports.append(
-                ImageRefineReport(
-                    image_index=im.image_index,
-                    initial_cost=cost0,
-                    final_cost=cost1,
-                    n_valid=n_valid,
-                )
-            )
-        refined = params.with_poses(poses)
-        return RefineResult(params=refined, reports=tuple(reports))
-
-    # first-order descent on the stacked [rotation-increment, translation]
-    # blocks, re-anchoring the increment at every step
-    options = options or OptimizerOptions(step_count=200, learning_rate=1e-4)
-    n = len(images)
-    adam = _AdamState(6 * n) if options.step_rule == "adam" else None
-    current = zero
-    initial = loss(current, observations)
-    costs0, counts0 = _per_image_costs(current, observations)
-    best = current
-    best_value = initial.value
-    for it in range(options.step_count):
-        result, grad = loss_gradient(current, observations, wrt="poses")
-        _check_divergence(result.value, grad, it)
-        if result.value < best_value:
-            best, best_value = current, result.value
-        rate = options.rate_at(it)
-        step = adam.step(grad, rate) if adam is not None else rate * grad
-        new_poses = []
-        for idx, im in enumerate(images):
-            pose = current.pose(im.image_index)
-            block = step[6 * idx : 6 * idx + 6]
-            new_poses.append(
-                _apply_pose_step(pose, -block[:3], pose.translation - block[3:])
-            )
-        current = current.with_poses(new_poses)
-    final = loss(current, observations)
-    if final.value < best_value:
-        best, best_value = current, final.value
-    costs1, _ = _per_image_costs(best, observations)
-    reports = tuple(
-        ImageRefineReport(
-            image_index=im.image_index,
-            initial_cost=costs0[im.image_index],
-            final_cost=costs1[im.image_index],
-            n_valid=counts0[im.image_index],
-        )
-        for im in images
-    )
-    return RefineResult(params=params.with_poses(best.poses), reports=reports)
-
-
-def _per_image_costs(params: SceneParams, observations: ObservationSet):
-    costs = {}
-    counts = {}
+    poses = []
+    reports = []
     for im in _sorted_images(observations):
-        batch = trace_pixels(params, im.image_index, im.pixels)
-        rho = batch.board_local - im.board_local()
-        costs[im.image_index] = float(np.sum(rho[batch.ok] ** 2))
-        counts[im.image_index] = int(np.count_nonzero(batch.ok))
-    return costs, counts
+        pose, cost0, cost1, n_valid = _refine_image_gauss_newton(zero, im)
+        poses.append(pose)
+        reports.append(
+            ImageRefineReport(
+                image_index=im.image_index,
+                initial_cost=cost0,
+                final_cost=cost1,
+                n_valid=n_valid,
+            )
+        )
+    return RefineResult(params=params.with_poses(poses), reports=tuple(reports))
 
 
 # ---------------------------------------------------------------------------

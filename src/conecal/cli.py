@@ -155,27 +155,13 @@ def cmd_generate(args) -> None:
 def cmd_refine_poses(args) -> None:
     config = load_config(args.config)
     observations = load_observations(args.observations)
-    surface = RbfSurface.flat(
-        RbfPatch(
-            s1_range=(
-                config["surface"]["patch"]["s1_min_m"],
-                config["surface"]["patch"]["s1_max_m"],
-            ),
-            s2_range=(
-                config["surface"]["patch"]["s2_min_rad"],
-                config["surface"]["patch"]["s2_max_rad"],
-            ),
-        ),
-        (config["surface"]["grid_rows"], config["surface"]["grid_cols"]),
-    )
-    params = _scene_for_observations(config, surface, observations)
-    result = refine_poses(params, observations, method=args.method)
+    params = _scene_for_observations(config, surface_from_config(config), observations)
+    result = refine_poses(params, observations)
 
     refined = observations_to_json_dict(observations)
     for image, pose in zip(refined["images"], result.params.poses):
         image["initial_pose"] = _pose_to_json(pose)
     refined["refinement"] = {
-        "method": args.method,
         "images": [
             {
                 "index": report.image_index,
@@ -456,12 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(refine)
     refine.add_argument("--observations", required=True, help="observations JSON file")
-    refine.add_argument(
-        "--method",
-        default="gauss-newton",
-        choices=["gauss-newton", "adam", "fixed"],
-        help="refinement method (default gauss-newton)",
-    )
     refine.set_defaults(func=cmd_refine_poses)
 
     calibrate = subparsers.add_parser(

@@ -125,19 +125,12 @@ class BoardPoseRefiner(_ParamsMixin):
     ``reports_`` are available.
     """
 
-    _param_names = ("intrinsics", "cone", "surface", "method")
+    _param_names = ("intrinsics", "cone", "surface")
 
-    def __init__(
-        self,
-        intrinsics: CameraIntrinsics,
-        cone: ConeGeometry,
-        surface: RbfSurface,
-        method: str = "gauss-newton",
-    ):
+    def __init__(self, intrinsics: CameraIntrinsics, cone: ConeGeometry, surface: RbfSurface):
         self.intrinsics = intrinsics
         self.cone = cone
         self.surface = surface
-        self.method = method
 
     def fit(self, observations: ObservationSet) -> "BoardPoseRefiner":
         if not isinstance(observations, ObservationSet):
@@ -148,7 +141,7 @@ class BoardPoseRefiner(_ParamsMixin):
             surface=self.surface,
             poses=observations.initial_poses(),
         )
-        result = refine_poses(params, observations, method=self.method)
+        result = refine_poses(params, observations)
         self.params_ = result.params
         self.poses_ = result.params.poses
         self.reports_ = result.reports

@@ -276,6 +276,14 @@ def cone_point(cone: ConeGeometry, surface: RbfSurface | None, s, which: Which) 
     )
 
 
+def _cone_coords(cone: ConeGeometry, x: np.ndarray) -> np.ndarray:
+    """Cone coordinates with the height clipped to the slice (no check)."""
+    ax, ay, az = cone.apex
+    s1 = np.clip(ay - x[..., 1], 0.0, cone.height)
+    s2 = np.arctan2(x[..., 0] - ax, x[..., 2] - az)
+    return np.stack([s1, s2], axis=-1)
+
+
 def cartesian_to_cone_coords(cone: ConeGeometry, x) -> np.ndarray:
     """Cone coordinates of a cartesian point: shared height and polar angle.
 
@@ -286,8 +294,7 @@ def cartesian_to_cone_coords(cone: ConeGeometry, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != 3:
         raise ConfigurationError(f"points must have a trailing axis of 3, got {x.shape}")
-    ax, ay, az = cone.apex
-    s1 = ay - x[..., 1]
+    s1 = cone.apex[1] - x[..., 1]
     tol = 1e-9
     if np.any(s1 < -tol) or np.any(s1 > cone.height + tol):
         bad = np.sum((s1 < -tol) | (s1 > cone.height + tol))
@@ -295,9 +302,7 @@ def cartesian_to_cone_coords(cone: ConeGeometry, x) -> np.ndarray:
             f"{bad} point(s) outside the cone height band [0, {cone.height}] "
             f"(heights range {np.min(s1):.6g}..{np.max(s1):.6g})"
         )
-    s1 = np.clip(s1, 0.0, cone.height)
-    s2 = np.arctan2(x[..., 0] - ax, x[..., 2] - az)
-    return np.stack([s1, s2], axis=-1)
+    return _cone_coords(cone, x)
 
 
 def inner_surface_normal(cone: ConeGeometry, s) -> np.ndarray:
@@ -322,28 +327,63 @@ def inner_surface_normal(cone: ConeGeometry, s) -> np.ndarray:
     )
 
 
-def _outer_tangents(cone: ConeGeometry, surface: RbfSurface | None, s):
-    """Tangent vectors d(point)/d(s1) and d(point)/d(s2) of the outer wall."""
+def _outer_normal_linearization(
+    cone: ConeGeometry,
+    surface: RbfSurface | None,
+    s,
+    terms=None,
+    derivatives: bool = False,
+):
+    """Outer-wall unit normal and its first-order dependence on the field.
+
+    The tangents ``u = d(point)/d(s1)`` and ``v = d(point)/d(s2)`` depend
+    on the field only through its value ``phi``, slope ``phi1`` and
+    angular derivative ``phi2`` at ``s``; the normal is ``u x v``
+    normalized and oriented away from the axis. ``terms`` are the kernel
+    matrices of :func:`rbf_kernel_terms` at ``s``, computed here when
+    omitted (``surface=None`` is the perfect cone and needs none).
+
+    Returns ``(n, dn)``: ``n`` has shape ``(..., 3)``; ``dn`` has shape
+    ``(..., 3, 3)`` with columns ``dn/dphi``, ``dn/dphi1``, ``dn/dphi2``
+    when ``derivatives`` is set, else it is None. Contracting ``dn`` with
+    the kernel matrices gives the derivative with respect to the
+    amplitudes, since the field is linear in them.
+    """
     s = _as_coords(s)
     s1, s2 = s[..., 0], s[..., 1]
     sin2, cos2 = np.sin(s2), np.cos(s2)
-    radius = cone.radius(s1, "outer")
-    tan_a = cone.tan_half_angle
+    zeros = np.zeros_like(s1)
     if surface is None:
-        phi = np.zeros_like(s1)
-        phi1 = np.zeros_like(s1)
-        phi2 = np.zeros_like(s1)
+        phi = phi1 = phi2 = zeros
     else:
-        k, k1, k2 = rbf_kernel_terms(surface, s)
+        k, k1, k2 = rbf_kernel_terms(surface, s) if terms is None else terms
         a = surface.flat_amplitudes
         phi = np.sum(k * a, axis=-1)
         phi1 = np.sum(k1 * a, axis=-1)
         phi2 = np.sum(k2 * a, axis=-1)
-    slope = tan_a + phi1
+    slope = cone.tan_half_angle + phi1
     u = np.stack([slope * sin2, -np.ones_like(s1), slope * cos2], axis=-1)
-    rr = radius + phi
-    v = np.stack([rr * cos2 + phi2 * sin2, np.zeros_like(s1), -rr * sin2 + phi2 * cos2], axis=-1)
-    return u, v, sin2, cos2
+    rr = cone.radius(s1, "outer") + phi
+    v = np.stack([rr * cos2 + phi2 * sin2, zeros, -rr * sin2 + phi2 * cos2], axis=-1)
+
+    raw = np.cross(u, v)
+    norm = np.linalg.norm(raw, axis=-1)
+    if np.any(norm < 1e-12):
+        raise SingularSurfaceError("outer wall normal is undefined (degenerate tangents)")
+    n = raw / norm[..., None]
+    radial = np.stack([sin2, zeros, cos2], axis=-1)
+    sign = np.where(np.sum(n * radial, axis=-1) < 0.0, -1.0, 1.0)
+    n = n * sign[..., None]
+    if not derivatives:
+        return n, None
+
+    # phi moves v along d(radial)/d(s2), phi1 moves u along the radial
+    # direction and phi2 moves v along it
+    tangent = np.stack([cos2, zeros, -sin2], axis=-1)
+    d_raw = np.stack([np.cross(u, tangent), np.cross(radial, v), np.cross(u, radial)], axis=-1)
+    n_dot = np.sum(n[..., :, None] * d_raw, axis=-2, keepdims=True)
+    dn = (d_raw - n[..., :, None] * n_dot) * (sign / norm)[..., None, None]
+    return n, dn
 
 
 def outer_surface_normal(cone: ConeGeometry, surface: RbfSurface | None, s) -> np.ndarray:
@@ -353,15 +393,7 @@ def outer_surface_normal(cone: ConeGeometry, surface: RbfSurface | None, s) -> n
     derivatives enter through the chain rule; with zero amplitudes this
     reduces to the closed-form cone normal.
     """
-    u, v, sin2, cos2 = _outer_tangents(cone, surface, s)
-    raw = np.cross(u, v)
-    norm = np.linalg.norm(raw, axis=-1)
-    if np.any(norm < 1e-12):
-        raise SingularSurfaceError("outer wall normal is undefined (degenerate tangents)")
-    n = raw / norm[..., None]
-    radial = np.stack([sin2, np.zeros_like(sin2), cos2], axis=-1)
-    sign = np.where(np.sum(n * radial, axis=-1) < 0.0, -1.0, 1.0)
-    return n * sign[..., None]
+    return _outer_normal_linearization(cone, surface, s)[0]
 
 
 def outer_normal_amplitude_jacobian(cone: ConeGeometry, surface: RbfSurface, s) -> np.ndarray:
@@ -371,25 +403,6 @@ def outer_normal_amplitude_jacobian(cone: ConeGeometry, surface: RbfSurface, s) 
     fixed tangent perturbations; the jacobian is their cross products
     pushed through the normalization of the raw normal.
     """
-    u, v, sin2, cos2 = _outer_tangents(cone, surface, s)
-    raw = np.cross(u, v)
-    norm = np.linalg.norm(raw, axis=-1)
-    if np.any(norm < 1e-12):
-        raise SingularSurfaceError("outer wall normal is undefined (degenerate tangents)")
-    n = raw / norm[..., None]
-    radial = np.stack([sin2, np.zeros_like(sin2), cos2], axis=-1)
-    sign = np.where(np.sum(n * radial, axis=-1) < 0.0, -1.0, 1.0)
-
-    zeros = np.zeros_like(sin2)
-    g = radial
-    gp = np.stack([cos2, zeros, -sin2], axis=-1)
-    k, k1, k2 = rbf_kernel_terms(surface, s)
-    # d(raw)/da_k = k1_k (g x v) + k_k (u x gp) + k2_k (u x g)
-    d_raw = (
-        np.cross(g, v)[..., :, None] * k1[..., None, :]
-        + np.cross(u, gp)[..., :, None] * k[..., None, :]
-        + np.cross(u, g)[..., :, None] * k2[..., None, :]
-    )
-    n_dot = np.sum(n[..., :, None] * d_raw, axis=-2, keepdims=True)
-    d_n = (d_raw - n[..., :, None] * n_dot) / norm[..., None, None]
-    return d_n * sign[..., None, None]
+    terms = rbf_kernel_terms(surface, s)
+    _, dn = _outer_normal_linearization(cone, surface, s, terms, derivatives=True)
+    return dn @ np.stack(terms, axis=-2)

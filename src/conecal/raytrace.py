@@ -28,6 +28,8 @@ from .geometry import (
     ConeGeometry,
     RbfSurface,
     Which,
+    _cone_coords,
+    inner_surface_normal,
     outer_surface_normal,
 )
 
@@ -149,12 +151,11 @@ class SceneParams:
 
     def __post_init__(self):
         object.__setattr__(self, "poses", tuple(self.poses))
-        lo, hi = self.surface.patch.s1_range
+        hi = self.surface.patch.s1_range[1]
         if hi > self.cone.height + 1e-12:
             raise ConfigurationError(
                 f"surface patch extends above the cone slice ({hi} > {self.cone.height})"
             )
-        del lo
 
     def with_surface(self, surface: RbfSurface) -> "SceneParams":
         return SceneParams(self.intrinsics, self.cone, surface, self.poses)
@@ -266,50 +267,53 @@ def intersect_cone(cone: ConeGeometry, ray: Ray, which: Which):
     if not hit[0]:
         return None
     point = ray.origin + t[0] * ray.direction
-    s = _cone_coords_unchecked(cone, point[None, :])[0]
+    s = _cone_coords(cone, point[None, :])[0]
     return point, s
 
 
-def _cone_coords_unchecked(cone: ConeGeometry, x: np.ndarray) -> np.ndarray:
-    """Cone coordinates without the height-band check (batch internal)."""
-    ax, ay, az = cone.apex
-    s1 = np.clip(ay - x[..., 1], 0.0, cone.height)
-    s2 = np.arctan2(x[..., 0] - ax, x[..., 2] - az)
-    return np.stack([s1, s2], axis=-1)
+def _intersect_plane_batch(
+    point: np.ndarray, normal: np.ndarray, origins: np.ndarray, dirs: np.ndarray
+):
+    """Where rays meet the plane through ``point`` with unit ``normal``.
 
-
-def _intersect_board_batch(pose: BoardPose, origins: np.ndarray, dirs: np.ndarray):
-    """Ray parameter of the board-plane hit; (t, hit mask)."""
-    n = pose.normal
-    denom = np.sum(dirs * n, axis=-1)
+    Returns ``(t, x, hit)``: ray parameters, hit points and the hit mask.
+    Rays parallel to the plane or meeting it at or behind their origin
+    are misses and carry the placeholder ``t = 1``.
+    """
+    denom = np.sum(dirs * normal, axis=-1)
     ok = np.abs(denom) > 1e-12
-    denom_safe = np.where(ok, denom, 1.0)
-    t = np.sum((pose.translation - origins) * n, axis=-1) / denom_safe
+    t = np.sum((point - origins) * normal, axis=-1) / np.where(ok, denom, 1.0)
     hit = ok & (t > _T_MIN)
-    return np.where(hit, t, np.inf), hit
+    t = np.where(hit, t, 1.0)
+    return t, origins + t[..., None] * dirs, hit
+
+
+def _board_coords(rotation: np.ndarray, translation: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Planar board coordinates of camera-frame points (no on-plane check)."""
+    rel = x - translation
+    return np.stack(
+        [np.sum(rel * rotation[:, 0], axis=-1), np.sum(rel * rotation[:, 1], axis=-1)],
+        axis=-1,
+    )
 
 
 def intersect_board(pose: BoardPose, ray: Ray):
     """Board-plane intersection point, or ``None`` for parallel/behind."""
-    t, hit = _intersect_board_batch(pose, ray.origin[None, :], ray.direction[None, :])
-    if not hit[0]:
-        return None
-    return ray.origin + t[0] * ray.direction
+    _, x, hit = _intersect_plane_batch(
+        pose.translation, pose.normal, ray.origin[None, :], ray.direction[None, :]
+    )
+    return x[0] if hit[0] else None
 
 
 def world_to_board_local(pose: BoardPose, x, tol: float = 1e-9) -> np.ndarray:
     """Planar board coordinates of an on-plane camera-frame point."""
     x = np.asarray(x, dtype=np.float64)
-    rel = x - pose.translation
-    off_plane = np.abs(np.sum(rel * pose.normal, axis=-1))
+    off_plane = np.abs(np.sum((x - pose.translation) * pose.normal, axis=-1))
     if np.any(off_plane > tol):
         raise DataError(
             f"point lies {np.max(off_plane):.3g} m off the board plane (tolerance {tol:g})"
         )
-    return np.stack(
-        [np.sum(rel * pose.rotation[:, 0], axis=-1), np.sum(rel * pose.rotation[:, 1], axis=-1)],
-        axis=-1,
-    )
+    return _board_coords(pose.rotation, pose.translation, x)
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +355,14 @@ def _trace_batch(
     status[~hit_i] = TraceStatus.MISS_INNER
     t_i = np.where(hit_i, t_i, 1.0)
     x_i = origins + t_i[..., None] * dirs
-    s_i = _cone_coords_unchecked(cone, x_i)
+    s_i = _cone_coords(cone, x_i)
 
     near_apex = (s_i[..., 0] < 1e-12) & (status == TraceStatus.OK)
     status[near_apex] = TraceStatus.SINGULAR
-    s_i_safe = np.where(near_apex[..., None], [cone.height / 2, 0.0], s_i)
+    # a missed ray's clipped height can be 0, where the normal is undefined
+    s_i_safe = np.where((status != TraceStatus.OK)[..., None], [cone.height / 2, 0.0], s_i)
 
-    # inner wall: perfect cone, normal toward the axis
-    cos_a = np.cos(cone.half_angle)
-    sin_a = np.sin(cone.half_angle)
-    n_i = -np.stack(
-        [
-            np.sin(s_i_safe[..., 1]) * cos_a,
-            np.full(s_i_safe.shape[:-1], sin_a),
-            np.cos(s_i_safe[..., 1]) * cos_a,
-        ],
-        axis=-1,
-    )
+    n_i = inner_surface_normal(cone, s_i_safe)
     eta_in = cone.eta_outside / cone.eta_inside
     d_glass, ok_in = _refract_batch(dirs, n_i, eta_in)
     status[(~ok_in) & (status == TraceStatus.OK)] = TraceStatus.TIR_INNER
@@ -377,7 +372,7 @@ def _trace_batch(
     status[miss_o] = TraceStatus.MISS_OUTER
     t_o = np.where(hit_o, t_o, 1.0)
     x_o = x_i + t_o[..., None] * d_glass
-    s_o = _cone_coords_unchecked(cone, x_o)
+    s_o = _cone_coords(cone, x_o)
     s_o_safe = np.where((status != TraceStatus.OK)[..., None], [cone.height / 2, 0.0], s_o)
 
     n_o = outer_surface_normal(cone, surface, s_o_safe)
@@ -436,18 +431,13 @@ def trace_pixels(params: SceneParams, image_index: int, pixels) -> TraceBatch:
     origins = np.zeros_like(dirs)
     batch = _trace_batch(params.cone, params.surface, origins, dirs)
 
-    t_b, hit_b = _intersect_board_batch(pose, batch.x_outer, batch.dir_out)
-    batch.status[(~hit_b) & (batch.status == TraceStatus.OK)] = TraceStatus.MISS_BOARD
-    t_b = np.where(hit_b, t_b, 1.0)
-    x_t = batch.x_outer + t_b[..., None] * batch.dir_out
-    rel = x_t - pose.translation
-    local = np.stack(
-        [np.sum(rel * pose.rotation[:, 0], axis=-1), np.sum(rel * pose.rotation[:, 1], axis=-1)],
-        axis=-1,
+    t_b, x_t, hit_b = _intersect_plane_batch(
+        pose.translation, pose.normal, batch.x_outer, batch.dir_out
     )
+    batch.status[(~hit_b) & (batch.status == TraceStatus.OK)] = TraceStatus.MISS_BOARD
     batch.t_board = t_b
     batch.x_board = x_t
-    batch.board_local = local
+    batch.board_local = _board_coords(pose.rotation, pose.translation, x_t)
     return batch
 
 
@@ -477,13 +467,5 @@ def pinhole_raycast(intrinsics: CameraIntrinsics, pose: BoardPose, pixels):
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     dirs = pixel_to_ray(intrinsics, pixels)
-    origins = np.zeros_like(dirs)
-    t, hit = _intersect_board_batch(pose, origins, dirs)
-    t = np.where(hit, t, 1.0)
-    x_t = origins + t[..., None] * dirs
-    rel = x_t - pose.translation
-    local = np.stack(
-        [np.sum(rel * pose.rotation[:, 0], axis=-1), np.sum(rel * pose.rotation[:, 1], axis=-1)],
-        axis=-1,
-    )
-    return local, hit
+    _, x_t, hit = _intersect_plane_batch(pose.translation, pose.normal, np.zeros_like(dirs), dirs)
+    return _board_coords(pose.rotation, pose.translation, x_t), hit

@@ -328,7 +328,8 @@ class TestOptimizeAmplitudes:
         fit = optimize_amplitudes(
             start, obs, OptimizerOptions(step_count=200, tolerance=1e30)
         )
-        assert fit.loss_history.shape[0] < 201
+        # the second evaluation meets the tolerance and ends the fit there
+        assert fit.loss_history.shape == (2,)
 
     def test_single_center_matches_line_scan(self, intrinsics, cone, patch):
         surface_true = RbfSurface.flat(patch, (1, 1)).with_amplitudes([[2e-5]])
@@ -389,27 +390,6 @@ class TestRefinePoses:
         obs = consistent_observations(scene_zero, subsample=3)
         refined = refine_poses(scene_zero, obs)
         assert rmse_cm(refined.params, obs) <= rmse_cm(scene_zero, obs) + 1e-12
-
-    def test_descent_methods_improve(self, scene_zero):
-        rng = np.random.default_rng(501)
-        obs = consistent_observations(scene_zero, subsample=3)
-        start = self.perturbed(scene_zero, rng)
-        before = rmse_cm(start, obs)
-        for method in ("adam", "fixed"):
-            refined = refine_poses(
-                start,
-                obs,
-                method=method,
-                options=OptimizerOptions(step_count=60, learning_rate=1e-5, step_rule="adam")
-                if method == "adam"
-                else OptimizerOptions(step_count=60, learning_rate=1e-9, step_rule="fixed"),
-            )
-            assert rmse_cm(refined.params, obs) <= before
-
-    def test_unknown_method_rejected(self, scene_zero):
-        obs = consistent_observations(scene_zero, subsample=3)
-        with pytest.raises(ConfigurationError):
-            refine_poses(scene_zero, obs, method="bfgs")
 
     def test_preserves_surface(self, scene_zero):
         rng = np.random.default_rng(502)

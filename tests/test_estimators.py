@@ -102,8 +102,8 @@ class TestBoardPoseRefiner:
 
     def test_params_interface(self, intrinsics, cone, patch):
         refiner = BoardPoseRefiner(intrinsics, cone, RbfSurface.flat(patch, (2, 2)))
-        assert refiner.get_params()["method"] == "gauss-newton"
-        refiner.set_params(method="adam")
-        assert refiner.method == "adam"
+        assert set(refiner.get_params()) == {"intrinsics", "cone", "surface"}
+        with pytest.raises(ConfigurationError):
+            refiner.set_params(method="adam")
         with pytest.raises(NotFittedError):
             refiner.predict(0)

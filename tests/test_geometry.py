@@ -304,10 +304,13 @@ class TestOuterSurfaceNormal:
         amps = rng.normal(1e-5, 5e-6, grid)
         surface = RbfSurface.flat(patch, grid).with_amplitudes(amps)
         h = 1e-8
-        for _ in range(5):
-            s = np.array([rng.uniform(0.032, 0.048), rng.uniform(-0.2, 0.2)])
+        points = np.column_stack([rng.uniform(0.032, 0.048, 5), rng.uniform(-0.2, 0.2, 5)])
+        batched = outer_normal_amplitude_jacobian(cone, surface, points)
+        assert batched.shape == (5, 3, grid[0] * grid[1])
+        for s, jac_row in zip(points, batched):
             jac = outer_normal_amplitude_jacobian(cone, surface, s)
             assert jac.shape == (3, grid[0] * grid[1])
+            np.testing.assert_allclose(jac_row, jac, rtol=1e-13, atol=1e-13 * np.max(np.abs(jac)))
             for k in range(grid[0] * grid[1]):
                 i, j = divmod(k, grid[1])
                 plus = amps.copy()
