@@ -9,21 +9,32 @@ amplitudes is assembled by chaining the board residual back through
 the exit refraction and the normal's dependence on the field. Pose
 gradients use a left rotation increment about the current estimate.
 
-Accumulations use ``np.sum`` (pairwise summation) in a fixed order so
-repeated runs produce bit-identical results.
+Every evaluation runs on one stacked batch of all images' corners. Its
+cover stage (inner hit and refraction, outer hit) and the kernel matrix
+``K`` at the outer hits are computed once per (parameters, observations)
+and reused for every iterate of a fit. That is exact only because the
+outer intersection is taken on the perfect cone, so the outer hits do
+not move with the amplitudes; an exact intersection with the displaced
+wall would have to rebuild the batch for every iterate.
+
+Accumulations (``np.sum``, per-image ``np.bincount`` and the products
+with ``K``) run in a fixed order, so repeated runs produce bit-identical
+results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import least_squares
 from scipy.spatial.transform import Rotation
 
 from .errors import ConfigurationError, DataError, DivergenceError
-from .geometry import RbfSurface, _outer_normal_linearization, rbf_kernel_terms
+from .camera import pixel_to_ray
+from .geometry import RbfSurface, _outer_normal_linearization, normalize_coords, rbf_kernel_terms
 from .observations import ImageObservations, ObservationSet
 from .raytrace import (
     STAGE_NAMES,
@@ -32,6 +43,9 @@ from .raytrace import (
     TraceStatus,
     _board_coords,
     _intersect_plane_batch,
+    _land_on_board,
+    _trace_cover,
+    _trace_exit,
     pinhole_raycast,
     trace_pixels,
 )
@@ -124,112 +138,171 @@ def _sorted_images(observations: ObservationSet):
     return sorted(observations.images, key=lambda im: im.image_index)
 
 
-def _errored_rows(im: ImageObservations, status: np.ndarray) -> list:
-    return [
-        (
-            im.image_index,
-            int(im.grid_ij[r, 0]),
-            int(im.grid_ij[r, 1]),
-            STAGE_NAMES[TraceStatus(status[r])],
-        )
-        for r in np.flatnonzero(status != TraceStatus.OK)
-    ]
+# failure stage name per TraceStatus value, "" for OK
+_STAGE_LABELS = np.array([STAGE_NAMES.get(status, "") for status in TraceStatus], dtype=object)
 
 
-def _residual_pass(params: SceneParams, observations: ObservationSet, image_term=None):
-    """Trace every image once and accumulate the loss and its exclusions.
+class _FitBatch:
+    """Every image's corners stacked in image order, traced through the cover once.
 
-    ``image_term(params, im, batch, rho, ok)``, when given, is evaluated
-    for each image right after its trace; the results are returned in
-    image order next to the :class:`LossResult`.
+    Holds per corner the image index, ``grid_ij``, the board target and
+    the pose columns, plus the amplitude-independent cover stage. The
+    kernel matrix ``K`` at the outer hits is built on first use, image by
+    image. Its cone-coordinate derivatives follow from it exactly,
+    ``dK/ds_d = K * (c_d - s_d) / (beta * span_d)`` with ``c`` the
+    centers and ``s`` the normalized hits, so they are never stored: the
+    field's slope and angular derivative are ``K`` products with scaled
+    amplitudes, and the amplitude gradient is one ``K^T`` product.
     """
-    total = 0.0
-    n_active = 0
-    errored = []
-    per_image = []
-    for im in _sorted_images(observations):
-        batch = trace_pixels(params, im.image_index, im.pixels)
+
+    def __init__(self, params: SceneParams, observations: ObservationSet):
+        images = _sorted_images(observations)
+        counts = [im.n_corners for im in images]
+        self.cone = params.cone
+        self.surface = params.surface  # its centers, patch and width; amplitudes are passed in
+        self.n_images = len(images)
+        self.offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.image_index = np.repeat([im.image_index for im in images], counts)
+        self.grid_ij = np.concatenate([im.grid_ij for im in images])
+        self.target = np.concatenate([im.board_local() for im in images])
+        poses = [params.pose(im.image_index) for im in images]
+        self.rotation = np.repeat(np.stack([pose.rotation for pose in poses]), counts, axis=0)
+        self.translation = np.repeat(np.stack([pose.translation for pose in poses]), counts, axis=0)
+        dirs = pixel_to_ray(params.intrinsics, np.concatenate([im.pixels for im in images]))
+        self.cover = _trace_cover(self.cone, np.zeros_like(dirs), dirs)
+        self.s_norm = normalize_coords(self.surface.patch, self.cover.s_outer)
+        self.beta_span = self.surface.beta * self.surface.patch.spans
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """``K`` at every outer hit, shape (n_corners, n_centers); built
+        image by image to bound the temporaries of the kernel evaluation."""
+        kernel = np.empty((self.target.shape[0], self.surface.n_centers))
+        for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
+            kernel[start:stop] = rbf_kernel_terms(self.surface, self.cover.s_outer[start:stop])[0]
+        return kernel
+
+    def fields(self, amplitudes: np.ndarray):
+        """Field value, slope and angular derivative at every outer hit;
+        None (the perfect cone, no kernel needed) for zero amplitudes."""
+        if not np.any(amplitudes):
+            return None
+        centers = self.surface.centers
+        m = self.kernel @ np.column_stack(
+            [amplitudes, amplitudes * centers[:, 0], amplitudes * centers[:, 1]]
+        )
+        phi = m[:, 0]
+        return (
+            phi,
+            (m[:, 1] - self.s_norm[:, 0] * phi) / self.beta_span[0],
+            (m[:, 2] - self.s_norm[:, 1] * phi) / self.beta_span[1],
+        )
+
+    def errored(self, status: np.ndarray) -> tuple:
+        """Sorted ``(image_index, i, j, stage)`` of every failed corner."""
+        bad = np.flatnonzero(status != TraceStatus.OK)
+        return tuple(
+            sorted(
+                zip(
+                    self.image_index[bad].tolist(),
+                    self.grid_ij[bad, 0].tolist(),
+                    self.grid_ij[bad, 1].tolist(),
+                    _STAGE_LABELS[status[bad]].tolist(),
+                )
+            )
+        )
+
+    def evaluate(self, amplitudes: np.ndarray, wrt: str | None = None):
+        """Loss at ``amplitudes`` and, for ``wrt`` "amplitudes" or "poses",
+        its gradient (else None)."""
+        n_outer, dn = _outer_normal_linearization(
+            self.cone, self.cover.s_outer, self.fields(amplitudes), derivatives=wrt == "amplitudes"
+        )
+        batch = _land_on_board(
+            _trace_exit(self.cone, self.cover, n_outer), self.rotation, self.translation
+        )
         ok = batch.ok
-        rho = batch.board_local - im.board_local()
-        total += float(np.sum(rho[ok] ** 2))
-        n_active += int(np.count_nonzero(ok))
-        errored.extend(_errored_rows(im, batch.status))
-        if image_term is not None:
-            per_image.append(image_term(params, im, batch, rho, ok))
-    if n_active == 0:
-        raise DataError("no corner completed the trace; loss is undefined")
-    return LossResult(value=total, n_active=n_active, errored=tuple(sorted(errored))), per_image
+        n_active = int(np.count_nonzero(ok))
+        if n_active == 0:
+            raise DataError("no corner completed the trace; loss is undefined")
+        rho = (batch.board_local - self.target)[ok]
+        result = LossResult(
+            value=float(np.sum(rho**2)), n_active=n_active, errored=self.errored(batch.status)
+        )
+        if wrt == "amplitudes":
+            return result, self._amplitude_gradient(batch, ok, rho, dn[ok])
+        if wrt == "poses":
+            return result, self._pose_gradient(batch, ok, rho)
+        return result, None
+
+    def _residual_adjoints(self, batch, ok, rho):
+        """Shared first links of the backward chain, on the valid rows.
+
+        Returns (w3, n_b, scale): ``w3`` is the gradient of the loss with
+        respect to the board-plane hit point, ``n_b`` the board normal and
+        ``scale`` the exit direction dotted with ``w3`` over its dot
+        product with ``n_b``.
+        """
+        rotation = self.rotation[ok]
+        n_b = rotation[..., 2]
+        w3 = 2.0 * (rho[:, 0, None] * rotation[..., 0] + rho[:, 1, None] * rotation[..., 1])
+        r_o = batch.dir_out[ok]
+        scale = (np.sum(r_o * w3, axis=-1) / np.sum(r_o * n_b, axis=-1))[:, None]
+        return w3, n_b, scale
+
+    def _amplitude_gradient(self, batch, ok, rho, dn):
+        w3, n_b, scale = self._residual_adjoints(batch, ok, rho)
+        dl_dro = batch.t_board[ok, None] * (w3 - n_b * scale)
+
+        # backward through the exit refraction: r_o depends on the oriented
+        # outer normal both directly and via the incidence cosine
+        eta = self.cone.eta_inside / self.cone.eta_outside
+        r_m = batch.dir_glass[ok]
+        n_hat = batch.n_outer[ok]
+        sigma = np.where(np.sum(r_m * n_hat, axis=-1) > 0.0, -1.0, 1.0)
+        n_eff = sigma[:, None] * n_hat
+        c_i = -np.sum(r_m * n_eff, axis=-1)
+        k_refr = 1.0 - eta * eta * (1.0 - c_i * c_i)
+        c_t = np.sqrt(np.maximum(k_refr, 1e-300))
+        f = eta * c_i - c_t
+        df_dci = eta - eta * eta * c_i / c_t
+        dl_dneff = f[:, None] * dl_dro - (df_dci * np.sum(n_eff * dl_dro, axis=-1))[:, None] * r_m
+        dl_dnhat = sigma[:, None] * dl_dneff
+
+        # backward through the normal to the field value, slope and angular
+        # derivative, then through K: with g the cotangents of the three
+        # fields, the gradient is K^T g0 + sum_d (c_d K^T g_d - K^T (s_d g_d)) / (beta span_d)
+        g = np.sum(dl_dnhat[:, :, None] * dn, axis=1)
+        cotangents = np.zeros((5, self.target.shape[0]))
+        cotangents[:3, ok] = g.T
+        cotangents[3:, ok] = (g[:, 1:] * self.s_norm[ok]).T
+        p = cotangents @ self.kernel
+        centers = self.surface.centers
+        return (
+            p[0]
+            + (centers[:, 0] * p[1] - p[3]) / self.beta_span[0]
+            + (centers[:, 1] * p[2] - p[4]) / self.beta_span[1]
+        )
+
+    def _pose_gradient(self, batch, ok, rho):
+        """One [rotation-increment, translation] block of 6 per image, for a
+        left rotation increment at the current pose; each block sums its
+        image's contiguous rows."""
+        w3, n_b, scale = self._residual_adjoints(batch, ok, rho)
+        x_t = batch.x_board[ok]
+        t_b = self.translation[ok]
+        d_omega = np.cross(w3, x_t - t_b) + scale * np.cross(n_b, t_b - x_t)
+        d_trans = scale * n_b - w3
+        rows = np.concatenate([d_omega, d_trans], axis=1)
+        image = self.image_index[ok]
+        blocks = [np.bincount(image, weights=col, minlength=self.n_images) for col in rows.T]
+        return np.stack(blocks, axis=1).ravel()
 
 
 def loss(params: SceneParams, observations: ObservationSet) -> LossResult:
     """Sum of squared corner residuals in board coordinates (m^2)."""
-    return _residual_pass(params, observations)[0]
-
-
-def _board_residual_adjoints(batch, pose, rho, ok):
-    """Shared first links of the backward chain, restricted to valid rows.
-
-    Returns (w3, nb_ro, ro_w3, dL/dr_o): ``w3`` is the gradient of the
-    loss with respect to the board-plane hit point, ``nb_ro`` and
-    ``ro_w3`` are the exit direction dotted with the board normal and
-    with ``w3``, and ``dL/dr_o`` is the gradient with respect to the
-    exit direction.
-    """
-    r1, r2, n_b = pose.rotation[:, 0], pose.rotation[:, 1], pose.normal
-    rho = rho[ok]
-    w3 = 2.0 * (rho[:, 0, None] * r1 + rho[:, 1, None] * r2)
-    r_o = batch.dir_out[ok]
-    nb_ro = r_o @ n_b
-    ro_w3 = np.sum(r_o * w3, axis=-1)
-    dl_dro = batch.t_board[ok, None] * (w3 - n_b * (ro_w3 / nb_ro)[:, None])
-    return w3, nb_ro, ro_w3, dl_dro
-
-
-def _amplitude_gradient_image(params: SceneParams, im: ImageObservations, batch, rho, ok):
-    """Per-image loss gradient with respect to the flat amplitudes."""
-    cone = params.cone
-    surface = params.surface
-    pose = params.pose(im.image_index)
-    dl_dro = _board_residual_adjoints(batch, pose, rho, ok)[-1]
-
-    # backward through the exit refraction: r_o depends on the oriented
-    # outer normal both directly and via the incidence cosine
-    eta = cone.eta_inside / cone.eta_outside
-    r_m = batch.dir_glass[ok]
-    n_hat = batch.n_outer[ok]
-    sigma = np.where(np.sum(r_m * n_hat, axis=-1) > 0.0, -1.0, 1.0)
-    n_eff = sigma[:, None] * n_hat
-    c_i = -np.sum(r_m * n_eff, axis=-1)
-    k_refr = 1.0 - eta * eta * (1.0 - c_i * c_i)
-    c_t = np.sqrt(np.maximum(k_refr, 1e-300))
-    f = eta * c_i - c_t
-    df_dci = eta - eta * eta * c_i / c_t
-    dl_dneff = f[:, None] * dl_dro - (df_dci * np.sum(n_eff * dl_dro, axis=-1))[:, None] * r_m
-    dl_dnhat = sigma[:, None] * dl_dneff
-
-    # backward through the normal to the field value, slope and angular
-    # derivative; all three are linear in the amplitudes
-    s_o = batch.s_outer[ok]
-    terms = rbf_kernel_terms(surface, s_o)
-    _, dn = _outer_normal_linearization(cone, surface, s_o, terms, derivatives=True)
-    c = np.sum(dl_dnhat[:, :, None] * dn, axis=1)
-    k, k1, k2 = terms
-    return np.sum(k * c[:, 0, None] + k1 * c[:, 1, None] + k2 * c[:, 2, None], axis=0)
-
-
-def _pose_gradient_image(params: SceneParams, im: ImageObservations, batch, rho, ok):
-    """Per-image loss gradient for a left rotation increment and the
-    translation, evaluated at the current pose; shape (6,)."""
-    pose = params.pose(im.image_index)
-    n_b = pose.normal
-    w3, nb_ro, ro_w3, _ = _board_residual_adjoints(batch, pose, rho, ok)
-    x_t = batch.x_board[ok]
-    t_b = pose.translation
-
-    scale = (ro_w3 / nb_ro)[:, None]
-    d_omega = np.cross(w3, x_t - t_b) + scale * np.cross(n_b, t_b - x_t)
-    d_trans = scale * n_b - w3
-    return np.concatenate([np.sum(d_omega, axis=0), np.sum(d_trans, axis=0)])
+    batch = _FitBatch(params, observations)
+    return batch.evaluate(params.surface.flat_amplitudes)[0]
 
 
 def loss_gradient(params: SceneParams, observations: ObservationSet, wrt: str = "amplitudes"):
@@ -241,15 +314,8 @@ def loss_gradient(params: SceneParams, observations: ObservationSet, wrt: str = 
     """
     if wrt not in ("amplitudes", "poses"):
         raise ConfigurationError(f"unknown gradient target {wrt!r}")
-    image_gradient = _amplitude_gradient_image if wrt == "amplitudes" else _pose_gradient_image
-    result, grads = _residual_pass(params, observations, image_gradient)
-    if wrt == "amplitudes":
-        grad = grads[0]
-        for g in grads[1:]:
-            grad = grad + g
-    else:
-        grad = np.concatenate(grads)
-    return result, grad
+    batch = _FitBatch(params, observations)
+    return batch.evaluate(params.surface.flat_amplitudes, wrt)
 
 
 class _AdamState:
@@ -271,16 +337,20 @@ class _AdamState:
         return rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
+def _is_stable(value: float, grad: np.ndarray | None) -> bool:
+    """A finite loss no larger than 1e6 m^2 and, when given, a finite gradient."""
+    return bool(
+        np.isfinite(value) and value <= 1e6 and (grad is None or np.all(np.isfinite(grad)))
+    )
+
+
 def _check_divergence(
     value: float,
     grad: np.ndarray | None,
     iteration: int,
     last_stable: "FitResult | None",
 ) -> None:
-    bad = not np.isfinite(value) or value > 1e6
-    if grad is not None:
-        bad = bad or not np.all(np.isfinite(grad))
-    if bad:
+    if not _is_stable(value, grad):
         raise DivergenceError(
             f"optimization diverged at iteration {iteration} (loss {value!r})",
             iteration=iteration,
@@ -300,6 +370,7 @@ def optimize_amplitudes(
     callers can persist a usable result.
     """
     options = options or OptimizerOptions()
+    batch = _FitBatch(params, observations)
     current = params
     x = params.surface.flat_amplitudes.copy()
     adam = _AdamState(x.size) if options.step_rule == "adam" else None
@@ -308,7 +379,7 @@ def optimize_amplitudes(
 
     for it in range(options.step_count):
         try:
-            result, grad = loss_gradient(current, observations, wrt="amplitudes")
+            result, grad = batch.evaluate(x, "amplitudes")
         except DataError:
             if it == 0:
                 raise
@@ -319,7 +390,7 @@ def optimize_amplitudes(
                 last_stable=last_stable,
             ) from None
         history.append(result.value)
-        if np.isfinite(result.value) and result.value <= 1e6 and np.all(np.isfinite(grad)):
+        if _is_stable(result.value, grad):
             last_stable = FitResult(
                 params=current,
                 surface=current.surface,
@@ -350,7 +421,7 @@ def optimize_amplitudes(
             current.surface.with_amplitudes(x.reshape(current.surface.grid))
         )
 
-    final = loss(current, observations)
+    final, _ = batch.evaluate(x)
     history.append(final.value)
     _check_divergence(final.value, None, options.step_count, last_stable)
     return FitResult(

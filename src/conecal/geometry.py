@@ -327,21 +327,30 @@ def inner_surface_normal(cone: ConeGeometry, s) -> np.ndarray:
     )
 
 
-def _outer_normal_linearization(
-    cone: ConeGeometry,
-    surface: RbfSurface | None,
-    s,
-    terms=None,
-    derivatives: bool = False,
-):
+def _field_values(surface: RbfSurface | None, s):
+    """Field value, slope and angular derivative ``(phi, phi1, phi2)`` at ``s``.
+
+    Returns None, the perfect cone, when there is no surface or all its
+    amplitudes are zero; no kernel is evaluated then.
+    """
+    if surface is None or not np.any(surface.amplitudes):
+        return None
+    return _contract_terms(rbf_kernel_terms(surface, s), surface.flat_amplitudes)
+
+
+def _contract_terms(terms, amplitudes: np.ndarray):
+    """Kernel matrices of :func:`rbf_kernel_terms` contracted with amplitudes."""
+    return tuple(np.sum(t * amplitudes, axis=-1) for t in terms)
+
+
+def _outer_normal_linearization(cone: ConeGeometry, s, fields=None, derivatives: bool = False):
     """Outer-wall unit normal and its first-order dependence on the field.
 
     The tangents ``u = d(point)/d(s1)`` and ``v = d(point)/d(s2)`` depend
     on the field only through its value ``phi``, slope ``phi1`` and
-    angular derivative ``phi2`` at ``s``; the normal is ``u x v``
-    normalized and oriented away from the axis. ``terms`` are the kernel
-    matrices of :func:`rbf_kernel_terms` at ``s``, computed here when
-    omitted (``surface=None`` is the perfect cone and needs none).
+    angular derivative ``phi2`` at ``s``, passed as ``fields``; None is
+    the perfect cone. The normal is ``u x v`` normalized and oriented
+    away from the axis.
 
     Returns ``(n, dn)``: ``n`` has shape ``(..., 3)``; ``dn`` has shape
     ``(..., 3, 3)`` with columns ``dn/dphi``, ``dn/dphi1``, ``dn/dphi2``
@@ -353,14 +362,7 @@ def _outer_normal_linearization(
     s1, s2 = s[..., 0], s[..., 1]
     sin2, cos2 = np.sin(s2), np.cos(s2)
     zeros = np.zeros_like(s1)
-    if surface is None:
-        phi = phi1 = phi2 = zeros
-    else:
-        k, k1, k2 = rbf_kernel_terms(surface, s) if terms is None else terms
-        a = surface.flat_amplitudes
-        phi = np.sum(k * a, axis=-1)
-        phi1 = np.sum(k1 * a, axis=-1)
-        phi2 = np.sum(k2 * a, axis=-1)
+    phi, phi1, phi2 = (zeros, zeros, zeros) if fields is None else fields
     slope = cone.tan_half_angle + phi1
     u = np.stack([slope * sin2, -np.ones_like(s1), slope * cos2], axis=-1)
     rr = cone.radius(s1, "outer") + phi
@@ -391,9 +393,9 @@ def outer_surface_normal(cone: ConeGeometry, surface: RbfSurface | None, s) -> n
 
     Built from the cross product of the surface tangents, so the field's
     derivatives enter through the chain rule; with zero amplitudes this
-    reduces to the closed-form cone normal.
+    reduces to the closed-form cone normal and no kernel is evaluated.
     """
-    return _outer_normal_linearization(cone, surface, s)[0]
+    return _outer_normal_linearization(cone, s, _field_values(surface, s))[0]
 
 
 def outer_normal_amplitude_jacobian(cone: ConeGeometry, surface: RbfSurface, s) -> np.ndarray:
@@ -404,5 +406,6 @@ def outer_normal_amplitude_jacobian(cone: ConeGeometry, surface: RbfSurface, s) 
     pushed through the normalization of the raw normal.
     """
     terms = rbf_kernel_terms(surface, s)
-    _, dn = _outer_normal_linearization(cone, surface, s, terms, derivatives=True)
+    fields = _contract_terms(terms, surface.flat_amplitudes)
+    _, dn = _outer_normal_linearization(cone, s, fields, derivatives=True)
     return dn @ np.stack(terms, axis=-2)

@@ -11,7 +11,7 @@ be excluded and reported deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -289,10 +289,14 @@ def _intersect_plane_batch(
 
 
 def _board_coords(rotation: np.ndarray, translation: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Planar board coordinates of camera-frame points (no on-plane check)."""
+    """Planar board coordinates of camera-frame points (no on-plane check).
+
+    ``rotation`` is one pose's ``(3, 3)`` matrix or one per point,
+    ``(..., 3, 3)``, with ``translation`` shaped to match.
+    """
     rel = x - translation
     return np.stack(
-        [np.sum(rel * rotation[:, 0], axis=-1), np.sum(rel * rotation[:, 1], axis=-1)],
+        [np.sum(rel * rotation[..., 0], axis=-1), np.sum(rel * rotation[..., 1], axis=-1)],
         axis=-1,
     )
 
@@ -325,7 +329,9 @@ class TraceBatch:
     """Arrays describing each ray's path through the cover.
 
     Rays with ``status != OK`` carry placeholder values from the failing
-    stage onward and must be masked by the caller.
+    stage onward and must be masked by the caller. The cover stage fills
+    the fields up to ``status``; the exit stage adds the outer normal and
+    the exit direction, the board landing the rest.
     """
 
     ray_dir: np.ndarray  # (..., 3) unit direction leaving the camera
@@ -333,10 +339,10 @@ class TraceBatch:
     dir_glass: np.ndarray  # (..., 3) unit direction inside the glass
     x_outer: np.ndarray  # (..., 3) outer-wall hit (perfect cone)
     s_outer: np.ndarray  # (..., 2) cone coordinates of the outer hit
-    n_outer: np.ndarray  # (..., 3) outward unit normal incl. irregularity
-    dir_out: np.ndarray  # (..., 3) unit direction after exit
     status: np.ndarray  # (...,) TraceStatus values
-    t_board: np.ndarray | None = None  # (...,) set by trace_pixels
+    n_outer: np.ndarray | None = None  # (..., 3) outward unit normal incl. irregularity
+    dir_out: np.ndarray | None = None  # (..., 3) unit direction after exit
+    t_board: np.ndarray | None = None  # (...,) board-plane ray parameter
     x_board: np.ndarray | None = None  # (..., 3) board-plane hit
     board_local: np.ndarray | None = None  # (..., 2) board coordinates
 
@@ -345,10 +351,13 @@ class TraceBatch:
         return self.status == TraceStatus.OK
 
 
-def _trace_batch(
-    cone: ConeGeometry, surface: RbfSurface | None, origins: np.ndarray, dirs: np.ndarray
-) -> TraceBatch:
-    """Vectorized two-refraction trace from inside the cover."""
+def _trace_cover(cone: ConeGeometry, origins: np.ndarray, dirs: np.ndarray) -> TraceBatch:
+    """Cover stage: inner hit, inner refraction and the outer hit.
+
+    The outer hit is taken on the perfect cone, so nothing computed here
+    depends on the irregularity field. Rays that fail carry a safe
+    ``s_outer`` at which the outer normal is defined.
+    """
     status = np.full(dirs.shape[:-1], TraceStatus.OK, dtype=np.int64)
 
     t_i, hit_i = _intersect_cone_batch(cone, origins, dirs, "inner")
@@ -375,21 +384,51 @@ def _trace_batch(
     s_o = _cone_coords(cone, x_o)
     s_o_safe = np.where((status != TraceStatus.OK)[..., None], [cone.height / 2, 0.0], s_o)
 
-    n_o = outer_surface_normal(cone, surface, s_o_safe)
-    eta_out = cone.eta_inside / cone.eta_outside
-    d_out, ok_out = _refract_batch(d_glass, n_o, eta_out)
-    status[(~ok_out) & (status == TraceStatus.OK)] = TraceStatus.TIR_OUTER
-
     return TraceBatch(
         ray_dir=dirs,
         x_inner=x_i,
         dir_glass=d_glass,
         x_outer=x_o,
         s_outer=s_o_safe,
-        n_outer=n_o,
-        dir_out=d_out,
         status=status,
     )
+
+
+def _trace_exit(cone: ConeGeometry, cover: TraceBatch, n_outer: np.ndarray) -> TraceBatch:
+    """Exit stage: refraction through the outer wall with normal ``n_outer``.
+
+    Returns a new batch; ``cover`` is left unchanged, so one cover stage
+    can serve many fields.
+    """
+    eta_out = cone.eta_inside / cone.eta_outside
+    d_out, ok_out = _refract_batch(cover.dir_glass, n_outer, eta_out)
+    status = cover.status.copy()
+    status[(~ok_out) & (status == TraceStatus.OK)] = TraceStatus.TIR_OUTER
+    return replace(cover, n_outer=n_outer, dir_out=d_out, status=status)
+
+
+def _land_on_board(batch: TraceBatch, rotation: np.ndarray, translation: np.ndarray) -> TraceBatch:
+    """Board landing of the exit rays, in place.
+
+    ``rotation`` and ``translation`` are one board pose, or one pose per
+    ray with shapes ``(..., 3, 3)`` and ``(..., 3)``.
+    """
+    t_b, x_t, hit_b = _intersect_plane_batch(
+        translation, rotation[..., 2], batch.x_outer, batch.dir_out
+    )
+    batch.status[(~hit_b) & (batch.status == TraceStatus.OK)] = TraceStatus.MISS_BOARD
+    batch.t_board = t_b
+    batch.x_board = x_t
+    batch.board_local = _board_coords(rotation, translation, x_t)
+    return batch
+
+
+def _trace_batch(
+    cone: ConeGeometry, surface: RbfSurface | None, origins: np.ndarray, dirs: np.ndarray
+) -> TraceBatch:
+    """Vectorized two-refraction trace from inside the cover."""
+    cover = _trace_cover(cone, origins, dirs)
+    return _trace_exit(cone, cover, outer_surface_normal(cone, surface, cover.s_outer))
 
 
 def _raise_for_status(status: int) -> None:
@@ -422,23 +461,16 @@ def trace_through_cover(params: SceneParams, ray: Ray) -> Ray:
 def trace_pixels(params: SceneParams, image_index: int, pixels) -> TraceBatch:
     """Batched pixel-to-board trace keeping every intermediate quantity.
 
-    The returned :class:`TraceBatch` includes the board-plane hit; the
-    calibration gradients are assembled from these intermediates.
+    The returned :class:`TraceBatch` includes the board-plane hit. The
+    calibration fit runs the same cover, exit and landing stages on all
+    images at once.
     """
     pose = params.pose(image_index)
     pixels = np.asarray(pixels, dtype=np.float64)
     dirs = pixel_to_ray(params.intrinsics, pixels)
     origins = np.zeros_like(dirs)
     batch = _trace_batch(params.cone, params.surface, origins, dirs)
-
-    t_b, x_t, hit_b = _intersect_plane_batch(
-        pose.translation, pose.normal, batch.x_outer, batch.dir_out
-    )
-    batch.status[(~hit_b) & (batch.status == TraceStatus.OK)] = TraceStatus.MISS_BOARD
-    batch.t_board = t_b
-    batch.x_board = x_t
-    batch.board_local = _board_coords(pose.rotation, pose.translation, x_t)
-    return batch
+    return _land_on_board(batch, pose.rotation, pose.translation)
 
 
 def raycast_pixels(params: SceneParams, image_index: int, pixels):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from conecal import calibrate, geometry
 from conecal.calibrate import (
     FitResult,
     OptimizerOptions,
@@ -27,7 +28,7 @@ from conecal.camera import CameraIntrinsics
 from conecal.errors import ConfigurationError, DataError, DivergenceError
 from conecal.geometry import ConeGeometry, RbfPatch, RbfSurface
 from conecal.observations import ImageObservations, ObservationSet
-from conecal.raytrace import BoardPose, SceneParams, raycast
+from conecal.raytrace import BoardPose, SceneParams, raycast, trace_pixels
 from conftest import make_pose
 from oracles import project_consistent
 
@@ -96,6 +97,76 @@ def consistent_observations(params, subsample=2, rng=None, noise_px=0.0):
         corners_per_side=params.poses[0].corners_per_side,
         images=tuple(images),
     )
+
+
+def scene_with_failures(rng):
+    """Three images whose corners include inner misses, exit total
+    internal reflection (a steep field) and board misses (a board seen
+    almost edge-on), with corner indices in shuffled order."""
+    params, _ = small_scene(rng, grid=(2, 2), n_images=1)
+    steep = RbfSurface(
+        patch=params.surface.patch,
+        grid=(2, 2),
+        amplitudes=np.array([[0.05, -0.05], [-0.05, 0.05]]),
+        beta=0.02,
+    )
+    poses = (
+        make_pose(0.6, corners_per_side=9),
+        make_pose(0.3, dx=0.05, rot_deg=(0.0, 80.0, 0.0), corners_per_side=9),
+        make_pose(0.9, dx=-0.05, rot_deg=(10.0, -10.0, 5.0), corners_per_side=9),
+    )
+    gx, gy = np.meshgrid(np.arange(100.0, 3200.0, 400.0), np.arange(100.0, 2400.0, 300.0))
+    pixels = np.column_stack([gx.ravel(), gy.ravel()])
+    images = []
+    for idx, pose in enumerate(poses):
+        flat = rng.permutation(81)[: pixels.shape[0]]
+        ij = np.column_stack([flat // 9 + 1, flat % 9 + 1])
+        px = pixels + rng.normal(0.0, 5.0, size=pixels.shape)
+        px[idx] = [1640.0, -1e7]  # misses the cover
+        images.append(ImageObservations(image_index=idx, initial_pose=pose, grid_ij=ij, pixels=px))
+    obs = ObservationSet(square_size=0.03, corners_per_side=9, images=tuple(images))
+    return SceneParams(params.intrinsics, params.cone, steep, poses), obs
+
+
+def per_image_reference(params, obs):
+    """Loss, exclusions and pose gradient from one trace_pixels call per image."""
+    from conecal.raytrace import STAGE_NAMES, TraceStatus
+
+    total, n_active, errored, blocks = 0.0, 0, [], []
+    for im in obs.images:
+        pose = params.pose(im.image_index)
+        batch = trace_pixels(params, im.image_index, im.pixels)
+        ok = batch.ok
+        rho = (batch.board_local - im.board_local())[ok]
+        total += float(np.sum(rho**2))
+        n_active += int(np.count_nonzero(ok))
+        for r in np.flatnonzero(~ok):
+            stage = STAGE_NAMES[TraceStatus(batch.status[r])]
+            errored.append((im.image_index, int(im.grid_ij[r, 0]), int(im.grid_ij[r, 1]), stage))
+        r1, r2, n_b = pose.rotation.T
+        w3 = 2.0 * (rho[:, 0, None] * r1 + rho[:, 1, None] * r2)
+        r_o = batch.dir_out[ok]
+        scale = (np.sum(r_o * w3, axis=-1) / (r_o @ n_b))[:, None]
+        x_t = batch.x_board[ok]
+        t_b = pose.translation
+        d_omega = np.cross(w3, x_t - t_b) + scale * np.cross(n_b, t_b - x_t)
+        d_trans = scale * n_b - w3
+        blocks.append(np.concatenate([np.sum(d_omega, axis=0), np.sum(d_trans, axis=0)]))
+    return total, n_active, tuple(sorted(errored)), np.concatenate(blocks)
+
+
+def count_kernel_calls(monkeypatch):
+    """Record the input shape of every rbf_kernel_terms call."""
+    calls = []
+    original = geometry.rbf_kernel_terms
+
+    def counting(surface, s):
+        calls.append(np.shape(s))
+        return original(surface, s)
+
+    monkeypatch.setattr(geometry, "rbf_kernel_terms", counting)
+    monkeypatch.setattr(calibrate, "rbf_kernel_terms", counting)
+    return calls
 
 
 def fd_amplitude_gradient(params, obs, h=1e-9):
@@ -237,6 +308,23 @@ class TestLoss:
             loss(scene_zero, broken)
 
 
+class TestStackedBatch:
+    def test_matches_per_image_reference(self):
+        params, obs = scene_with_failures(np.random.default_rng(150))
+        value, n_active, errored, pose_grad = per_image_reference(params, obs)
+        stages = {e[3] for e in errored}
+        assert {"inner-intersection", "outer-refraction", "board-intersection"} <= stages
+        assert n_active > 0
+
+        result, grad = loss_gradient(params, obs, wrt="poses")
+        assert result.errored == errored
+        assert result.n_active == n_active
+        assert result.value == pytest.approx(value, rel=1e-12)
+        assert np.max(np.abs(grad - pose_grad)) <= 1e-10 * np.max(np.abs(pose_grad))
+        assert loss(params, obs) == result
+        assert loss_gradient(params, obs, wrt="amplitudes")[0] == result
+
+
 class TestLossGradient:
     def test_amplitude_gradient_matches_fd(self):
         for seed in range(6):
@@ -355,6 +443,25 @@ class TestOptimizeAmplitudes:
             lo, hi = best - width, best + width
         assert abs(a_fit - best) < 1e-6
         assert abs(a_fit - 2e-5) < 1e-6
+
+    def test_kernels_evaluated_once_per_fit(self, monkeypatch):
+        rng = np.random.default_rng(405)
+        _, start, obs = self.make_recovery_problem(rng)
+        calls = count_kernel_calls(monkeypatch)
+        counts = []
+        for steps in (2, 5):
+            calls.clear()
+            optimize_amplitudes(start, obs, OptimizerOptions(step_count=steps))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_final_loss_matches_a_fresh_loss(self):
+        rng = np.random.default_rng(406)
+        _, start, obs = self.make_recovery_problem(rng)
+        fit = optimize_amplitudes(start, obs, OptimizerOptions(step_count=10))
+        fresh = loss(fit.params, obs)
+        assert fit.final_loss == pytest.approx(fresh.value, rel=1e-12)
+        assert (fit.n_active, fit.errored) == (fresh.n_active, fresh.errored)
 
     def test_deterministic_runs_bit_identical(self):
         rng = np.random.default_rng(404)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from conecal import geometry
 from conecal.errors import ConfigurationError, OutOfRangeError, SingularSurfaceError
 from conecal.geometry import (
     ConeGeometry,
@@ -267,6 +268,24 @@ class TestInnerSurfaceNormal:
 
 
 class TestOuterSurfaceNormal:
+    def test_zero_field_is_the_perfect_cone_without_kernels(self, cone, flat_surface, monkeypatch):
+        calls = []
+        original = geometry.rbf_kernel_terms
+
+        def counting(surface, s):
+            calls.append(np.shape(s))
+            return original(surface, s)
+
+        monkeypatch.setattr(geometry, "rbf_kernel_terms", counting)
+        rng = np.random.default_rng(30)
+        s = np.column_stack([rng.uniform(0.0, 0.05, 40), rng.uniform(-np.pi, np.pi, 40)])
+        flat = outer_surface_normal(cone, flat_surface, s)
+        assert np.array_equal(flat, outer_surface_normal(cone, None, s))
+        assert calls == []
+        bumped = flat_surface.with_amplitudes(np.full(flat_surface.grid, 1e-5))
+        outer_surface_normal(cone, bumped, s)
+        assert calls == [(40, 2)]
+
     def test_zero_amplitude_closed_form(self, cone, flat_surface):
         alpha = cone.half_angle
         for s2 in (-2.0, -0.3, 0.0, 1.1):
