@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -34,7 +33,13 @@ from scipy.spatial.transform import Rotation
 
 from .errors import ConfigurationError, DataError, DivergenceError
 from .camera import pixel_to_ray
-from .geometry import RbfSurface, _outer_normal_linearization, normalize_coords, rbf_kernel_terms
+from .geometry import (
+    RbfSurface,
+    _field_values,
+    _field_values_adjoint,
+    _outer_normal_linearization,
+    rbf_kernel_terms,
+)
 from .observations import ImageObservations, ObservationSet
 from .raytrace import (
     STAGE_NAMES,
@@ -138,28 +143,22 @@ def _sorted_images(observations: ObservationSet):
     return sorted(observations.images, key=lambda im: im.image_index)
 
 
-# failure stage name per TraceStatus value, "" for OK
-_STAGE_LABELS = np.array([STAGE_NAMES.get(status, "") for status in TraceStatus], dtype=object)
-
-
 class _FitBatch:
     """Every image's corners stacked in image order, traced through the cover once.
 
     Holds per corner the image index, ``grid_ij``, the board target and
     the pose columns, plus the amplitude-independent cover stage. The
     kernel matrix ``K`` at the outer hits is built on first use, image by
-    image. Its cone-coordinate derivatives follow from it exactly,
-    ``dK/ds_d = K * (c_d - s_d) / (beta * span_d)`` with ``c`` the
-    centers and ``s`` the normalized hits, so they are never stored: the
-    field's slope and angular derivative are ``K`` products with scaled
-    amplitudes, and the amplitude gradient is one ``K^T`` product.
+    image, and is the only kernel data kept: the field's slope and
+    angular derivative, and their amplitude gradient, follow from it
+    exactly (:func:`~conecal.geometry._field_values` and its adjoint).
     """
 
     def __init__(self, params: SceneParams, observations: ObservationSet):
         images = _sorted_images(observations)
         counts = [im.n_corners for im in images]
         self.cone = params.cone
-        self.surface = params.surface  # its centers, patch and width; amplitudes are passed in
+        self.surface = params.surface  # its centers, patch and width; K does not see the amplitudes
         self.n_images = len(images)
         self.offsets = np.concatenate([[0], np.cumsum(counts)])
         self.image_index = np.repeat([im.image_index for im in images], counts)
@@ -170,33 +169,17 @@ class _FitBatch:
         self.translation = np.repeat(np.stack([pose.translation for pose in poses]), counts, axis=0)
         dirs = pixel_to_ray(params.intrinsics, np.concatenate([im.pixels for im in images]))
         self.cover = _trace_cover(self.cone, np.zeros_like(dirs), dirs)
-        self.s_norm = normalize_coords(self.surface.patch, self.cover.s_outer)
-        self.beta_span = self.surface.beta * self.surface.patch.spans
+        self._kernel = None
 
-    @cached_property
     def kernel(self) -> np.ndarray:
         """``K`` at every outer hit, shape (n_corners, n_centers); built
         image by image to bound the temporaries of the kernel evaluation."""
-        kernel = np.empty((self.target.shape[0], self.surface.n_centers))
-        for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
-            kernel[start:stop] = rbf_kernel_terms(self.surface, self.cover.s_outer[start:stop])[0]
-        return kernel
-
-    def fields(self, amplitudes: np.ndarray):
-        """Field value, slope and angular derivative at every outer hit;
-        None (the perfect cone, no kernel needed) for zero amplitudes."""
-        if not np.any(amplitudes):
-            return None
-        centers = self.surface.centers
-        m = self.kernel @ np.column_stack(
-            [amplitudes, amplitudes * centers[:, 0], amplitudes * centers[:, 1]]
-        )
-        phi = m[:, 0]
-        return (
-            phi,
-            (m[:, 1] - self.s_norm[:, 0] * phi) / self.beta_span[0],
-            (m[:, 2] - self.s_norm[:, 1] * phi) / self.beta_span[1],
-        )
+        if self._kernel is None:
+            self._kernel = np.empty((self.target.shape[0], self.surface.n_centers))
+            for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
+                s_outer = self.cover.s_outer[start:stop]
+                self._kernel[start:stop] = rbf_kernel_terms(self.surface, s_outer)[0]
+        return self._kernel
 
     def errored(self, status: np.ndarray) -> tuple:
         """Sorted ``(image_index, i, j, stage)`` of every failed corner."""
@@ -207,16 +190,17 @@ class _FitBatch:
                     self.image_index[bad].tolist(),
                     self.grid_ij[bad, 0].tolist(),
                     self.grid_ij[bad, 1].tolist(),
-                    _STAGE_LABELS[status[bad]].tolist(),
+                    [STAGE_NAMES[TraceStatus(s)] for s in status[bad].tolist()],
                 )
             )
         )
 
-    def evaluate(self, amplitudes: np.ndarray, wrt: str | None = None):
-        """Loss at ``amplitudes`` and, for ``wrt`` "amplitudes" or "poses",
-        its gradient (else None)."""
+    def evaluate(self, surface: RbfSurface, wrt: str | None = None):
+        """Loss under ``surface`` (this batch's centers, any amplitudes)
+        and, for ``wrt`` "amplitudes" or "poses", its gradient (else None)."""
+        fields = _field_values(surface, self.cover.s_outer, self.kernel)
         n_outer, dn = _outer_normal_linearization(
-            self.cone, self.cover.s_outer, self.fields(amplitudes), derivatives=wrt == "amplitudes"
+            self.cone, self.cover.s_outer, fields, derivatives=wrt == "amplitudes"
         )
         batch = _land_on_board(
             _trace_exit(self.cone, self.cover, n_outer), self.rotation, self.translation
@@ -230,7 +214,7 @@ class _FitBatch:
             value=float(np.sum(rho**2)), n_active=n_active, errored=self.errored(batch.status)
         )
         if wrt == "amplitudes":
-            return result, self._amplitude_gradient(batch, ok, rho, dn[ok])
+            return result, self._amplitude_gradient(surface, batch, ok, rho, dn[ok])
         if wrt == "poses":
             return result, self._pose_gradient(batch, ok, rho)
         return result, None
@@ -250,7 +234,7 @@ class _FitBatch:
         scale = (np.sum(r_o * w3, axis=-1) / np.sum(r_o * n_b, axis=-1))[:, None]
         return w3, n_b, scale
 
-    def _amplitude_gradient(self, batch, ok, rho, dn):
+    def _amplitude_gradient(self, surface, batch, ok, rho, dn):
         w3, n_b, scale = self._residual_adjoints(batch, ok, rho)
         dl_dro = batch.t_board[ok, None] * (w3 - n_b * scale)
 
@@ -269,20 +253,11 @@ class _FitBatch:
         dl_dneff = f[:, None] * dl_dro - (df_dci * np.sum(n_eff * dl_dro, axis=-1))[:, None] * r_m
         dl_dnhat = sigma[:, None] * dl_dneff
 
-        # backward through the normal to the field value, slope and angular
-        # derivative, then through K: with g the cotangents of the three
-        # fields, the gradient is K^T g0 + sum_d (c_d K^T g_d - K^T (s_d g_d)) / (beta span_d)
-        g = np.sum(dl_dnhat[:, :, None] * dn, axis=1)
-        cotangents = np.zeros((5, self.target.shape[0]))
-        cotangents[:3, ok] = g.T
-        cotangents[3:, ok] = (g[:, 1:] * self.s_norm[ok]).T
-        p = cotangents @ self.kernel
-        centers = self.surface.centers
-        return (
-            p[0]
-            + (centers[:, 0] * p[1] - p[3]) / self.beta_span[0]
-            + (centers[:, 1] * p[2] - p[4]) / self.beta_span[1]
-        )
+        # backward through the normal to the field value, slope and
+        # angular derivative, then through K
+        g = np.zeros((self.target.shape[0], 3))
+        g[ok] = np.sum(dl_dnhat[:, :, None] * dn, axis=1)
+        return _field_values_adjoint(surface, self.cover.s_outer, self.kernel(), g)
 
     def _pose_gradient(self, batch, ok, rho):
         """One [rotation-increment, translation] block of 6 per image, for a
@@ -299,23 +274,40 @@ class _FitBatch:
         return np.stack(blocks, axis=1).ravel()
 
 
-def loss(params: SceneParams, observations: ObservationSet) -> LossResult:
-    """Sum of squared corner residuals in board coordinates (m^2)."""
-    batch = _FitBatch(params, observations)
-    return batch.evaluate(params.surface.flat_amplitudes)[0]
+def loss(
+    params: SceneParams, observations: ObservationSet, *, batch: _FitBatch | None = None
+) -> LossResult:
+    """Sum of squared corner residuals in board coordinates (m^2).
+
+    ``batch`` is a stacked batch already built from ``observations`` and
+    the cone, camera, poses and centers of ``params``; the fit passes its
+    own so that every iterate reuses one cover trace. By default one is
+    built for this evaluation.
+    """
+    if batch is None:
+        batch = _FitBatch(params, observations)
+    return batch.evaluate(params.surface)[0]
 
 
-def loss_gradient(params: SceneParams, observations: ObservationSet, wrt: str = "amplitudes"):
+def loss_gradient(
+    params: SceneParams,
+    observations: ObservationSet,
+    wrt: str = "amplitudes",
+    *,
+    batch: _FitBatch | None = None,
+):
     """Loss and its analytic gradient.
 
     ``wrt="amplitudes"`` returns the gradient over the flattened center
     amplitudes; ``wrt="poses"`` returns one ``[rotation-increment,
     translation]`` block of 6 per image, concatenated in image order.
+    ``batch`` is as for :func:`loss`.
     """
     if wrt not in ("amplitudes", "poses"):
         raise ConfigurationError(f"unknown gradient target {wrt!r}")
-    batch = _FitBatch(params, observations)
-    return batch.evaluate(params.surface.flat_amplitudes, wrt)
+    if batch is None:
+        batch = _FitBatch(params, observations)
+    return batch.evaluate(params.surface, wrt)
 
 
 class _AdamState:
@@ -379,7 +371,7 @@ def optimize_amplitudes(
 
     for it in range(options.step_count):
         try:
-            result, grad = batch.evaluate(x, "amplitudes")
+            result, grad = loss_gradient(current, observations, "amplitudes", batch=batch)
         except DataError:
             if it == 0:
                 raise
@@ -421,7 +413,7 @@ def optimize_amplitudes(
             current.surface.with_amplitudes(x.reshape(current.surface.grid))
         )
 
-    final, _ = batch.evaluate(x)
+    final = loss(current, observations, batch=batch)
     history.append(final.value)
     _check_divergence(final.value, None, options.step_count, last_stable)
     return FitResult(

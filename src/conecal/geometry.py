@@ -242,10 +242,16 @@ def rbf_kernel_terms(surface: RbfSurface, s):
     s_norm = normalize_coords(surface.patch, s)
     diff = surface.centers - s_norm[..., None, :]  # (..., n_centers, 2)
     k = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * surface.beta))
-    spans = surface.patch.spans
-    dk_ds1 = k * diff[..., 0] / (surface.beta * spans[0])
-    dk_ds2 = k * diff[..., 1] / (surface.beta * spans[1])
+    scale = _slope_scale(surface)
+    dk_ds1 = k * diff[..., 0] / scale[0]
+    dk_ds2 = k * diff[..., 1] / scale[1]
     return k, dk_ds1, dk_ds2
+
+
+def _slope_scale(surface: RbfSurface) -> np.ndarray:
+    """``beta * span_d``: ``dk/ds_d = k * (c_d - s_d) / (beta * span_d)``
+    for centers ``c`` and normalized coordinates ``s``."""
+    return surface.beta * surface.patch.spans
 
 
 def rbf_offset(surface: RbfSurface, s):
@@ -327,15 +333,53 @@ def inner_surface_normal(cone: ConeGeometry, s) -> np.ndarray:
     )
 
 
-def _field_values(surface: RbfSurface | None, s):
+def _field_values(surface: RbfSurface | None, s, kernel=None):
     """Field value, slope and angular derivative ``(phi, phi1, phi2)`` at ``s``.
 
     Returns None, the perfect cone, when there is no surface or all its
-    amplitudes are zero; no kernel is evaluated then.
+    amplitudes are zero; no kernel is evaluated then. ``kernel``, when
+    given, is a zero-argument callable returning the ``k`` matrix of
+    :func:`rbf_kernel_terms` at ``s``, so a caller can build it lazily
+    and keep it across fields. The derivatives then follow from ``k``
+    alone by the rule of :func:`_slope_scale`:
+    ``phi_d = (k (a c_d) - s_d (k a)) / (beta span_d)``.
     """
     if surface is None or not np.any(surface.amplitudes):
         return None
-    return _contract_terms(rbf_kernel_terms(surface, s), surface.flat_amplitudes)
+    amplitudes = surface.flat_amplitudes
+    if kernel is None:
+        return _contract_terms(rbf_kernel_terms(surface, s), amplitudes)
+    centers = surface.centers
+    m = kernel() @ np.column_stack(
+        [amplitudes, amplitudes * centers[:, 0], amplitudes * centers[:, 1]]
+    )
+    phi = m[:, 0]
+    s_norm = normalize_coords(surface.patch, s)
+    scale = _slope_scale(surface)
+    return (
+        phi,
+        (m[:, 1] - s_norm[:, 0] * phi) / scale[0],
+        (m[:, 2] - s_norm[:, 1] * phi) / scale[1],
+    )
+
+
+def _field_values_adjoint(surface: RbfSurface, s, k: np.ndarray, cotangents: np.ndarray):
+    """Transpose of :func:`_field_values` given the kernel matrix ``k`` at ``s``.
+
+    ``cotangents`` has shape (n, 3), one row ``(g_phi, g_phi1, g_phi2)``
+    per point of ``s``. Returns the gradient over the flat amplitudes of
+    ``sum(g_phi * phi + g_phi1 * phi1 + g_phi2 * phi2)``, which is
+    ``k^T g_phi + sum_d (c_d k^T g_d - k^T (s_d g_d)) / (beta span_d)``.
+    """
+    s_norm = normalize_coords(surface.patch, s)
+    p = np.concatenate([cotangents.T, (cotangents[:, 1:] * s_norm).T]) @ k
+    centers = surface.centers
+    scale = _slope_scale(surface)
+    return (
+        p[0]
+        + (centers[:, 0] * p[1] - p[3]) / scale[0]
+        + (centers[:, 1] * p[2] - p[4]) / scale[1]
+    )
 
 
 def _contract_terms(terms, amplitudes: np.ndarray):

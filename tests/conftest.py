@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conecal import calibrate, geometry
 from conecal.camera import CameraIntrinsics
 from conecal.geometry import ConeGeometry, RbfPatch, RbfSurface
 from conecal.raytrace import BoardPose, SceneParams
@@ -60,6 +61,20 @@ def make_pose(
         square_size=square_size,
         corners_per_side=corners_per_side,
     )
+
+
+def count_kernel_calls(monkeypatch):
+    """Record the input shape of every rbf_kernel_terms call."""
+    calls = []
+    original = geometry.rbf_kernel_terms
+
+    def counting(surface, s):
+        calls.append(np.shape(s))
+        return original(surface, s)
+
+    monkeypatch.setattr(geometry, "rbf_kernel_terms", counting)
+    monkeypatch.setattr(calibrate, "rbf_kernel_terms", counting)
+    return calls
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from conecal import calibrate, geometry
 from conecal.calibrate import (
     FitResult,
     OptimizerOptions,
@@ -29,7 +28,7 @@ from conecal.errors import ConfigurationError, DataError, DivergenceError
 from conecal.geometry import ConeGeometry, RbfPatch, RbfSurface
 from conecal.observations import ImageObservations, ObservationSet
 from conecal.raytrace import BoardPose, SceneParams, raycast, trace_pixels
-from conftest import make_pose
+from conftest import count_kernel_calls, make_pose
 from oracles import project_consistent
 
 
@@ -153,20 +152,6 @@ def per_image_reference(params, obs):
         d_trans = scale * n_b - w3
         blocks.append(np.concatenate([np.sum(d_omega, axis=0), np.sum(d_trans, axis=0)]))
     return total, n_active, tuple(sorted(errored)), np.concatenate(blocks)
-
-
-def count_kernel_calls(monkeypatch):
-    """Record the input shape of every rbf_kernel_terms call."""
-    calls = []
-    original = geometry.rbf_kernel_terms
-
-    def counting(surface, s):
-        calls.append(np.shape(s))
-        return original(surface, s)
-
-    monkeypatch.setattr(geometry, "rbf_kernel_terms", counting)
-    monkeypatch.setattr(calibrate, "rbf_kernel_terms", counting)
-    return calls
 
 
 def fd_amplitude_gradient(params, obs, h=1e-9):

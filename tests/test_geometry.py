@@ -12,9 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from conecal import geometry
 from conecal.errors import ConfigurationError, OutOfRangeError, SingularSurfaceError
 from conecal.geometry import (
+    _field_values,
+    _field_values_adjoint,
     ConeGeometry,
     RbfPatch,
     RbfSurface,
@@ -25,8 +26,10 @@ from conecal.geometry import (
     normalize_coords,
     outer_normal_amplitude_jacobian,
     outer_surface_normal,
+    rbf_kernel_terms,
     rbf_offset,
 )
+from conftest import count_kernel_calls
 
 # Independently computed: four unit-spaced corners at squared distance 0.5
 # from the patch center, so Phi = 4 * 1e-5 * exp(-0.5 / (2 * 0.125)).
@@ -174,6 +177,29 @@ class TestRbfOffset:
         assert rbf_offset(surface, np.array([0.01, 0.0])) == 0.0
 
 
+class TestFieldValuesFromKernel:
+    def test_match_the_three_kernel_matrices(self, patch):
+        """Fields and their adjoint built from K alone equal the contractions
+        with all three matrices of rbf_kernel_terms."""
+        rng = np.random.default_rng(43)
+        surface = RbfSurface.flat(patch, (4, 5)).with_amplitudes(rng.normal(0.0, 1e-5, (4, 5)))
+        s = np.column_stack([rng.uniform(0.025, 0.055, 30), rng.uniform(-0.4, 0.4, 30)])
+        terms = rbf_kernel_terms(surface, s)
+        for got, want in zip(_field_values(surface, s, lambda: terms[0]), _field_values(surface, s)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+        g = rng.normal(size=(30, 3))
+        want = sum(t.T @ g[:, d] for d, t in enumerate(terms))
+        got = _field_values_adjoint(surface, s, terms[0], g)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_zero_field_never_builds_the_kernel(self, patch):
+        def no_kernel():
+            raise AssertionError("kernel built for a zero field")
+
+        s = np.array([[0.04, 0.1]])
+        assert _field_values(RbfSurface.flat(patch, (3, 3)), s, no_kernel) is None
+
+
 class TestConePoint:
     def test_frozen_inner_example(self):
         geo = ConeGeometry(
@@ -269,14 +295,7 @@ class TestInnerSurfaceNormal:
 
 class TestOuterSurfaceNormal:
     def test_zero_field_is_the_perfect_cone_without_kernels(self, cone, flat_surface, monkeypatch):
-        calls = []
-        original = geometry.rbf_kernel_terms
-
-        def counting(surface, s):
-            calls.append(np.shape(s))
-            return original(surface, s)
-
-        monkeypatch.setattr(geometry, "rbf_kernel_terms", counting)
+        calls = count_kernel_calls(monkeypatch)
         rng = np.random.default_rng(30)
         s = np.column_stack([rng.uniform(0.0, 0.05, 40), rng.uniform(-np.pi, np.pi, 40)])
         flat = outer_surface_normal(cone, flat_surface, s)
