@@ -24,7 +24,7 @@ from .raytrace import (
     STAGE_NAMES,
     SceneParams,
     TraceStatus,
-    _intersect_plane_batch,
+    _land_on_board,
     _raise_for_status,
     _trace_batch,
     trace_pixels,
@@ -39,12 +39,8 @@ def _trace_to_frontal_plane(params: SceneParams, pixels: np.ndarray, depth: floa
     """
     dirs = pixel_to_ray(params.intrinsics, pixels)
     batch = _trace_batch(params.cone, params.surface, np.zeros_like(dirs), dirs)
-    _, points, hit = _intersect_plane_batch(
-        np.array([0.0, 0.0, depth]), np.array([0.0, 0.0, 1.0]), batch.x_outer, batch.dir_out
-    )
-    status = batch.status.copy()
-    status[(~hit) & (status == TraceStatus.OK)] = TraceStatus.MISS_BOARD
-    return points, status
+    batch = _land_on_board(batch, np.eye(3), np.array([0.0, 0.0, depth]))
+    return batch.x_board, batch.status
 
 
 def distortion_vector(params: SceneParams, pixel, depth: float) -> np.ndarray:

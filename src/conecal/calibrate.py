@@ -55,24 +55,19 @@ from .raytrace import (
     trace_pixels,
 )
 
-_STEP_RULES = ("adam", "fixed")
-
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Settings for the first-order amplitude descent.
+    """Settings for the Adam amplitude descent.
 
-    ``rate_decay=None`` resolves per rule: the adaptive rule anneals the
-    rate with a half-cosine (full rate at the start, near zero at the
-    end), the fixed rule keeps it constant. ``tolerance`` stops early
-    when the loss improves by less than that amount (m^2); zero
-    disables early stopping.
+    The rate is annealed with a half-cosine: full rate at the start,
+    near zero at the end. ``tolerance`` stops early when the loss
+    improves by less than that amount (m^2); zero disables early
+    stopping.
     """
 
     step_count: int = 500
     learning_rate: float = 1e-6
-    step_rule: str = "adam"
-    rate_decay: bool | None = None
     tolerance: float = 0.0
 
     def __post_init__(self):
@@ -80,20 +75,12 @@ class OptimizerOptions:
             raise ConfigurationError("step_count must be at least 1")
         if self.learning_rate <= 0.0:
             raise ConfigurationError("learning_rate must be positive")
-        if self.step_rule not in _STEP_RULES:
-            raise ConfigurationError(f"step_rule must be one of {_STEP_RULES}")
         if self.tolerance < 0.0:
             raise ConfigurationError("tolerance must be nonnegative")
 
-    @property
-    def decay_enabled(self) -> bool:
-        if self.rate_decay is None:
-            return self.step_rule == "adam"
-        return bool(self.rate_decay)
-
     def rate_at(self, step_index: int) -> float:
         """Learning rate for 0-based step ``step_index``."""
-        if not self.decay_enabled or self.step_count <= 1:
+        if self.step_count <= 1:
             return self.learning_rate
         frac = step_index / self.step_count
         return self.learning_rate * 0.5 * (1.0 + math.cos(math.pi * frac))
@@ -113,14 +100,22 @@ class FitResult:
     """Outcome of the amplitude fit."""
 
     params: SceneParams
-    surface: RbfSurface
     loss_history: np.ndarray  # one entry per evaluated iterate
     errored: tuple
     n_active: int
 
     @property
+    def surface(self) -> RbfSurface:
+        return self.params.surface
+
+    @property
     def final_loss(self) -> float:
         return float(self.loss_history[-1])
+
+    @property
+    def rmse_cm(self) -> float:
+        """Root-mean-square corner residual of the final evaluation, in cm."""
+        return math.sqrt(self.final_loss / self.n_active) * 100.0
 
 
 @dataclass(frozen=True)
@@ -365,7 +360,7 @@ def optimize_amplitudes(
     batch = _FitBatch(params, observations)
     current = params
     x = params.surface.flat_amplitudes.copy()
-    adam = _AdamState(x.size) if options.step_rule == "adam" else None
+    adam = _AdamState(x.size)
     history = []
     last_stable: FitResult | None = None
 
@@ -385,7 +380,6 @@ def optimize_amplitudes(
         if _is_stable(result.value, grad):
             last_stable = FitResult(
                 params=current,
-                surface=current.surface,
                 loss_history=np.array(history),
                 errored=result.errored,
                 n_active=result.n_active,
@@ -397,11 +391,7 @@ def optimize_amplitudes(
             and abs(history[-2] - history[-1]) <= options.tolerance
         ):
             return last_stable  # set just above: the check passed at this iterate
-        rate = options.rate_at(it)
-        if adam is not None:
-            x = x - adam.step(grad, rate)
-        else:
-            x = x - rate * grad
+        x = x - adam.step(grad, options.rate_at(it))
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1.0:
             raise DivergenceError(
                 f"optimization diverged at iteration {it}: amplitudes left the "
@@ -418,7 +408,6 @@ def optimize_amplitudes(
     _check_divergence(final.value, None, options.step_count, last_stable)
     return FitResult(
         params=current,
-        surface=current.surface,
         loss_history=np.array(history),
         errored=final.errored,
         n_active=final.n_active,

@@ -28,6 +28,7 @@ from .analysis import (
     write_distortion_csv,
 )
 from .calibrate import (
+    FitResult,
     OptimizerOptions,
     optimize_amplitudes,
     pinhole_rmse_cm,
@@ -187,17 +188,14 @@ def cmd_refine_poses(args) -> None:
 
 def _fitted_surface_json(
     config: dict,
-    surface: RbfSurface,
-    loss_history: np.ndarray,
-    errored: tuple,
-    n_active: int,
+    fit: FitResult,
     rmse_initial: float,
     rmse_cone_only: float,
-    rmse_final: float,
     options: OptimizerOptions,
     diverged_at: int | None,
 ) -> dict:
     patch = config["surface"]["patch"]
+    surface = fit.surface
     return {
         "grid_rows": surface.grid[0],
         "grid_cols": surface.grid[1],
@@ -211,19 +209,17 @@ def _fitted_surface_json(
         },
         "rmse_initial_cm": rmse_initial,
         "rmse_cone_only_cm": rmse_cone_only,
-        "rmse_final_cm": rmse_final,
-        "relative_improvement_pct": 100.0 * (1.0 - rmse_final / rmse_initial),
-        "loss_history_m2": [float(v) for v in loss_history],
+        "rmse_final_cm": fit.rmse_cm,
+        "relative_improvement_pct": 100.0 * (1.0 - fit.rmse_cm / rmse_initial),
+        "loss_history_m2": [float(v) for v in fit.loss_history],
         "errored_rays": [
             {"image": image, "i": int(i), "j": int(j), "stage": stage}
-            for image, i, j, stage in errored
+            for image, i, j, stage in fit.errored
         ],
-        "n_active_corners": n_active,
+        "n_active_corners": fit.n_active,
         "options": {
             "step_count": options.step_count,
             "learning_rate": options.learning_rate,
-            "step_rule": options.step_rule,
-            "rate_decay": options.decay_enabled,
             "tolerance": options.tolerance,
         },
         "diverged_at_iteration": diverged_at,
@@ -268,11 +264,7 @@ def cmd_calibrate(args) -> None:
     zero = RbfSurface.flat(start_surface.patch, start_surface.grid, beta=start_surface.beta)
     rmse_initial = pinhole_rmse_cm(params, observations)
     rmse_cone_only = rmse_cm(params.with_surface(zero), observations)
-    options = OptimizerOptions(
-        step_count=args.steps,
-        learning_rate=args.rate,
-        step_rule=args.step_rule,
-    )
+    options = OptimizerOptions(step_count=args.steps, learning_rate=args.rate)
 
     out = _ensure_out(args)
     try:
@@ -280,42 +272,20 @@ def cmd_calibrate(args) -> None:
     except DivergenceError as exc:
         if exc.last_stable is None:
             raise
-        stable = exc.last_stable
         _write_json(
             out / "fitted_surface.json",
             _fitted_surface_json(
-                config,
-                stable.surface,
-                stable.loss_history,
-                stable.errored,
-                stable.n_active,
-                rmse_initial,
-                rmse_cone_only,
-                rmse_cm(stable.params, observations),
-                options,
-                diverged_at=exc.iteration,
+                config, exc.last_stable, rmse_initial, rmse_cone_only, options, exc.iteration
             ),
         )
         print(f"saved last stable iterate to {out / 'fitted_surface.json'}", file=sys.stderr)
         raise
 
-    rmse_final = rmse_cm(result.params, observations)
     _write_json(
         out / "fitted_surface.json",
-        _fitted_surface_json(
-            config,
-            result.surface,
-            result.loss_history,
-            result.errored,
-            result.n_active,
-            rmse_initial,
-            rmse_cone_only,
-            rmse_final,
-            options,
-            diverged_at=None,
-        ),
+        _fitted_surface_json(config, result, rmse_initial, rmse_cone_only, options, None),
     )
-    _print_rmse_table(rmse_initial, rmse_final)
+    _print_rmse_table(rmse_initial, result.rmse_cm)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", type=int, default=1000, help="descent steps (default 1000; synthetic runs use 500)"
     )
     calibrate.add_argument("--rate", type=float, default=1e-6, help="learning rate (default 1e-6)")
-    calibrate.add_argument(
-        "--step-rule", default="adam", choices=["adam", "fixed"], help="update rule (default adam)"
-    )
     calibrate.add_argument(
         "--grid", default=None, help="fitting center grid ROWSxCOLS (default from config)"
     )

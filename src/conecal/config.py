@@ -206,17 +206,16 @@ def patch_from_config(config: dict) -> RbfPatch:
     )
 
 
-def surface_from_config(config: dict, grid: tuple[int, int] | None = None) -> RbfSurface:
+def surface_from_config(config: dict) -> RbfSurface:
     """Build the irregularity field described by ``config["surface"]``.
 
-    ``grid`` overrides the configured center counts (used by the CLI's
-    ``--grid`` flag); stored amplitudes are only honored when their shape
-    matches the effective grid.
+    Stored amplitudes must match the configured center grid. The CLI's
+    ``--grid`` flag rewrites that grid in the config and clears the
+    stored amplitudes before this is called.
     """
     section = config["surface"]
     patch = patch_from_config(config)
-    if grid is None:
-        grid = (_integer(section, "grid_rows", "surface"), _integer(section, "grid_cols", "surface"))
+    grid = (_integer(section, "grid_rows", "surface"), _integer(section, "grid_cols", "surface"))
     beta = section["beta_norm_sq"]
     if beta is not None:
         beta = _number(section, "beta_norm_sq", "surface")

@@ -57,8 +57,6 @@ class ConeSurfaceCalibrator(_ParamsMixin):
         "surface",
         "step_count",
         "learning_rate",
-        "step_rule",
-        "rate_decay",
         "tolerance",
     )
 
@@ -69,8 +67,6 @@ class ConeSurfaceCalibrator(_ParamsMixin):
         surface: RbfSurface,
         step_count: int = 500,
         learning_rate: float = 1e-6,
-        step_rule: str = "adam",
-        rate_decay: bool | None = None,
         tolerance: float = 0.0,
     ):
         self.intrinsics = intrinsics
@@ -78,16 +74,12 @@ class ConeSurfaceCalibrator(_ParamsMixin):
         self.surface = surface
         self.step_count = step_count
         self.learning_rate = learning_rate
-        self.step_rule = step_rule
-        self.rate_decay = rate_decay
         self.tolerance = tolerance
 
     def _options(self) -> OptimizerOptions:
         return OptimizerOptions(
             step_count=self.step_count,
             learning_rate=self.learning_rate,
-            step_rule=self.step_rule,
-            rate_decay=self.rate_decay,
             tolerance=self.tolerance,
         )
 

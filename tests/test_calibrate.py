@@ -201,12 +201,7 @@ class TestOptimizerOptions:
         opts = OptimizerOptions()
         assert opts.step_count == 500
         assert opts.learning_rate == 1e-6
-        assert opts.step_rule == "adam"
-        assert opts.decay_enabled  # adaptive rule anneals by default
-
-    def test_fixed_rule_has_no_decay_by_default(self):
-        assert not OptimizerOptions(step_rule="fixed").decay_enabled
-        assert OptimizerOptions(step_rule="fixed", rate_decay=True).decay_enabled
+        assert opts.tolerance == 0.0
 
     def test_rate_schedule_endpoints(self):
         opts = OptimizerOptions(step_count=100, learning_rate=2e-6)
@@ -219,8 +214,6 @@ class TestOptimizerOptions:
             OptimizerOptions(step_count=0)
         with pytest.raises(ConfigurationError):
             OptimizerOptions(learning_rate=0.0)
-        with pytest.raises(ConfigurationError):
-            OptimizerOptions(step_rule="newton")
         with pytest.raises(ConfigurationError):
             OptimizerOptions(tolerance=-1.0)
 
@@ -364,36 +357,15 @@ class TestOptimizeAmplitudes:
         # the fitted field explains nearly all of the cover's distortion
         assert rmse_cm(fit.params, obs) < 0.01 * pinhole_rmse_cm(start, obs)
 
-    def test_fixed_rule_descends_monotonically(self):
-        rng = np.random.default_rng(401)
-        params, start, obs = self.make_recovery_problem(rng)
-        # calibrate a stable rate from a local curvature estimate
-        _, g0 = loss_gradient(start, obs, wrt="amplitudes")
-        h = 1e-8
-        probe = start.with_surface(
-            start.surface.with_amplitudes(
-                start.surface.amplitudes + h * (g0 / np.linalg.norm(g0)).reshape(start.surface.grid)
-            )
-        )
-        _, g1 = loss_gradient(probe, obs, wrt="amplitudes")
-        lipschitz = np.linalg.norm(g1 - g0) / h
-        rate = 0.5 / lipschitz
-        fit = optimize_amplitudes(
-            start, obs, OptimizerOptions(step_count=60, learning_rate=rate, step_rule="fixed")
-        )
-        diffs = np.diff(fit.loss_history)
-        assert np.all(diffs <= 1e-18)
-
     def test_divergent_rate_raises(self):
         rng = np.random.default_rng(402)
         _, start, obs = self.make_recovery_problem(rng)
         with pytest.raises(DivergenceError) as err:
-            optimize_amplitudes(
-                start,
-                obs,
-                OptimizerOptions(step_count=50, learning_rate=1e30, step_rule="fixed"),
-            )
-        assert err.value.iteration is not None
+            optimize_amplitudes(start, obs, OptimizerOptions(step_count=50, learning_rate=1e30))
+        # Adam's first step has the size of the rate, so the first update
+        # leaves the physical range and the start is the last stable iterate
+        assert err.value.iteration == 0
+        assert err.value.last_stable.loss_history.shape == (1,)
 
     def test_tolerance_stops_early(self):
         rng = np.random.default_rng(403)
@@ -447,6 +419,17 @@ class TestOptimizeAmplitudes:
         fresh = loss(fit.params, obs)
         assert fit.final_loss == pytest.approx(fresh.value, rel=1e-12)
         assert (fit.n_active, fit.errored) == (fresh.n_active, fresh.errored)
+
+    def test_rmse_is_the_last_evaluation(self):
+        rng = np.random.default_rng(407)
+        _, start, obs = self.make_recovery_problem(rng)
+        fit = optimize_amplitudes(start, obs, OptimizerOptions(step_count=10))
+        assert fit.rmse_cm == rmse_cm(fit.params, obs)
+        assert fit.surface is fit.params.surface
+        with pytest.raises(DivergenceError) as err:
+            optimize_amplitudes(start, obs, OptimizerOptions(step_count=10, learning_rate=1e30))
+        stable = err.value.last_stable
+        assert stable.rmse_cm == rmse_cm(stable.params, obs)
 
     def test_deterministic_runs_bit_identical(self):
         rng = np.random.default_rng(404)

@@ -10,6 +10,7 @@ from conecal.cli import load_fitted_surface, main
 from conecal.config import default_config, load_config, merge_config
 from conecal.errors import ConfigurationError, DataError
 from conecal.observations import load_observations
+from conftest import count_kernel_calls
 
 # a small scene keeps every invocation well under a second
 SMALL = {
@@ -109,12 +110,12 @@ class TestExitCodes:
             [
                 "calibrate", "--config", config,
                 "--observations", data / "observations.json",
-                "--out", out, "--steps", 20, "--rate", "1e30", "--step-rule", "fixed",
+                "--out", out, "--steps", 20, "--rate", "1e30",
             ]
         )
         assert code == 4
         saved = json.loads((out / "fitted_surface.json").read_text())
-        assert saved["diverged_at_iteration"] is not None
+        assert saved["diverged_at_iteration"] == 0
         assert np.all(np.isfinite(saved["amplitudes_m"]))
 
     def test_unknown_subcommand_exits_2(self):
@@ -230,6 +231,21 @@ class TestCalibrate:
         assert fitted["relative_improvement_pct"] == pytest.approx(expected_improvement)
         surface = load_fitted_surface(out / "fitted_surface.json")
         assert surface.grid == (3, 3)
+
+    def test_summary_reuses_the_fit_kernels(self, tmp_path, monkeypatch):
+        data = generate_small(tmp_path)
+        config = tmp_path / "config.json"
+        calls = count_kernel_calls(monkeypatch)
+        code = run(
+            [
+                "calibrate", "--config", config,
+                "--observations", data / "observations.json",
+                "--out", tmp_path / "fit", "--steps", 3,
+            ]
+        )
+        assert code == 0
+        # one kernel matrix per image for the whole fit, final RMSE included
+        assert len(calls) == load_observations(data / "observations.json").n_images
 
     def test_grid_flag_overrides_config(self, tmp_path):
         data = generate_small(tmp_path)

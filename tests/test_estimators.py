@@ -39,6 +39,15 @@ class TestConeSurfaceCalibrator:
         with pytest.raises(ConfigurationError):
             est.set_params(bogus=1)
 
+    def test_adam_is_the_only_descent(self, intrinsics, cone, patch):
+        est = ConeSurfaceCalibrator(intrinsics, cone, RbfSurface.flat(patch, (2, 2)))
+        assert set(est.get_params()) == {
+            "intrinsics", "cone", "surface", "step_count", "learning_rate", "tolerance"
+        }
+        for name, value in (("step_rule", "fixed"), ("rate_decay", False)):
+            with pytest.raises(ConfigurationError):
+                est.set_params(**{name: value})
+
     def test_predict_before_fit_raises(self, intrinsics, cone, patch):
         est = ConeSurfaceCalibrator(intrinsics, cone, RbfSurface.flat(patch, (2, 2)))
         with pytest.raises(NotFittedError):
