@@ -198,7 +198,7 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> d
     images = []
     total = 0.0
     count = 0
-    for im in sorted(observations.images, key=lambda x: x.image_index):
+    for im in observations.images:
         batch = trace_pixels(params, im.image_index, im.pixels)
         rho = batch.board_local - im.board_local()
         corners = []

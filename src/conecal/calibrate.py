@@ -134,10 +134,6 @@ class RefineResult:
     reports: tuple
 
 
-def _sorted_images(observations: ObservationSet):
-    return sorted(observations.images, key=lambda im: im.image_index)
-
-
 class _FitBatch:
     """Every image's corners stacked in image order, traced through the cover once.
 
@@ -150,7 +146,7 @@ class _FitBatch:
     """
 
     def __init__(self, params: SceneParams, observations: ObservationSet):
-        images = _sorted_images(observations)
+        images = observations.images
         counts = [im.n_corners for im in images]
         self.cone = params.cone
         self.surface = params.surface  # its centers, patch and width; K does not see the amplitudes
@@ -173,7 +169,7 @@ class _FitBatch:
             self._kernel = np.empty((self.target.shape[0], self.surface.n_centers))
             for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
                 s_outer = self.cover.s_outer[start:stop]
-                self._kernel[start:stop] = rbf_kernel_terms(self.surface, s_outer)[0]
+                self._kernel[start:stop] = rbf_kernel_terms(self.surface, s_outer)
         return self._kernel
 
     def errored(self, status: np.ndarray) -> tuple:
@@ -482,7 +478,7 @@ def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineRes
     zero = _zero_surface_params(params)
     poses = []
     reports = []
-    for im in _sorted_images(observations):
+    for im in observations.images:
         pose, cost0, cost1, n_valid = _refine_image_gauss_newton(zero, im)
         poses.append(pose)
         reports.append(
@@ -510,7 +506,7 @@ def pinhole_rmse_cm(params: SceneParams, observations: ObservationSet) -> float:
     """Root-mean-square corner residual ignoring the cover, in cm."""
     total = 0.0
     n_active = 0
-    for im in _sorted_images(observations):
+    for im in observations.images:
         local, hit = pinhole_raycast(params.intrinsics, params.pose(im.image_index), im.pixels)
         rho = local - im.board_local()
         total += float(np.sum(rho[hit] ** 2))

@@ -231,21 +231,15 @@ def denormalize_coords(patch: RbfPatch, s_norm) -> np.ndarray:
     return _as_coords(s_norm) * patch.spans + patch.lower
 
 
-def rbf_kernel_terms(surface: RbfSurface, s):
-    """Per-center kernel values and their cone-coordinate derivatives.
-
-    Returns ``(k, dk_ds1, dk_ds2)``, each of shape ``(..., n_centers)``.
-    The field and its derivatives are these matrices contracted with the
-    flat amplitude vector; gradients with respect to the amplitudes reuse
-    the same matrices directly, which is what makes the fit linear.
-    """
+def rbf_kernel_terms(surface: RbfSurface, s) -> np.ndarray:
+    """Per-center kernel values ``K``, shape ``(..., n_centers)``: the only
+    kernel matrix, since the field is ``K @ a`` for the flat amplitudes
+    ``a`` and its slopes follow from ``K`` alone (:func:`_field_values`)."""
     s_norm = normalize_coords(surface.patch, s)
-    diff = surface.centers - s_norm[..., None, :]  # (..., n_centers, 2)
-    k = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * surface.beta))
-    scale = _slope_scale(surface)
-    dk_ds1 = k * diff[..., 0] / scale[0]
-    dk_ds2 = k * diff[..., 1] / scale[1]
-    return k, dk_ds1, dk_ds2
+    centers = surface.centers
+    d1 = centers[:, 0] - s_norm[..., 0, None]
+    d2 = centers[:, 1] - s_norm[..., 1, None]
+    return np.exp(-(d1 * d1 + d2 * d2) / (2.0 * surface.beta))
 
 
 def _slope_scale(surface: RbfSurface) -> np.ndarray:
@@ -256,8 +250,7 @@ def _slope_scale(surface: RbfSurface) -> np.ndarray:
 
 def rbf_offset(surface: RbfSurface, s):
     """Radial irregularity offset at cone coordinates ``s``, in meters."""
-    k, _, _ = rbf_kernel_terms(surface, s)
-    out = np.sum(k * surface.flat_amplitudes, axis=-1)
+    out = rbf_kernel_terms(surface, s) @ surface.flat_amplitudes
     return float(out) if out.ndim == 0 else out
 
 
@@ -338,28 +331,30 @@ def _field_values(surface: RbfSurface | None, s, kernel=None):
 
     Returns None, the perfect cone, when there is no surface or all its
     amplitudes are zero; no kernel is evaluated then. ``kernel``, when
-    given, is a zero-argument callable returning the ``k`` matrix of
-    :func:`rbf_kernel_terms` at ``s``, so a caller can build it lazily
-    and keep it across fields. The derivatives then follow from ``k``
-    alone by the rule of :func:`_slope_scale`:
-    ``phi_d = (k (a c_d) - s_d (k a)) / (beta span_d)``.
+    given, is a zero-argument callable returning ``K`` at ``s`` (the fit
+    builds it lazily and keeps it); otherwise ``K`` is built here. With
+    ``m = K [a, a c_1, a c_2]``, ``phi = m_0`` and, by the rule of
+    :func:`_slope_scale`, ``phi_d = (m_d - s_d phi) / (beta span_d)``.
+    A ``K`` built here is multiplied row by row, since a BLAS product
+    rounds a row differently with the number of rows: a traced ray's
+    result then does not depend on the rest of its batch.
     """
     if surface is None or not np.any(surface.amplitudes):
         return None
     amplitudes = surface.flat_amplitudes
-    if kernel is None:
-        return _contract_terms(rbf_kernel_terms(surface, s), amplitudes)
     centers = surface.centers
-    m = kernel() @ np.column_stack(
-        [amplitudes, amplitudes * centers[:, 0], amplitudes * centers[:, 1]]
-    )
-    phi = m[:, 0]
+    weights = np.column_stack([amplitudes, amplitudes * centers[:, 0], amplitudes * centers[:, 1]])
+    if kernel is None:
+        m = (rbf_kernel_terms(surface, s)[..., None, :] @ weights)[..., 0, :]
+    else:
+        m = kernel() @ weights
+    phi = m[..., 0]
     s_norm = normalize_coords(surface.patch, s)
     scale = _slope_scale(surface)
     return (
         phi,
-        (m[:, 1] - s_norm[:, 0] * phi) / scale[0],
-        (m[:, 2] - s_norm[:, 1] * phi) / scale[1],
+        (m[..., 1] - s_norm[..., 0] * phi) / scale[0],
+        (m[..., 2] - s_norm[..., 1] * phi) / scale[1],
     )
 
 
@@ -382,11 +377,6 @@ def _field_values_adjoint(surface: RbfSurface, s, k: np.ndarray, cotangents: np.
     )
 
 
-def _contract_terms(terms, amplitudes: np.ndarray):
-    """Kernel matrices of :func:`rbf_kernel_terms` contracted with amplitudes."""
-    return tuple(np.sum(t * amplitudes, axis=-1) for t in terms)
-
-
 def _outer_normal_linearization(cone: ConeGeometry, s, fields=None, derivatives: bool = False):
     """Outer-wall unit normal and its first-order dependence on the field.
 
@@ -398,9 +388,9 @@ def _outer_normal_linearization(cone: ConeGeometry, s, fields=None, derivatives:
 
     Returns ``(n, dn)``: ``n`` has shape ``(..., 3)``; ``dn`` has shape
     ``(..., 3, 3)`` with columns ``dn/dphi``, ``dn/dphi1``, ``dn/dphi2``
-    when ``derivatives`` is set, else it is None. Contracting ``dn`` with
-    the kernel matrices gives the derivative with respect to the
-    amplitudes, since the field is linear in them.
+    when ``derivatives`` is set, else it is None. ``dn`` times the
+    amplitude derivatives of ``(phi, phi1, phi2)`` gives the normal's,
+    since the field is linear in the amplitudes.
     """
     s = _as_coords(s)
     s1, s2 = s[..., 0], s[..., 1]
@@ -447,9 +437,13 @@ def outer_normal_amplitude_jacobian(cone: ConeGeometry, surface: RbfSurface, s) 
 
     The field is linear in the amplitudes, so each center contributes
     fixed tangent perturbations; the jacobian is their cross products
-    pushed through the normalization of the raw normal.
+    pushed through the normalization of the raw normal: ``dn`` times
+    ``[K; K (c_d - s_d) / (beta span_d)]``, all from the one ``K``.
     """
-    terms = rbf_kernel_terms(surface, s)
-    fields = _contract_terms(terms, surface.flat_amplitudes)
-    _, dn = _outer_normal_linearization(cone, s, fields, derivatives=True)
-    return dn @ np.stack(terms, axis=-2)
+    k = rbf_kernel_terms(surface, s)
+    _, dn = _outer_normal_linearization(cone, s, _field_values(surface, s, lambda: k), True)
+    s_norm = normalize_coords(surface.patch, s)
+    scale = _slope_scale(surface)
+    centers = surface.centers
+    slopes = [k * (centers[:, d] - s_norm[..., d, None]) / scale[d] for d in range(2)]
+    return dn @ np.stack([k, *slopes], axis=-2)

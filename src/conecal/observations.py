@@ -61,21 +61,21 @@ class ImageObservations:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """All images of one capture session, sharing one board."""
+    """All images of one capture session, sharing one board, in index order."""
 
     square_size: float
     corners_per_side: int
     images: tuple[ImageObservations, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+        images = tuple(sorted(self.images, key=lambda im: im.image_index))
+        object.__setattr__(self, "images", images)
         object.__setattr__(self, "corners_per_side", int(self.corners_per_side))
-        if not self.images:
+        if not images:
             raise DataError("observation set has no images")
-        indices = sorted(im.image_index for im in self.images)
-        if indices != list(range(len(self.images))):
+        if [im.image_index for im in images] != list(range(len(images))):
             raise DataError("image indices must be unique and dense from 0")
-        for im in self.images:
+        for im in images:
             if (
                 im.initial_pose.square_size != self.square_size
                 or im.initial_pose.corners_per_side != self.corners_per_side
@@ -91,14 +91,13 @@ class ObservationSet:
         return sum(im.n_corners for im in self.images)
 
     def image(self, index: int) -> ImageObservations:
-        for im in self.images:
-            if im.image_index == index:
-                return im
-        raise DataError(f"no image with index {index}")
+        if not 0 <= index < len(self.images):
+            raise DataError(f"no image with index {index}")
+        return self.images[index]
 
     def initial_poses(self) -> tuple[BoardPose, ...]:
         """Poses ordered by image index, usable as SceneParams.poses."""
-        return tuple(im.initial_pose for im in sorted(self.images, key=lambda x: x.image_index))
+        return tuple(im.initial_pose for im in self.images)
 
 
 def _pose_to_json(pose: BoardPose) -> dict:
@@ -125,7 +124,7 @@ def _pose_from_json(obj: dict, square_size: float, corners_per_side: int) -> Boa
 
 def observations_to_json_dict(obs: ObservationSet) -> dict:
     images = []
-    for im in sorted(obs.images, key=lambda x: x.image_index):
+    for im in obs.images:
         corners = [
             {"i": int(ij[0]), "j": int(ij[1]), "px": float(p[0]), "py": float(p[1])}
             for ij, p in zip(im.grid_ij, im.pixels)

@@ -104,13 +104,7 @@ class PoseSampler:
                 continue
             if not np.all(converged):
                 continue
-            inside = (
-                (pixels[:, 0] >= 0.0)
-                & (pixels[:, 0] < intrinsics.width)
-                & (pixels[:, 1] >= 0.0)
-                & (pixels[:, 1] < intrinsics.height)
-            )
-            if np.all(inside):
+            if np.all(_on_sensor(intrinsics, pixels)):
                 return pose
         raise ConfigurationError(
             f"no fully visible pose found in {self.max_attempts} attempts; "
@@ -122,6 +116,12 @@ class PoseSampler:
             self.sample_pose(rng, intrinsics, cone, surface, square_size, corners_per_side)
             for _ in range(n)
         )
+
+
+def _on_sensor(intrinsics: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
+    """Rows of ``pixels`` inside ``[0, width) x [0, height)``."""
+    size = np.array([intrinsics.width, intrinsics.height], dtype=np.float64)
+    return np.all((pixels >= 0.0) & (pixels < size), axis=-1)
 
 
 def _rotation_zyx(angles) -> np.ndarray:
@@ -267,13 +267,7 @@ def generate_dataset(
         ij = pose.corner_indices()
         targets = pose.corner_board_coords(ij)
         pixels, converged = project_corners(params, idx, targets)
-        inside = (
-            converged
-            & (pixels[:, 0] >= 0.0)
-            & (pixels[:, 0] < intrinsics.width)
-            & (pixels[:, 1] >= 0.0)
-            & (pixels[:, 1] < intrinsics.height)
-        )
+        inside = converged & _on_sensor(intrinsics, pixels)
         if not np.any(inside):
             raise DataError(f"image {idx}: no corner projects inside the sensor")
         kept_pixels = pixels[inside]

@@ -55,9 +55,16 @@ class TestDistortionVector:
 
 
 class TestDistortionField:
-    def test_grid_and_subset_property(self, scene_zero):
-        coarse = distortion_field(scene_zero, depth=1.0, stride=800)
-        fine = distortion_field(scene_zero, depth=1.0, stride=400)
+    @pytest.mark.parametrize("amplitude", [0.0, 2e-5], ids=["zero", "bumped"])
+    def test_grid_and_subset_property(self, scene_zero, amplitude):
+        """Row results do not depend on how many rows share the batch: the
+        stride-800 deltas equal the stride-400 ones bit for bit, also when
+        the field is nonzero and the kernel is evaluated."""
+        rng = np.random.default_rng(17)
+        amps = amplitude * rng.normal(1.0, 0.5, scene_zero.surface.grid)
+        scene = scene_zero.with_surface(scene_zero.surface.with_amplitudes(amps))
+        coarse = distortion_field(scene, depth=1.0, stride=800)
+        fine = distortion_field(scene, depth=1.0, stride=400)
         fine_set = {tuple(p) for p in fine.pixels}
         assert {tuple(p) for p in coarse.pixels} <= fine_set
         lookup = {tuple(p): d for p, d in zip(fine.pixels, fine.deltas)}

@@ -179,17 +179,27 @@ class TestRbfOffset:
 
 class TestFieldValuesFromKernel:
     def test_match_the_three_kernel_matrices(self, patch):
-        """Fields and their adjoint built from K alone equal the contractions
-        with all three matrices of rbf_kernel_terms."""
+        """K equals the (n, C, 2) difference-tensor formula bit for bit, and
+        the fields and their adjoint built from K alone, with and without a
+        kernel callable, equal the contractions with K and the derivative
+        matrices dK/ds_d = K (c_d - s_d) / (beta span_d)."""
         rng = np.random.default_rng(43)
         surface = RbfSurface.flat(patch, (4, 5)).with_amplitudes(rng.normal(0.0, 1e-5, (4, 5)))
         s = np.column_stack([rng.uniform(0.025, 0.055, 30), rng.uniform(-0.4, 0.4, 30)])
-        terms = rbf_kernel_terms(surface, s)
-        for got, want in zip(_field_values(surface, s, lambda: terms[0]), _field_values(surface, s)):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+        k = rbf_kernel_terms(surface, s)
+        diff = surface.centers - normalize_coords(patch, s)[:, None, :]
+        np.testing.assert_array_equal(k, np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * surface.beta)))
+        scale = surface.beta * patch.spans
+        terms = [k, k * diff[..., 0] / scale[0], k * diff[..., 1] / scale[1]]
+        fields = [np.sum(t * surface.flat_amplitudes, axis=-1) for t in terms]
+        for kernel in (None, lambda: k):
+            for got, want in zip(_field_values(surface, s, kernel), fields):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+        for got, want in zip(_field_values(surface, s[3]), fields):
+            assert got == pytest.approx(want[3], rel=0.0, abs=1e-13 * np.max(np.abs(want)))
         g = rng.normal(size=(30, 3))
         want = sum(t.T @ g[:, d] for d, t in enumerate(terms))
-        got = _field_values_adjoint(surface, s, terms[0], g)
+        got = _field_values_adjoint(surface, s, k, g)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_zero_field_never_builds_the_kernel(self, patch):

@@ -83,6 +83,19 @@ class TestContainers:
                 square_size=0.03, corners_per_side=5, images=(obs.images[0], moved)
             )
 
+    def test_images_are_stored_in_index_order(self):
+        obs = small_set(n_images=3)
+        reversed_set = ObservationSet(
+            square_size=0.03, corners_per_side=5, images=obs.images[::-1]
+        )
+        assert [im.image_index for im in reversed_set.images] == [0, 1, 2]
+        assert reversed_set.image(2) is obs.images[2]
+        poses = reversed_set.initial_poses()
+        assert all(pose is im.initial_pose for pose, im in zip(poses, obs.images))
+        for index in (-1, 3):
+            with pytest.raises(DataError, match="no image"):
+                reversed_set.image(index)
+
     def test_board_mismatch_rejected(self):
         obs = small_set(n_images=1)
         with pytest.raises(DataError, match="board dimensions"):
