@@ -11,7 +11,6 @@ intercept of that relation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,25 +93,21 @@ def distortion_field(params: SceneParams, depth: float, stride: int = 40) -> Dis
 
 
 def write_distortion_csv(field: DistortionField, path) -> None:
-    """Write one row per sample: px,py,dpx,dpy,norm,depth,status."""
+    """Write one row per sample: px,py,dpx,dpy,norm,depth,status.
+
+    Numbers are written as ``repr`` of the float and no field needs CSV
+    quoting, so the rows are formatted directly from Python floats.
+    """
+    names = {int(st): "ok" if st == TraceStatus.OK else STAGE_NAMES[st] for st in TraceStatus}
+    norms = np.hypot(field.deltas[:, 0], field.deltas[:, 1])
+    depth = repr(field.depth)
+    lines = ["px,py,dpx,dpy,norm,depth,status"]
+    for (px, py), (dx, dy), norm, st in zip(
+        field.pixels.tolist(), field.deltas.tolist(), norms.tolist(), field.status.tolist()
+    ):
+        lines.append(f"{px!r},{py!r},{dx!r},{dy!r},{norm!r},{depth},{names[st]}")
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["px", "py", "dpx", "dpy", "norm", "depth", "status"])
-        for pixel, delta, st in zip(field.pixels, field.deltas, field.status):
-            st = TraceStatus(st)
-            name = "ok" if st == TraceStatus.OK else STAGE_NAMES[st]
-            norm = float(np.hypot(delta[0], delta[1]))
-            writer.writerow(
-                [
-                    repr(float(pixel[0])),
-                    repr(float(pixel[1])),
-                    repr(float(delta[0])),
-                    repr(float(delta[1])),
-                    repr(norm),
-                    repr(field.depth),
-                    name,
-                ]
-            )
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

@@ -118,12 +118,7 @@ class BoardPose:
 
     def board_to_world(self, xy) -> np.ndarray:
         """Camera-frame position of board-local planar coordinates."""
-        xy = np.asarray(xy, dtype=np.float64)
-        return (
-            self.translation
-            + xy[..., 0, None] * self.rotation[:, 0]
-            + xy[..., 1, None] * self.rotation[:, 1]
-        )
+        return _board_to_world(self.rotation, self.translation, xy)
 
     def corner_indices(self) -> np.ndarray:
         """All (i, j) corner indices, 1-based, row-major, shape (n^2, 2)."""
@@ -164,10 +159,25 @@ class SceneParams:
         return SceneParams(self.intrinsics, self.cone, self.surface, tuple(poses))
 
     def pose(self, image_index: int) -> BoardPose:
-        try:
-            return self.poses[image_index]
-        except IndexError:
-            raise DataError(f"no pose for image index {image_index}") from None
+        if not 0 <= image_index < len(self.poses):
+            raise DataError(f"no pose for image index {image_index}")
+        return self.poses[image_index]
+
+    def pose_arrays(self, image_index):
+        """Rotation and translation of one image's pose, or of one pose per
+        entry of an integer index array (shapes ``(..., 3, 3)``, ``(..., 3)``)."""
+        if np.ndim(image_index) == 0:
+            pose = self.pose(image_index)
+            return pose.rotation, pose.translation
+        index = np.asarray(image_index)
+        if index.dtype.kind not in "iu":
+            raise DataError(f"image indices must be integers, got dtype {index.dtype}")
+        bad = (index < 0) | (index >= len(self.poses))
+        if np.any(bad):
+            raise DataError(f"no pose for image index {index[bad][0]}")
+        rotation = np.stack([pose.rotation for pose in self.poses])
+        translation = np.stack([pose.translation for pose in self.poses])
+        return rotation[index], translation[index]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +296,13 @@ def _intersect_plane_batch(
     hit = ok & (t > _T_MIN)
     t = np.where(hit, t, 1.0)
     return t, origins + t[..., None] * dirs, hit
+
+
+def _board_to_world(rotation: np.ndarray, translation: np.ndarray, xy) -> np.ndarray:
+    """Camera-frame points of planar board coordinates; poses as in
+    :func:`_board_coords`."""
+    xy = np.asarray(xy, dtype=np.float64)
+    return translation + xy[..., 0, None] * rotation[..., 0] + xy[..., 1, None] * rotation[..., 1]
 
 
 def _board_coords(rotation: np.ndarray, translation: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -458,25 +475,33 @@ def trace_through_cover(params: SceneParams, ray: Ray) -> Ray:
     return Ray(origin=batch.x_outer[0], direction=batch.dir_out[0])
 
 
-def trace_pixels(params: SceneParams, image_index: int, pixels) -> TraceBatch:
+def trace_pixels(params: SceneParams, image_index, pixels) -> TraceBatch:
     """Batched pixel-to-board trace keeping every intermediate quantity.
 
-    The returned :class:`TraceBatch` includes the board-plane hit. The
-    calibration fit runs the same cover, exit and landing stages on all
-    images at once.
+    ``image_index`` is one image for every pixel, or an integer array
+    shaped like ``pixels[..., 0]`` giving each pixel row its own image;
+    each row's result is the same either way. The returned
+    :class:`TraceBatch` includes the board-plane hit. The calibration fit
+    runs the same cover, exit and landing stages on all images at once.
     """
-    pose = params.pose(image_index)
+    rotation, translation = params.pose_arrays(image_index)
     pixels = np.asarray(pixels, dtype=np.float64)
+    if np.ndim(image_index) and np.shape(image_index) != pixels.shape[:-1]:
+        raise DataError(
+            f"image indices of shape {np.shape(image_index)} do not match "
+            f"pixels of shape {pixels.shape}"
+        )
     dirs = pixel_to_ray(params.intrinsics, pixels)
     origins = np.zeros_like(dirs)
     batch = _trace_batch(params.cone, params.surface, origins, dirs)
-    return _land_on_board(batch, pose.rotation, pose.translation)
+    return _land_on_board(batch, rotation, translation)
 
 
-def raycast_pixels(params: SceneParams, image_index: int, pixels):
+def raycast_pixels(params: SceneParams, image_index, pixels):
     """Batched pixel-to-board raycast under the full cover model.
 
-    Returns ``(board_local, status)`` where ``board_local`` has shape
+    ``image_index`` is as for :func:`trace_pixels`. Returns
+    ``(board_local, status)`` where ``board_local`` has shape
     ``(..., 2)`` (meters; placeholder values where ``status != OK``).
     """
     batch = trace_pixels(params, image_index, pixels)

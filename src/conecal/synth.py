@@ -21,7 +21,7 @@ from .camera import CameraIntrinsics, pinhole_project
 from .errors import ConfigurationError, DataError
 from .geometry import ConeGeometry, RbfSurface
 from .observations import ImageObservations, ObservationSet
-from .raytrace import BoardPose, SceneParams, TraceStatus, raycast_pixels
+from .raytrace import BoardPose, SceneParams, TraceStatus, _board_to_world, raycast_pixels
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def _rotation_zyx(angles) -> np.ndarray:
 
 def project_corners(
     params: SceneParams,
-    image_index: int,
+    image_index,
     board_xy,
     tol: float = 1e-9,
     max_iters: int = 50,
@@ -146,38 +146,67 @@ def project_corners(
 ):
     """Pixels whose rays land on the given board-frame points.
 
-    Damped Gauss-Newton on the pixel-to-board map, seeded by the pinhole
-    projection; the 2x2 jacobian comes from forward differences. Returns
+    ``image_index`` is one image for every point, or an integer array
+    with one image per point, so that many images project in one batch;
+    each row's result is the same either way. Damped Gauss-Newton on the
+    pixel-to-board map, seeded by the pinhole projection; the 2x2
+    jacobian comes from forward differences. A row that converges or can
+    no longer move is settled and not traced again. Returns
     ``(pixels, converged)``; rows that fail to trace or to converge to
     ``tol`` (meters in the board plane) are flagged False.
     """
-    pose = params.pose(image_index)
+    if max_iters < 1:
+        raise ConfigurationError("max_iters must be at least 1")
     targets = np.asarray(board_xy, dtype=np.float64).reshape(-1, 2)
-    world = pose.board_to_world(targets)
+    n = targets.shape[0]
+    if np.ndim(image_index):
+        image_index = np.reshape(image_index, -1)
+        if image_index.size != n:
+            raise DataError(f"{image_index.size} image indices for {n} board points")
+    rotation, translation = params.pose_arrays(image_index)
+    world = _board_to_world(rotation, translation, targets)
     if np.any(world[:, 2] <= 0.0):
         raise DataError("board corners behind the camera cannot be projected")
     pixels = pinhole_project(params.intrinsics, world)
-    err = np.full(targets.shape[0], np.inf)
 
+    def raycast(rows, pixels_at_rows):
+        index = image_index if np.ndim(image_index) == 0 else image_index[rows]
+        return raycast_pixels(params, index, pixels_at_rows)
+
+    # the latest landing of every row's current pixel, and the rows whose
+    # pixel moved since the top of the last iteration
+    local = np.empty((n, 2))
+    status = np.empty(n, dtype=np.int64)
+    moving = np.ones(n, dtype=bool)
     for _ in range(max_iters):
-        local, status = raycast_pixels(params, image_index, pixels)
-        valid = status == TraceStatus.OK
-        residual = local - targets
+        rows = np.flatnonzero(moving)
+        if rows.size == 0:
+            break
+        local[rows], status[rows] = raycast(rows, pixels[rows])
+        valid = status[rows] == TraceStatus.OK
+        residual = local[rows] - targets[rows]
         err = np.where(valid, np.linalg.norm(residual, axis=-1), np.inf)
         active = valid & (err > tol)
-        if not np.any(active):
+        rows, residual, err = rows[active], residual[active], err[active]
+        moving[:] = False
+        if rows.size == 0:
             break
 
+        # both forward differences of the active rows in one trace
         h = fd_step_px
-        local_x, status_x = raycast_pixels(params, image_index, pixels + [h, 0.0])
-        local_y, status_y = raycast_pixels(params, image_index, pixels + [0.0, h])
-        fd_ok = (status_x == TraceStatus.OK) & (status_y == TraceStatus.OK)
-        j00 = (local_x[:, 0] - local[:, 0]) / h
-        j10 = (local_x[:, 1] - local[:, 1]) / h
-        j01 = (local_y[:, 0] - local[:, 0]) / h
-        j11 = (local_y[:, 1] - local[:, 1]) / h
+        k = rows.size
+        fd_local, fd_status = raycast(
+            np.concatenate([rows, rows]),
+            np.concatenate([pixels[rows] + [h, 0.0], pixels[rows] + [0.0, h]]),
+        )
+        local_x, local_y, base = fd_local[:k], fd_local[k:], local[rows]
+        fd_ok = (fd_status[:k] == TraceStatus.OK) & (fd_status[k:] == TraceStatus.OK)
+        j00 = (local_x[:, 0] - base[:, 0]) / h
+        j10 = (local_x[:, 1] - base[:, 1]) / h
+        j01 = (local_y[:, 0] - base[:, 0]) / h
+        j11 = (local_y[:, 1] - base[:, 1]) / h
         det = j00 * j11 - j01 * j10
-        solvable = active & fd_ok & (np.abs(det) > 1e-30)
+        solvable = fd_ok & (np.abs(det) > 1e-30)
         det_safe = np.where(solvable, det, 1.0)
         step = -np.stack(
             [
@@ -186,23 +215,26 @@ def project_corners(
             ],
             axis=-1,
         )
-        step = np.where(solvable[:, None], step, 0.0)
+        rows, step, err = rows[solvable], step[solvable], err[solvable]
 
-        # halve any row's step until it actually reduces the residual
-        lam = np.ones(targets.shape[0])
-        pending = solvable.copy()
+        # halve the steps of the rows still pending until each actually
+        # reduces its residual; an accepted trial is the row's new landing
+        lam = 1.0
         for _ in range(8):
-            if not np.any(pending):
+            if rows.size == 0:
                 break
-            trial = pixels + lam[:, None] * step
-            trial_local, trial_status = raycast_pixels(params, image_index, trial)
-            trial_err = np.linalg.norm(trial_local - targets, axis=-1)
-            improved = pending & (trial_status == TraceStatus.OK) & (trial_err < err)
-            pixels = np.where(improved[:, None], trial, pixels)
-            pending = pending & ~improved
-            lam = np.where(pending, lam * 0.5, lam)
+            trial = pixels[rows] + lam * step
+            trial_local, trial_status = raycast(rows, trial)
+            trial_err = np.linalg.norm(trial_local - targets[rows], axis=-1)
+            improved = (trial_status == TraceStatus.OK) & (trial_err < err)
+            accepted = rows[improved]
+            pixels[accepted] = trial[improved]
+            local[accepted] = trial_local[improved]
+            status[accepted] = trial_status[improved]
+            moving[accepted] = True
+            rows, step, err = rows[~improved], step[~improved], err[~improved]
+            lam *= 0.5
 
-    local, status = raycast_pixels(params, image_index, pixels)
     residual = np.linalg.norm(local - targets, axis=-1)
     converged = (status == TraceStatus.OK) & (residual <= tol)
     return pixels, converged
@@ -262,22 +294,28 @@ def generate_dataset(
     )
     params = SceneParams(intrinsics=intrinsics, cone=cone, surface=surface, poses=poses)
 
+    # every image's corners in one projection, split back per image
+    corner_ij = [pose.corner_indices() for pose in poses]
+    targets = np.concatenate([pose.corner_board_coords(ij) for pose, ij in zip(poses, corner_ij)])
+    counts = [len(ij) for ij in corner_ij]
+    pixels, converged = project_corners(params, np.repeat(np.arange(n_images), counts), targets)
+    inside = converged & _on_sensor(intrinsics, pixels)
+    splits = np.cumsum(counts)[:-1]
+
     images = []
-    for idx, pose in enumerate(poses):
-        ij = pose.corner_indices()
-        targets = pose.corner_board_coords(ij)
-        pixels, converged = project_corners(params, idx, targets)
-        inside = converged & _on_sensor(intrinsics, pixels)
-        if not np.any(inside):
+    for idx, (pose, ij, image_pixels, image_inside) in enumerate(
+        zip(poses, corner_ij, np.split(pixels, splits), np.split(inside, splits))
+    ):
+        if not np.any(image_inside):
             raise DataError(f"image {idx}: no corner projects inside the sensor")
-        kept_pixels = pixels[inside]
+        kept_pixels = image_pixels[image_inside]
         if noise_sigma_px > 0.0:
             kept_pixels = kept_pixels + rng.normal(0.0, noise_sigma_px, size=kept_pixels.shape)
         images.append(
             ImageObservations(
                 image_index=idx,
                 initial_pose=pose,
-                grid_ij=ij[inside],
+                grid_ij=ij[image_inside],
                 pixels=kept_pixels,
             )
         )

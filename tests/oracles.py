@@ -242,3 +242,63 @@ def grid_search_project(params, image_index, board_xy, center, half_width=400.0,
         if width < tol:
             return best
         width *= 0.3
+
+
+def gauss_newton_project_every_row(
+    params, image_index, board_xy, tol=1e-9, max_iters=50, fd_step_px=0.01
+):
+    """The projection's Gauss-Newton rule with nothing settled.
+
+    Every iteration re-traces every row of one image, takes both forward
+    differences and line-searches on the full batch, and a last raycast
+    decides convergence. ``synth.project_corners`` must return the same
+    bits while tracing only the rows that can still move.
+    """
+    from conecal.camera import pinhole_project
+    from conecal.raytrace import TraceStatus, raycast_pixels
+
+    targets = np.asarray(board_xy, dtype=np.float64).reshape(-1, 2)
+    pixels = pinhole_project(params.intrinsics, params.poses[image_index].board_to_world(targets))
+    for _ in range(max_iters):
+        local, status = raycast_pixels(params, image_index, pixels)
+        valid = status == TraceStatus.OK
+        residual = local - targets
+        err = np.where(valid, np.linalg.norm(residual, axis=-1), np.inf)
+        active = valid & (err > tol)
+        if not np.any(active):
+            break
+        h = fd_step_px
+        local_x, status_x = raycast_pixels(params, image_index, pixels + [h, 0.0])
+        local_y, status_y = raycast_pixels(params, image_index, pixels + [0.0, h])
+        jx = (local_x - local) / h
+        jy = (local_y - local) / h
+        det = jx[:, 0] * jy[:, 1] - jy[:, 0] * jx[:, 1]
+        solvable = (
+            active
+            & (status_x == TraceStatus.OK)
+            & (status_y == TraceStatus.OK)
+            & (np.abs(det) > 1e-30)
+        )
+        det = np.where(solvable, det, 1.0)
+        step = -np.stack(
+            [
+                (jy[:, 1] * residual[:, 0] - jy[:, 0] * residual[:, 1]) / det,
+                (jx[:, 0] * residual[:, 1] - jx[:, 1] * residual[:, 0]) / det,
+            ],
+            axis=-1,
+        )
+        lam = np.where(solvable, 1.0, 0.0)
+        pending = solvable.copy()
+        for _ in range(8):
+            if not np.any(pending):
+                break
+            trial = pixels + lam[:, None] * step
+            trial_local, trial_status = raycast_pixels(params, image_index, trial)
+            trial_err = np.linalg.norm(trial_local - targets, axis=-1)
+            improved = pending & (trial_status == TraceStatus.OK) & (trial_err < err)
+            pixels = np.where(improved[:, None], trial, pixels)
+            pending &= ~improved
+            lam = np.where(pending, lam * 0.5, lam)
+    local, status = raycast_pixels(params, image_index, pixels)
+    converged = (status == TraceStatus.OK) & (np.linalg.norm(local - targets, axis=-1) <= tol)
+    return pixels, converged

@@ -1,10 +1,13 @@
 """Tests for the distortion diagnostics."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from conecal.analysis import (
     DepthCurve,
+    DistortionField,
     corner_error_scatter,
     distortion_field,
     distortion_vector,
@@ -13,7 +16,7 @@ from conecal.analysis import (
 )
 from conecal.calibrate import loss
 from conecal.errors import DataError, MissError
-from conecal.raytrace import TraceStatus
+from conecal.raytrace import STAGE_NAMES, TraceStatus
 
 
 def consistent_obs(scene):
@@ -92,6 +95,46 @@ class TestDistortionField:
         row = lines[1].split(",")
         assert float(row[0]) == field.pixels[0, 0]
         assert float(row[2]) == pytest.approx(field.deltas[0, 0], abs=0.0)
+
+
+def csv_writer_form(field, path):
+    """The distortion CSV written through ``csv.writer``, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["px", "py", "dpx", "dpy", "norm", "depth", "status"])
+        for pixel, delta, st in zip(field.pixels, field.deltas, field.status):
+            st = TraceStatus(st)
+            writer.writerow(
+                [
+                    repr(float(pixel[0])),
+                    repr(float(pixel[1])),
+                    repr(float(delta[0])),
+                    repr(float(delta[1])),
+                    repr(float(np.hypot(delta[0], delta[1]))),
+                    repr(field.depth),
+                    "ok" if st == TraceStatus.OK else STAGE_NAMES[st],
+                ]
+            )
+
+
+class TestDistortionCsv:
+    def test_bytes_match_the_csv_writer_form(self, scene_zero, tmp_path):
+        rng = np.random.default_rng(61)
+        amps = rng.normal(1e-5, 2.5e-6, scene_zero.surface.grid)
+        scene = scene_zero.with_surface(scene_zero.surface.with_amplitudes(amps))
+        traced = distortion_field(scene, depth=0.8, stride=97)
+        # one failed sample per failure stage, with the NaN deltas a failed trace carries
+        failed = np.array([st for st in TraceStatus if st != TraceStatus.OK])
+        field = DistortionField(
+            depth=traced.depth,
+            stride=traced.stride,
+            pixels=np.concatenate([traced.pixels, rng.uniform(0, 3000, (failed.size, 2))]),
+            deltas=np.concatenate([traced.deltas, np.full((failed.size, 2), np.nan)]),
+            status=np.concatenate([traced.status, failed]),
+        )
+        write_distortion_csv(field, tmp_path / "fast.csv")
+        csv_writer_form(field, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestDepthCurve:

@@ -14,6 +14,7 @@ import pytest
 
 from conecal.errors import ConfigurationError, OutOfRangeError, SingularSurfaceError
 from conecal.geometry import (
+    _KERNEL_BLOCK_ROWS,
     _field_values,
     _field_values_adjoint,
     ConeGeometry,
@@ -201,6 +202,34 @@ class TestFieldValuesFromKernel:
         want = sum(t.T @ g[:, d] for d, t in enumerate(terms))
         got = _field_values_adjoint(surface, s, k, g)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "shape", [(2 * _KERNEL_BLOCK_ROWS + 3, 2), (2,), (3, 5, 2), (0, 2)]
+    )
+    def test_row_blocks_equal_the_unblocked_product(self, patch, shape, monkeypatch):
+        """K is built in blocks of rows; each row's product with the
+        weights is the same bits as the whole K multiplied row by row."""
+        rng = np.random.default_rng(59)
+        surface = RbfSurface.flat(patch, (4, 5)).with_amplitudes(rng.normal(0.0, 1e-5, (4, 5)))
+        n = int(np.prod(shape[:-1]))
+        s = np.column_stack([rng.uniform(0.025, 0.055, n), rng.uniform(-0.4, 0.4, n)]).reshape(shape)
+        a, centers = surface.flat_amplitudes, surface.centers
+        weights = np.column_stack([a, a * centers[:, 0], a * centers[:, 1]])
+        m = (rbf_kernel_terms(surface, s)[..., None, :] @ weights)[..., 0, :]
+        s_norm = normalize_coords(patch, s)
+        scale = surface.beta * patch.spans
+        want = (
+            m[..., 0],
+            (m[..., 1] - s_norm[..., 0] * m[..., 0]) / scale[0],
+            (m[..., 2] - s_norm[..., 1] * m[..., 0]) / scale[1],
+        )
+        calls = count_kernel_calls(monkeypatch)
+        got = _field_values(surface, s)
+        assert len(calls) == -(-n // _KERNEL_BLOCK_ROWS)
+        assert all(rows <= _KERNEL_BLOCK_ROWS for rows, _ in calls)
+        for g, w in zip(got, want):
+            assert g.shape == shape[:-1]
+            assert np.array_equal(g, w)
 
     def test_zero_field_never_builds_the_kernel(self, patch):
         def no_kernel():

@@ -30,6 +30,7 @@ from conecal.raytrace import (
     raycast,
     raycast_pixels,
     refract,
+    trace_pixels,
     trace_through_cover,
     world_to_board_local,
 )
@@ -118,6 +119,21 @@ class TestSceneParams:
     def test_missing_pose_index(self, scene_zero):
         with pytest.raises(DataError):
             scene_zero.pose(99)
+
+    def test_negative_index_does_not_wrap(self, scene_zero):
+        pixels = np.array([[900.0, 700.0], [1200.0, 1100.0]])
+        with pytest.raises(DataError):
+            scene_zero.pose(-1)
+        with pytest.raises(DataError):
+            raycast_pixels(scene_zero, -1, pixels)
+        with pytest.raises(DataError):
+            raycast_pixels(scene_zero, np.array([0, -1]), pixels)
+
+    def test_bad_index_arrays_rejected(self, scene_zero):
+        pixels = np.array([[900.0, 700.0], [1200.0, 1100.0]])
+        for index in ([0, 3], [0.0, 1.0], [True, False], [0, 1, 2], [[0, 1]]):
+            with pytest.raises(DataError):
+                trace_pixels(scene_zero, np.array(index), pixels)
 
 
 class TestRefract:
@@ -352,6 +368,20 @@ class TestRaycast:
         assert np.all(status == TraceStatus.OK)
         for pixel, row in zip(pixels, local):
             np.testing.assert_allclose(raycast(scene_zero, 1, pixel), row, atol=1e-14)
+
+    def test_index_array_matches_per_image_traces(self, scene_zero):
+        rng = np.random.default_rng(53)
+        amps = rng.normal(1e-5, 2.5e-6, size=scene_zero.surface.grid)
+        params = scene_zero.with_surface(scene_zero.surface.with_amplitudes(amps))
+        # enough rows that the kernel is built in several blocks
+        pixels = self.sample_pixels(params.intrinsics, rng, 1500).reshape(3, 500, 2)
+        index = rng.integers(0, len(params.poses), size=(3, 500))
+        stacked = trace_pixels(params, index, pixels)
+        for image_index in range(len(params.poses)):
+            rows = index == image_index
+            alone = trace_pixels(params, image_index, pixels[rows])
+            for name in ("status", "x_outer", "n_outer", "dir_out", "x_board", "board_local"):
+                assert np.array_equal(getattr(stacked, name)[rows], getattr(alone, name)), name
 
     def test_landing_point_moves_smoothly(self, scene_zero):
         pixel = np.array([900.0, 700.0])

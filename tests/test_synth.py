@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conecal import synth
 from conecal.errors import ConfigurationError, DataError
 from conecal.geometry import RbfSurface
 from conecal.raytrace import SceneParams, TraceStatus, raycast_pixels
@@ -15,7 +16,7 @@ from conecal.synth import (
     project_corners,
     sample_surface,
 )
-from oracles import grid_search_project
+from oracles import gauss_newton_project_every_row, grid_search_project
 
 
 class TestAmplitudeDistribution:
@@ -128,6 +129,52 @@ class TestProjectCorners:
             project_corners(params, 0, flipped.corner_board_coords())
 
 
+def steep_scene(scene_zero):
+    """A field steep enough that some corners cannot be projected (TIR)."""
+    amps = np.array([[0.2, -0.2], [-0.2, 0.2]])
+    steep = RbfSurface(patch=scene_zero.surface.patch, grid=(2, 2), amplitudes=amps, beta=0.02)
+    return scene_zero.with_surface(steep)
+
+
+class TestStackedProjection:
+    @pytest.mark.parametrize("max_iters", [50, 2])
+    def test_settled_rows_match_the_every_row_rule(self, scene_zero, max_iters):
+        params = steep_scene(scene_zero)
+        for idx, pose in enumerate(params.poses):
+            targets = pose.corner_board_coords()
+            got = project_corners(params, idx, targets, max_iters=max_iters)
+            want = gauss_newton_project_every_row(params, idx, targets, max_iters=max_iters)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("max_iters", [50, 2])
+    def test_index_array_matches_per_image_calls(self, scene_zero, max_iters):
+        params = steep_scene(scene_zero)
+        targets = [pose.corner_board_coords() for pose in params.poses]
+        per_image = [
+            project_corners(params, idx, t, max_iters=max_iters) for idx, t in enumerate(targets)
+        ]
+        index = np.repeat(np.arange(len(targets)), [len(t) for t in targets])
+        pixels, converged = project_corners(
+            params, index, np.concatenate(targets), max_iters=max_iters
+        )
+        assert np.array_equal(pixels, np.concatenate([p for p, _ in per_image]))
+        assert np.array_equal(converged, np.concatenate([c for _, c in per_image]))
+        assert np.any(converged) and not np.all(converged)
+
+    def test_bad_index_arrays_rejected(self, scene_zero):
+        targets = scene_zero.poses[0].corner_board_coords()[:4]
+        for index in ([0, 1, 2], [0, 1, 2, 3], [0, -1, 1, 2], [0.0, 1.0, 1.0, 2.0]):
+            with pytest.raises(DataError):
+                project_corners(scene_zero, np.array(index), targets)
+        with pytest.raises(DataError):
+            project_corners(scene_zero, -1, targets)
+
+    def test_max_iters_validated(self, scene_zero):
+        with pytest.raises(ConfigurationError):
+            project_corners(scene_zero, 0, scene_zero.poses[0].corner_board_coords(), max_iters=0)
+
+
 class TestGenerateDataset:
     def make(self, intrinsics, cone, patch, **kwargs):
         template = RbfSurface.flat(patch, kwargs.pop("grid", (4, 4)))
@@ -204,3 +251,26 @@ class TestGenerateDataset:
             generate_dataset(intrinsics, cone, template, n_images=0)
         with pytest.raises(ConfigurationError):
             generate_dataset(intrinsics, cone, template, n_images=1, noise_sigma_px=-0.1)
+
+    def test_one_projection_outside_the_sampler(self, intrinsics, cone, patch, monkeypatch):
+        calls = []
+        in_sampler = []
+        project = synth.project_corners
+        sample_pose = PoseSampler.sample_pose
+
+        def counting_project(params, image_index, *args, **kwargs):
+            if not in_sampler:
+                calls.append(np.shape(image_index))
+            return project(params, image_index, *args, **kwargs)
+
+        def flagged_sample_pose(self, *args, **kwargs):
+            in_sampler.append(True)
+            try:
+                return sample_pose(self, *args, **kwargs)
+            finally:
+                in_sampler.pop()
+
+        monkeypatch.setattr(synth, "project_corners", counting_project)
+        monkeypatch.setattr(PoseSampler, "sample_pose", flagged_sample_pose)
+        data = self.make(intrinsics, cone, patch)
+        assert calls == [(sum(pose.corners_per_side**2 for pose in data.params.poses),)]
