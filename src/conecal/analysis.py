@@ -29,6 +29,8 @@ from .raytrace import (
     trace_pixels,
 )
 
+_STATUS_NAMES = {int(st): "ok" if st == TraceStatus.OK else STAGE_NAMES[st] for st in TraceStatus}
+
 
 def _trace_to_frontal_plane(params: SceneParams, pixels: np.ndarray, depth: float):
     """Landing points of pixel rays on the plane z = depth.
@@ -96,16 +98,24 @@ def write_distortion_csv(field: DistortionField, path) -> None:
     """Write one row per sample: px,py,dpx,dpy,norm,depth,status.
 
     Numbers are written as ``repr`` of the float and no field needs CSV
-    quoting, so the rows are formatted directly from Python floats.
+    quoting, so the rows are formatted directly from Python floats. The
+    sample grid repeats a few hundred coordinates, so each distinct
+    coordinate (by bit pattern) and each status's ``depth,status`` tail
+    is formatted once.
     """
-    names = {int(st): "ok" if st == TraceStatus.OK else STAGE_NAMES[st] for st in TraceStatus}
-    norms = np.hypot(field.deltas[:, 0], field.deltas[:, 1])
+    bits, inverse = np.unique(
+        np.ascontiguousarray(field.pixels, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    coords = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    coords = coords[inverse.reshape(field.pixels.shape)].tolist()
     depth = repr(field.depth)
+    tails = {st: f"{depth},{name}" for st, name in _STATUS_NAMES.items()}
+    norms = np.hypot(field.deltas[:, 0], field.deltas[:, 1])
     lines = ["px,py,dpx,dpy,norm,depth,status"]
     for (px, py), (dx, dy), norm, st in zip(
-        field.pixels.tolist(), field.deltas.tolist(), norms.tolist(), field.status.tolist()
+        coords, field.deltas.tolist(), norms.tolist(), field.status.tolist()
     ):
-        lines.append(f"{px!r},{py!r},{dx!r},{dy!r},{norm!r},{depth},{names[st]}")
+        lines.append(f"{px},{py},{dx!r},{dy!r},{norm!r},{tails[st]}")
     with Path(path).open("w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -189,39 +199,47 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> d
     Returns a JSON-ready dict: for every corner its pixel, grid index,
     board-plane residual (meters) and trace status; failed corners have
     null residuals. Includes the pooled RMSE over traced corners (cm).
+    Every image's corners are traced in one batch, each row landing on
+    its own image's pose.
     """
-    images = []
-    total = 0.0
-    count = 0
-    for im in observations.images:
-        batch = trace_pixels(params, im.image_index, im.pixels)
-        rho = batch.board_local - im.board_local()
-        corners = []
-        for k in range(im.n_corners):
-            st = TraceStatus(batch.status[k])
-            entry = {
-                "i": int(im.grid_ij[k, 0]),
-                "j": int(im.grid_ij[k, 1]),
-                "px": float(im.pixels[k, 0]),
-                "py": float(im.pixels[k, 1]),
-                "status": "ok" if st == TraceStatus.OK else STAGE_NAMES[st],
-            }
-            if st == TraceStatus.OK:
-                entry["dmx_m"] = float(rho[k, 0])
-                entry["dmy_m"] = float(rho[k, 1])
-                entry["err_m"] = float(np.hypot(rho[k, 0], rho[k, 1]))
-                total += float(rho[k, 0] ** 2 + rho[k, 1] ** 2)
-                count += 1
-            else:
-                entry["dmx_m"] = None
-                entry["dmy_m"] = None
-                entry["err_m"] = None
-            corners.append(entry)
-        images.append({"index": im.image_index, "corners": corners})
+    images = observations.images
+    counts = [im.n_corners for im in images]
+    index = np.repeat([im.image_index for im in images], counts)
+    pixels = np.concatenate([im.pixels for im in images])
+    grid_ij = np.concatenate([im.grid_ij for im in images])
+    targets = np.concatenate([im.board_local() for im in images])
+    batch = trace_pixels(params, index, pixels)
+    rho = batch.board_local - targets
+    ok = batch.status == TraceStatus.OK
+    count = int(np.count_nonzero(ok))
     if count == 0:
         raise DataError("no corner completed the trace; nothing to report")
+    # squared through libm pow, as a numpy scalar's ``** 2`` is (an array's
+    # ``** 2`` multiplies, which rounds differently in the last bit), and
+    # summed left to right, so the RMSE equals a corner-by-corner running sum
+    sq = np.float_power(rho[ok, 0], 2) + np.float_power(rho[ok, 1], 2)
+    total = float(np.cumsum(sq)[-1])
+
+    corners = []
+    for (i, j), (px, py), st, (dmx, dmy), err in zip(
+        grid_ij.tolist(),
+        pixels.tolist(),
+        batch.status.tolist(),
+        rho.tolist(),
+        np.hypot(rho[:, 0], rho[:, 1]).tolist(),
+    ):
+        if st != TraceStatus.OK:
+            dmx = dmy = err = None
+        corners.append(
+            {"i": i, "j": j, "px": px, "py": py, "status": _STATUS_NAMES[st],
+             "dmx_m": dmx, "dmy_m": dmy, "err_m": err}
+        )
+    ends = np.cumsum(counts).tolist()
     return {
-        "images": images,
+        "images": [
+            {"index": im.image_index, "corners": corners[end - n : end]}
+            for im, n, end in zip(images, counts, ends)
+        ],
         "rmse_cm": float(np.sqrt(total / count) * 100.0),
         "n_corners": count,
     }

@@ -13,7 +13,6 @@ divergence (argument parsing failures also exit 2, via argparse).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -52,15 +51,12 @@ from .observations import (
     load_observations,
     observations_to_json_dict,
     save_observations,
+    write_json,
 )
 from .raytrace import SceneParams
 from .synth import generate_dataset
 
 DEFAULT_PROBE_PIXELS = ((820.0, 1232.0), (410.0, 1232.0))
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _ensure_out(args) -> Path:
@@ -131,7 +127,7 @@ def cmd_generate(args) -> None:
     out = _ensure_out(args)
     save_observations(dataset.observations, out / "observations.json")
     truth_config = config_with_amplitudes(config, dataset.params.surface.amplitudes)
-    _write_json(
+    write_json(
         out / "ground_truth.json",
         {
             "seed": dataset.seed,
@@ -174,7 +170,7 @@ def cmd_refine_poses(args) -> None:
         ],
     }
     out = _ensure_out(args)
-    _write_json(out / "refined_poses.json", refined)
+    write_json(out / "refined_poses.json", refined)
     for report in result.reports:
         print(
             f"image {report.image_index}: cost {report.initial_cost:.6e} -> "
@@ -272,7 +268,7 @@ def cmd_calibrate(args) -> None:
     except DivergenceError as exc:
         if exc.last_stable is None:
             raise
-        _write_json(
+        write_json(
             out / "fitted_surface.json",
             _fitted_surface_json(
                 config, exc.last_stable, rmse_initial, rmse_cone_only, options, exc.iteration
@@ -281,7 +277,7 @@ def cmd_calibrate(args) -> None:
         print(f"saved last stable iterate to {out / 'fitted_surface.json'}", file=sys.stderr)
         raise
 
-    _write_json(
+    write_json(
         out / "fitted_surface.json",
         _fitted_surface_json(config, result, rmse_initial, rmse_cone_only, options, None),
     )
@@ -293,41 +289,29 @@ def cmd_calibrate(args) -> None:
 
 
 def _write_depth_curve_csv(path: Path, curves) -> None:
+    lines = ["px,py,inv_depth_per_m,dpx,dpy"]
+    for curve in curves:
+        px, py = curve.pixel.tolist()
+        for inv_depth, (dx, dy) in zip(curve.inv_depths.tolist(), curve.deltas.tolist()):
+            lines.append(f"{px!r},{py!r},{inv_depth!r},{dx!r},{dy!r}")
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["px", "py", "inv_depth_per_m", "dpx", "dpy"])
-        for curve in curves:
-            for inv_depth, delta in zip(curve.inv_depths, curve.deltas):
-                writer.writerow(
-                    [
-                        repr(float(curve.pixel[0])),
-                        repr(float(curve.pixel[1])),
-                        repr(float(inv_depth)),
-                        repr(float(delta[0])),
-                        repr(float(delta[1])),
-                    ]
-                )
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_scatter_csv(path: Path, scatter: dict) -> None:
+    """One row per corner; a failed corner's residual fields are empty."""
+    lines = ["image,i,j,px,py,status,dmx_m,dmy_m,err_m"]
+    for image in scatter["images"]:
+        index = image["index"]
+        for c in image["corners"]:
+            dmx, dmy, err = c["dmx_m"], c["dmy_m"], c["err_m"]
+            lines.append(
+                f"{index},{c['i']},{c['j']},{c['px']!r},{c['py']!r},{c['status']},"
+                f"{'' if dmx is None else repr(dmx)},{'' if dmy is None else repr(dmy)},"
+                f"{'' if err is None else repr(err)}"
+            )
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["image", "i", "j", "px", "py", "status", "dmx_m", "dmy_m", "err_m"])
-        for image in scatter["images"]:
-            for corner in image["corners"]:
-                writer.writerow(
-                    [
-                        image["index"],
-                        corner["i"],
-                        corner["j"],
-                        repr(corner["px"]),
-                        repr(corner["py"]),
-                        corner["status"],
-                        "" if corner["dmx_m"] is None else repr(corner["dmx_m"]),
-                        "" if corner["dmy_m"] is None else repr(corner["dmy_m"]),
-                        "" if corner["err_m"] is None else repr(corner["err_m"]),
-                    ]
-                )
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_analyze(args) -> None:
@@ -353,7 +337,7 @@ def cmd_analyze(args) -> None:
         for pixel in DEFAULT_PROBE_PIXELS
     ]
     _write_depth_curve_csv(out / "depth_curves.csv", curves)
-    _write_json(
+    write_json(
         out / "depth_curves.json",
         {
             "inv_depth_range_per_m": [float(inv_range[0]), float(inv_range[1])],
@@ -371,7 +355,7 @@ def cmd_analyze(args) -> None:
     )
 
     scatter = corner_error_scatter(params, observations)
-    _write_json(out / "corner_scatter.json", scatter)
+    write_json(out / "corner_scatter.json", scatter)
     _write_scatter_csv(out / "corner_scatter.csv", scatter)
 
     print(f"distortion field: {field.pixels.shape[0]} samples at depth {args.depth} m")

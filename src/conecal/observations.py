@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +32,21 @@ class ImageObservations:
     pixels: np.ndarray  # (M, 2) float, detected pixel positions
 
     def __post_init__(self):
-        ij = np.array(self.grid_ij, dtype=np.int64)
+        ij = np.asarray(self.grid_ij)
         px = np.array(self.pixels, dtype=np.float64)
+        if ij.size == 0:
+            raise DataError(f"image {self.image_index} has no corners")
         if ij.ndim != 2 or ij.shape[1] != 2 or px.shape != (ij.shape[0], 2):
             raise DataError("grid_ij must be (M, 2) and pixels must match it")
+        if ij.dtype.kind not in "iu" and not (
+            ij.dtype.kind == "f" and np.all(np.isfinite(ij)) and np.all(ij == np.trunc(ij))
+        ):
+            raise DataError(f"image {self.image_index} has non-integer corner indices")
+        ij = ij.astype(np.int64)
         n = self.initial_pose.corners_per_side
-        if ij.shape[0] == 0:
-            raise DataError(f"image {self.image_index} has no corners")
         if np.any(ij < 1) or np.any(ij > n):
             raise DataError(f"corner indices must lie in [1, {n}]")
-        if len({(int(a), int(b)) for a, b in ij}) != ij.shape[0]:
+        if np.unique(ij[:, 0] * (n + 1) + ij[:, 1]).size != ij.shape[0]:
             raise DataError(f"image {self.image_index} has duplicate corner indices")
         if not np.all(np.isfinite(px)):
             raise DataError(f"image {self.image_index} has non-finite pixel positions")
@@ -154,7 +160,7 @@ def observations_from_json_dict(data: dict) -> ObservationSet:
         for im in data["images"]:
             pose = _pose_from_json(im["initial_pose"], square, corners_per_side)
             corners = im["corners"]
-            ij = np.array([[c["i"], c["j"]] for c in corners], dtype=np.int64)
+            ij = np.array([[c["i"], c["j"]] for c in corners])
             px = np.array([[c["px"], c["py"]] for c in corners], dtype=np.float64)
             images.append(
                 ImageObservations(
@@ -166,8 +172,124 @@ def observations_from_json_dict(data: dict) -> ObservationSet:
     return ObservationSet(square_size=square, corners_per_side=corners_per_side, images=tuple(images))
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_texts(values) -> list[str] | None:
+    """JSON text of each value, or None if any value is not a JSON scalar.
+
+    Floats (subclasses such as ``np.float64`` included) are spelled by
+    ``float.__repr__`` and ints by ``int.__repr__``, as ``json`` spells
+    them; ``bool`` and ``None`` are matched before ``int``.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, values))
+        if "nan" in texts or "inf" in texts or "-inf" in texts:
+            texts = [_NON_FINITE.get(t, t) for t in texts]
+        return texts
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if not all(issubclass(kind, (str, int, float, type(None))) for kind in kinds):
+        return None
+    texts = []
+    for v in values:
+        if isinstance(v, str):
+            texts.append(encode_basestring_ascii(v))
+        elif v is None:
+            texts.append("null")
+        elif v is True:
+            texts.append("true")
+        elif v is False:
+            texts.append("false")
+        elif isinstance(v, int):
+            texts.append(int.__repr__(v))
+        else:
+            text = float.__repr__(v)
+            texts.append(_NON_FINITE.get(text, text))
+    return texts
+
+
+def _record_texts(values: list, indent: str) -> list[str] | None:
+    """Texts of a list of flat dicts sharing one set of ``str`` keys, or None.
+
+    Each record is rendered from one ``str.format`` template, built once
+    for the list from the sorted keys, with the values encoded by column.
+    """
+    first = values[0]
+    if not isinstance(first, dict) or not first:
+        return None
+    keys = first.keys()
+    if not all(isinstance(v, dict) and v.keys() == keys for v in values):
+        return None
+    if not all(isinstance(k, str) for k in keys):
+        return None
+    names = sorted(keys)
+    columns = []
+    for name in names:
+        column = _scalar_texts([v[name] for v in values])
+        if column is None:
+            return None
+        columns.append(column)
+    inner = indent + "  "
+    fields = ",\n" + inner
+    template = (
+        "{{\n"
+        + inner
+        + fields.join(
+            encode_basestring_ascii(name).replace("{", "{{").replace("}", "}}") + ": {}"
+            for name in names
+        )
+        + "\n"
+        + indent
+        + "}}"
+    )
+    return list(map(template.format, *columns))
+
+
+def _json_text(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for an object at ``indent``."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        texts = _scalar_texts(obj)
+        if texts is None:
+            texts = _record_texts(obj, inner)
+        if texts is None:
+            texts = [_json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        texts = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            texts.append(encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner))
+        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "}"
+    texts = _scalar_texts([obj])
+    if texts is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return texts[0]
+
+
+def write_json(path, obj) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` to ``path``.
+
+    The text is the same, byte for byte; ``json`` falls back to its
+    pure-Python encoder whenever ``indent`` is set, and this writer
+    renders lists of scalars and lists of flat records a column at a
+    time instead. Like ``json``, it raises ``TypeError`` for values it
+    cannot encode (``np.int64``, sets, ...); unlike ``json``, also for
+    non-``str`` dict keys.
+    """
+    Path(path).write_text(_json_text(obj, "") + "\n")
+
+
 def save_observations(obs: ObservationSet, path) -> None:
-    Path(path).write_text(json.dumps(observations_to_json_dict(obs), indent=2, sort_keys=True) + "\n")
+    write_json(path, observations_to_json_dict(obs))
 
 
 def load_observations(path) -> ObservationSet:

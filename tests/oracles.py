@@ -302,3 +302,51 @@ def gauss_newton_project_every_row(
     local, status = raycast_pixels(params, image_index, pixels)
     converged = (status == TraceStatus.OK) & (np.linalg.norm(local - targets, axis=-1) <= tol)
     return pixels, converged
+
+
+# --------------------------------------------------------------------------
+# per-corner residual scatter, one trace per image
+
+
+def per_image_corner_scatter(params, observations):
+    """``analysis.corner_error_scatter`` as one ``trace_pixels`` call per
+    image, with each corner's entry built from numpy scalars and a running
+    sum of squared residuals."""
+    from conecal.errors import DataError
+    from conecal.raytrace import STAGE_NAMES, TraceStatus, trace_pixels
+
+    images = []
+    total = 0.0
+    count = 0
+    for im in observations.images:
+        batch = trace_pixels(params, im.image_index, im.pixels)
+        rho = batch.board_local - im.board_local()
+        corners = []
+        for k in range(im.n_corners):
+            st = TraceStatus(batch.status[k])
+            entry = {
+                "i": int(im.grid_ij[k, 0]),
+                "j": int(im.grid_ij[k, 1]),
+                "px": float(im.pixels[k, 0]),
+                "py": float(im.pixels[k, 1]),
+                "status": "ok" if st == TraceStatus.OK else STAGE_NAMES[st],
+            }
+            if st == TraceStatus.OK:
+                entry["dmx_m"] = float(rho[k, 0])
+                entry["dmy_m"] = float(rho[k, 1])
+                entry["err_m"] = float(np.hypot(rho[k, 0], rho[k, 1]))
+                total += float(rho[k, 0] ** 2 + rho[k, 1] ** 2)
+                count += 1
+            else:
+                entry["dmx_m"] = None
+                entry["dmy_m"] = None
+                entry["err_m"] = None
+            corners.append(entry)
+        images.append({"index": im.image_index, "corners": corners})
+    if count == 0:
+        raise DataError("no corner completed the trace; nothing to report")
+    return {
+        "images": images,
+        "rmse_cm": float(np.sqrt(total / count) * 100.0),
+        "n_corners": count,
+    }

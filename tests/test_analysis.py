@@ -14,9 +14,11 @@ from conecal.analysis import (
     distortion_vs_inverse_depth,
     write_distortion_csv,
 )
+import conecal.analysis
 from conecal.calibrate import loss
 from conecal.errors import DataError, MissError
 from conecal.raytrace import STAGE_NAMES, TraceStatus
+from oracles import per_image_corner_scatter
 
 
 def consistent_obs(scene):
@@ -201,3 +203,66 @@ class TestCornerErrorScatter:
         assert first["status"] == "inner-intersection"
         assert first["err_m"] is None
         assert report["n_corners"] == obs.n_corners - 1
+
+    def test_one_stacked_trace_matches_the_per_image_loop(self, monkeypatch):
+        """One trace over every image gives the per-image loop's dict exactly,
+        ``rmse_cm`` bit for bit included, on a scene with inner misses, exit
+        total internal reflection and board misses."""
+        from test_calibrate import scene_with_failures
+
+        params, obs = scene_with_failures(np.random.default_rng(150))
+        expected = per_image_corner_scatter(params, obs)
+        stages = {c["status"] for im in expected["images"] for c in im["corners"]}
+        assert {"inner-intersection", "outer-refraction", "board-intersection"} <= stages
+
+        calls = []
+        traced = conecal.analysis.trace_pixels
+
+        def counting(*args):
+            calls.append(args)
+            return traced(*args)
+
+        monkeypatch.setattr(conecal.analysis, "trace_pixels", counting)
+        report = corner_error_scatter(params, obs)
+        assert len(calls) == 1
+        assert report == expected
+        assert report["rmse_cm"].hex() == expected["rmse_cm"].hex()
+        for im_a, im_b in zip(report["images"], expected["images"]):
+            for a, b in zip(im_a["corners"], im_b["corners"]):
+                assert [type(v) for v in a.values()] == [type(b[k]) for k in a]
+
+    def test_rmse_squares_like_the_per_image_loop(self):
+        """A numpy scalar's ``** 2`` goes through libm ``pow``, an array's
+        multiplies; one corner whose two squares give different RMSE bits
+        must still report the per-image loop's bits."""
+        from conecal.observations import ImageObservations, ObservationSet
+        from conecal.raytrace import trace_pixels
+        from test_calibrate import scene_with_failures
+
+        params, obs = scene_with_failures(np.random.default_rng(150))
+        pose = obs.images[0].initial_pose
+        gx, gy = np.meshgrid(np.arange(700.0, 2600.0, 50.0), np.arange(600.0, 1900.0, 50.0))
+        pixels = np.column_stack([gx.ravel(), gy.ravel()])
+        batch = trace_pixels(params, 0, pixels)
+        pixels = pixels[batch.ok]
+        ij = np.array([(i, j) for i in range(1, 10) for j in range(1, 10)])
+        rho = batch.board_local[batch.ok][:, None, :] - pose.corner_board_coords(ij)[None]
+        by_pow = np.float_power(rho[..., 0], 2) + np.float_power(rho[..., 1], 2)
+        by_product = rho[..., 0] * rho[..., 0] + rho[..., 1] * rho[..., 1]
+        k, t = np.argwhere(np.sqrt(by_pow) * 100.0 != np.sqrt(by_product) * 100.0)[0]
+
+        def one_corner(index, grid_ij, pixel):
+            return ImageObservations(
+                image_index=index, initial_pose=obs.images[index].initial_pose,
+                grid_ij=grid_ij[None], pixels=np.asarray(pixel)[None],
+            )
+
+        single = ObservationSet(
+            square_size=obs.square_size,
+            corners_per_side=obs.corners_per_side,
+            images=(one_corner(0, ij[t], pixels[k]),)
+            + tuple(one_corner(n, ij[0], [1640.0, -1e7]) for n in (1, 2)),
+        )
+        report = corner_error_scatter(params, single)
+        assert report["n_corners"] == 1
+        assert report["rmse_cm"].hex() == per_image_corner_scatter(params, single)["rmse_cm"].hex()

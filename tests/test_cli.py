@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line workflows."""
 
+import csv
 import json
 import re
 
 import numpy as np
 import pytest
 
-from conecal.cli import load_fitted_surface, main
+from conecal.analysis import corner_error_scatter, distortion_vs_inverse_depth
+from conecal.cli import _write_depth_curve_csv, _write_scatter_csv, load_fitted_surface, main
 from conecal.config import default_config, load_config, merge_config
 from conecal.errors import ConfigurationError, DataError
 from conecal.observations import load_observations
@@ -311,6 +313,33 @@ class TestCalibrate:
             load_fitted_surface(path)
 
 
+def scatter_csv_writer_form(path, scatter):
+    """The corner scatter CSV written through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["image", "i", "j", "px", "py", "status", "dmx_m", "dmy_m", "err_m"])
+        for image in scatter["images"]:
+            for corner in image["corners"]:
+                writer.writerow(
+                    [image["index"], corner["i"], corner["j"], repr(corner["px"]),
+                     repr(corner["py"]), corner["status"]]
+                    + ["" if corner[k] is None else repr(corner[k])
+                       for k in ("dmx_m", "dmy_m", "err_m")]
+                )
+
+
+def depth_curve_csv_writer_form(path, curves):
+    """The depth-curve CSV written through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["px", "py", "inv_depth_per_m", "dpx", "dpy"])
+        for curve in curves:
+            for inv_depth, delta in zip(curve.inv_depths, curve.deltas):
+                writer.writerow(
+                    [repr(float(v)) for v in (curve.pixel[0], curve.pixel[1], inv_depth, *delta)]
+                )
+
+
 class TestAnalyze:
     def test_writes_all_outputs(self, tmp_path):
         data = generate_small(tmp_path)
@@ -356,6 +385,27 @@ class TestAnalyze:
             for corner in image["corners"]
             if corner["err_m"] is None
         )
+
+    def test_csv_bytes_match_the_csv_writer_form(self, tmp_path):
+        from test_calibrate import scene_with_failures
+
+        params, obs = scene_with_failures(np.random.default_rng(150))
+        scatter = corner_error_scatter(params, obs)
+        assert any(c["err_m"] is None for im in scatter["images"] for c in im["corners"])
+        _write_scatter_csv(tmp_path / "scatter.csv", scatter)
+        scatter_csv_writer_form(tmp_path / "scatter_ref.csv", scatter)
+        assert (tmp_path / "scatter.csv").read_bytes() == (tmp_path / "scatter_ref.csv").read_bytes()
+
+        cone_only = params.with_surface(
+            params.surface.with_amplitudes(np.zeros(params.surface.grid))
+        )
+        curves = [
+            distortion_vs_inverse_depth(cone_only, pixel, n_samples=7)
+            for pixel in ((820.0, 1232.0), (410.5, 1000.25))
+        ]
+        _write_depth_curve_csv(tmp_path / "curves.csv", curves)
+        depth_curve_csv_writer_form(tmp_path / "curves_ref.csv", curves)
+        assert (tmp_path / "curves.csv").read_bytes() == (tmp_path / "curves_ref.csv").read_bytes()
 
     def test_surface_from_config_amplitudes(self, tmp_path):
         data = generate_small(tmp_path)

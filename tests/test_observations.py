@@ -1,6 +1,8 @@
 """Tests for corner observation containers and their JSON format."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,11 @@ from conecal.observations import (
     observations_from_json_dict,
     observations_to_json_dict,
     save_observations,
+    write_json,
 )
 from conftest import make_pose
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def small_set(n_images=2, corners_per_side=5):
@@ -166,3 +171,149 @@ class TestJsonFormat:
         path = tmp_path / "extra.json"
         path.write_text(json.dumps(doc))
         assert load_observations(path).n_images == 1
+
+    @pytest.mark.parametrize(
+        "corners, message",
+        [
+            ([{"i": 1.5, "j": 2, "px": 10.0, "py": 20.0}], "non-integer"),
+            ([], "image 0 has no corners"),
+            (
+                [{"i": 2, "j": 3, "px": 10.0, "py": 20.0}, {"i": 2, "j": 3, "px": 1.0, "py": 2.0}],
+                "image 0 has duplicate",
+            ),
+        ],
+        ids=["fractional-index", "no-corners", "duplicate"],
+    )
+    def test_bad_corner_lists_rejected(self, corners, message):
+        doc = observations_to_json_dict(small_set(n_images=1))
+        doc["images"][0]["corners"] = corners
+        with pytest.raises(DataError, match=message):
+            observations_from_json_dict(doc)
+
+    def test_integral_float_indices_accepted(self):
+        obs = small_set(n_images=1)
+        im = obs.images[0]
+        as_floats = ImageObservations(
+            image_index=0,
+            initial_pose=im.initial_pose,
+            grid_ij=im.grid_ij.astype(np.float64),
+            pixels=im.pixels,
+        )
+        assert as_floats.grid_ij.dtype == np.int64
+        np.testing.assert_array_equal(as_floats.grid_ij, im.grid_ij)
+
+    def test_readme_example_loads(self):
+        text = README.read_text()
+        block = re.search(
+            r"`observations\.json` \(the calibration input\):\s*```json\n(.*?)```", text, re.S
+        )
+        assert block is not None
+        obs = observations_from_json_dict(json.loads(block.group(1)))
+        assert obs.n_images == 1
+        assert obs.images[0].n_corners >= 1
+
+
+def dumps_form(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def written(tmp_path, obj):
+    path = tmp_path / "out.json"
+    write_json(path, obj)
+    return path.read_text()
+
+
+RECORDS = [{"i": k, "j": 2 * k, "px": 0.1 * k, "status": "ok"} for k in range(4)]
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[], {}], "d": [{}], "e": [{}, {}]},
+            [[[]]],
+            {"x": [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 1e-300, 1e300]},
+            [float("nan"), 1.5, "nan", None],
+            {"nan": {"inf": [float("inf")]}},
+            {"caf\u00e9 \u2603": "tab\there \"quoted\" \\ \u0001 \ud83d\ude00 {x}"},
+            [{"{k}": "{}", "\n": "\u00e9"}, {"{k}": "}{", "\n": ""}],
+            {"flag": True, "one": 1, "zero": 0, "no": False, "none": None},
+            [True, 1, False, 0, 1.0],
+            [{"v": True}, {"v": 1}, {"v": 1.0}, {"v": None}],
+            {"f64": np.float64(0.1), "list": [np.float64(1.0), np.float64("nan")]},
+            [np.float64(2.5), 2.5],
+            RECORDS,
+            RECORDS + [{"i": 9, "j": 9, "px": 0.5}],
+            RECORDS + [{"i": 9, "j": 9, "px": 0.5, "status": "ok", "extra": 1}],
+            RECORDS + [{"i": 9, "j": 9, "px": [0.5], "status": "ok"}],
+            RECORDS + [{"i": 9, "j": 9, "px": {"nested": 1.0}, "status": "ok"}],
+            RECORDS + [{"i": None, "j": 9, "px": None, "status": None}],
+            [{"a": 1}, [1, 2], "s", {"a": 1}],
+            ((1, 2.0), ("t",)),
+            "top",
+            3.25,
+            None,
+            [[0.1, 0.2], [0.3, float("inf")]],
+        ],
+    )
+    def test_matches_json_dumps(self, tmp_path, obj):
+        assert written(tmp_path, obj) == dumps_form(obj)
+
+    def test_matches_json_dumps_on_output_shaped_documents(self, tmp_path):
+        from conecal.config import config_with_amplitudes, default_config
+
+        obs = small_set(n_images=3)
+        doc = observations_to_json_dict(obs)
+        doc["refinement"] = {
+            "images": [
+                {"index": k, "initial_cost_m2": 0.1 / (k + 1), "final_cost_m2": 1e-9,
+                 "n_valid_corners": 10}
+                for k in range(3)
+            ]
+        }
+        config = config_with_amplitudes(default_config(), np.full((8, 8), 1.25e-5))
+        ground_truth = {
+            "seed": 42,
+            "scene_config": config,
+            "amplitudes_m": config["surface"]["amplitudes_m"],
+            "poses": [{"index": 0, "rotation_rowmajor": [1.0] * 9, "translation_m": [0.0, 0.0, 0.6]}],
+        }
+        fitted = {
+            "grid_rows": 2,
+            "grid_cols": 2,
+            "amplitudes_m": [[1e-5, -2e-6], [0.0, 3.5e-6]],
+            "beta_norm_sq": 0.25,
+            "patch": {"s1_min_m": 0.03, "s1_max_m": 0.05, "s2_min_rad": -0.26, "s2_max_rad": 0.26},
+            "rmse_initial_cm": 2.19,
+            "rmse_cone_only_cm": float("inf"),
+            "rmse_final_cm": float("nan"),
+            "relative_improvement_pct": 99.9,
+            "loss_history_m2": [0.5, 0.25, float("nan")],
+            "errored_rays": [
+                {"image": 0, "i": 1, "j": 2, "stage": "inner-intersection"},
+                {"image": 1, "i": 3, "j": 4, "stage": "board-intersection"},
+            ],
+            "n_active_corners": 10,
+            "options": {"step_count": 20, "learning_rate": 1e-6, "tolerance": 0.0},
+            "diverged_at_iteration": None,
+        }
+        for obj in (doc, ground_truth, fitted, dict(fitted, errored_rays=[])):
+            assert written(tmp_path, obj) == dumps_form(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [np.int64(3), {"a": [np.int64(3)]}, {1, 2}, [{"v": {1}}], RECORDS + [{"i": np.bool_(True),
+         "j": 1, "px": 0.0, "status": "ok"}], {"k": object()}],
+    )
+    def test_unencodable_values_raise_type_error(self, tmp_path, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "out.json", obj)
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, [{1: "a"}, {1: "b"}], {None: 1}])
+    def test_non_str_keys_raise_type_error(self, tmp_path, obj):
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "out.json", obj)
