@@ -24,6 +24,7 @@ results.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -52,7 +53,7 @@ from .raytrace import (
     _trace_cover,
     _trace_exit,
     pinhole_raycast,
-    trace_pixels,
+    trace_pixels,  # unused here; kept so ``conecal.calibrate.trace_pixels`` resolves for tracers
 )
 
 
@@ -155,12 +156,24 @@ class _FitBatch:
         self.image_index = np.repeat([im.image_index for im in images], counts)
         self.grid_ij = np.concatenate([im.grid_ij for im in images])
         self.target = np.concatenate([im.board_local() for im in images])
-        poses = [params.pose(im.image_index) for im in images]
-        self.rotation = np.repeat(np.stack([pose.rotation for pose in poses]), counts, axis=0)
-        self.translation = np.repeat(np.stack([pose.translation for pose in poses]), counts, axis=0)
+        self._stack_poses(params)
         dirs = pixel_to_ray(params.intrinsics, np.concatenate([im.pixels for im in images]))
         self.cover = _trace_cover(self.cone, np.zeros_like(dirs), dirs)
         self._kernel = None
+
+    def _stack_poses(self, params: SceneParams) -> None:
+        """Each corner's rotation and translation, from its image's pose in ``params``."""
+        counts = np.diff(self.offsets)
+        poses = [params.pose(index) for index in range(self.n_images)]
+        self.rotation = np.repeat(np.stack([pose.rotation for pose in poses]), counts, axis=0)
+        self.translation = np.repeat(np.stack([pose.translation for pose in poses]), counts, axis=0)
+
+    def with_poses(self, params: SceneParams) -> "_FitBatch":
+        """This batch under the poses of ``params``; the cover, and ``K`` once
+        built, are shared, since neither depends on the poses."""
+        moved = copy.copy(self)
+        moved._stack_poses(params)
+        return moved
 
     def kernel(self) -> np.ndarray:
         """``K`` at every outer hit, shape (n_corners, n_centers); built
@@ -342,7 +355,11 @@ def _check_divergence(
 
 
 def optimize_amplitudes(
-    params: SceneParams, observations: ObservationSet, options: OptimizerOptions | None = None
+    params: SceneParams,
+    observations: ObservationSet,
+    options: OptimizerOptions | None = None,
+    *,
+    batch: _FitBatch | None = None,
 ) -> FitResult:
     """Descend the corner loss over the field amplitudes.
 
@@ -350,10 +367,12 @@ def optimize_amplitudes(
     parameters, the per-iterate loss history (initial value included)
     and the exclusions of the final evaluation.  On divergence the raised
     error carries the last well-behaved iterate in ``last_stable`` so
-    callers can persist a usable result.
+    callers can persist a usable result. ``batch`` is as for :func:`loss`;
+    by default one is built here and serves every iterate.
     """
     options = options or OptimizerOptions()
-    batch = _FitBatch(params, observations)
+    if batch is None:
+        batch = _FitBatch(params, observations)
     current = params
     x = params.surface.flat_amplitudes.copy()
     adam = _AdamState(x.size)
@@ -420,27 +439,16 @@ def _apply_pose_step(pose: BoardPose, omega: np.ndarray, translation: np.ndarray
     return replace(pose, rotation=rot, translation=np.asarray(translation, dtype=np.float64))
 
 
-def _zero_surface_params(params: SceneParams) -> SceneParams:
-    surface = params.surface
-    return params.with_surface(
-        RbfSurface.flat(surface.patch, surface.grid, beta=surface.beta)
-    )
+def _refine_image_gauss_newton(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
+    """Least-squares pose update for one image from its fixed exit rays.
 
-
-def _refine_image_gauss_newton(params: SceneParams, im: ImageObservations) -> tuple:
-    """Least-squares pose update for one image under the perfect cone.
-
-    The rays are pose-independent, so they are traced once; each trial
-    pose only re-intersects the board plane. Corners whose ray misses
-    the plane for a trial pose contribute a large constant residual.
+    ``x_o`` and ``r_o`` are the outer hits and exit directions of the
+    corners that leave the cover, ``x_cb`` their board targets. The rays
+    do not depend on the pose, so each trial pose only re-intersects the
+    board plane. Corners whose ray misses the plane for a trial pose
+    contribute a large constant residual.
     """
-    batch = trace_pixels(params, im.image_index, im.pixels)
-    cover_ok = (batch.status == TraceStatus.OK) | (batch.status == TraceStatus.MISS_BOARD)
-    x_o = batch.x_outer[cover_ok]
-    r_o = batch.dir_out[cover_ok]
-    x_cb = im.board_local()[cover_ok]
-    n_valid = int(np.count_nonzero(cover_ok))
-    pose0 = params.pose(im.image_index)
+    n_valid = x_o.shape[0]
     if n_valid == 0:
         return pose0, 0.0, 0.0, 0
 
@@ -465,7 +473,9 @@ def _refine_image_gauss_newton(params: SceneParams, im: ImageObservations) -> tu
     )
 
 
-def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineResult:
+def refine_poses(
+    params: SceneParams, observations: ObservationSet, *, batch: _FitBatch | None = None
+) -> RefineResult:
     """Improve the per-image board poses under the zero-field model.
 
     Each image's pose is a separate 6-parameter least-squares problem
@@ -474,12 +484,26 @@ def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineRes
     to lower that image's cost, its starting pose is kept. The surface
     carried by ``params`` is preserved in the returned parameters (the
     refinement itself always runs with amplitudes zeroed).
+
+    The exit rays do not depend on the poses, so every image's come from
+    one zero-field exit stage on the cover of ``batch``, a stacked batch
+    as for :func:`loss`; by default one is built here.
     """
-    zero = _zero_surface_params(params)
+    if batch is None:
+        batch = _FitBatch(params, observations)
+    n_outer, _ = _outer_normal_linearization(batch.cone, batch.cover.s_outer)
+    exit_rays = _trace_exit(batch.cone, batch.cover, n_outer)
     poses = []
     reports = []
-    for im in observations.images:
-        pose, cost0, cost1, n_valid = _refine_image_gauss_newton(zero, im)
+    for im, start, stop in zip(observations.images, batch.offsets[:-1], batch.offsets[1:]):
+        rows = slice(start, stop)
+        left = exit_rays.ok[rows]
+        pose, cost0, cost1, n_valid = _refine_image_gauss_newton(
+            params.pose(im.image_index),
+            exit_rays.x_outer[rows][left],
+            exit_rays.dir_out[rows][left],
+            batch.target[rows][left],
+        )
         poses.append(pose)
         reports.append(
             ImageRefineReport(
@@ -496,9 +520,14 @@ def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineRes
 # summary metrics
 
 
-def rmse_cm(params: SceneParams, observations: ObservationSet) -> float:
-    """Root-mean-square corner residual under the full model, in cm."""
-    result = loss(params, observations)
+def rmse_cm(
+    params: SceneParams, observations: ObservationSet, *, batch: _FitBatch | None = None
+) -> float:
+    """Root-mean-square corner residual under the full model, in cm.
+
+    ``batch`` is as for :func:`loss`.
+    """
+    result = loss(params, observations, batch=batch)
     return math.sqrt(result.value / result.n_active) * 100.0
 
 

@@ -29,6 +29,7 @@ from .analysis import (
 from .calibrate import (
     FitResult,
     OptimizerOptions,
+    _FitBatch,
     optimize_amplitudes,
     pinhole_rmse_cm,
     refine_poses,
@@ -254,17 +255,20 @@ def cmd_calibrate(args) -> None:
     observations = load_observations(args.observations)
     start_surface = surface_from_config(config)
     params = _scene_for_observations(config, start_surface, observations)
+    # one stacked cover trace serves the pose refinement, the RMSEs and the fit
+    batch = _FitBatch(params, observations)
     if args.refine_poses:
-        params = refine_poses(params, observations).params
+        params = refine_poses(params, observations, batch=batch).params
+        batch = batch.with_poses(params)
 
     zero = RbfSurface.flat(start_surface.patch, start_surface.grid, beta=start_surface.beta)
     rmse_initial = pinhole_rmse_cm(params, observations)
-    rmse_cone_only = rmse_cm(params.with_surface(zero), observations)
+    rmse_cone_only = rmse_cm(params.with_surface(zero), observations, batch=batch)
     options = OptimizerOptions(step_count=args.steps, learning_rate=args.rate)
 
     out = _ensure_out(args)
     try:
-        result = optimize_amplitudes(params, observations, options)
+        result = optimize_amplitudes(params, observations, options, batch=batch)
     except DivergenceError as exc:
         if exc.last_stable is None:
             raise
