@@ -15,7 +15,15 @@ cover stage (inner hit and refraction, outer hit) and the kernel matrix
 and reused for every iterate of a fit. That is exact only because the
 outer intersection is taken on the perfect cone, so the outer hits do
 not move with the amplitudes; an exact intersection with the displaced
-wall would have to rebuild the batch for every iterate.
+wall would have to rebuild the batch for every iterate. The cover does
+not depend on the poses either, so one batch also serves the pose
+refinement (its zero-field exit rays) and, re-stacked under the refined
+poses, the RMSEs and the fit.
+
+Pose refinement and the pose gradient share one linearization of the
+board landing, :func:`_pose_rows`: the refinement hands it to
+``least_squares`` as the Jacobian, the gradient contracts it with the
+residuals.
 
 Accumulations (``np.sum``, per-image ``np.bincount`` and the products
 with ``K``) run in a fixed order, so repeated runs produce bit-identical
@@ -30,7 +38,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.spatial.transform import Rotation
 
 from .errors import ConfigurationError, DataError, DivergenceError
 from .camera import pixel_to_ray
@@ -50,6 +57,8 @@ from .raytrace import (
     _board_coords,
     _intersect_plane_batch,
     _land_on_board,
+    _rotvec_left_jacobian,
+    _rotvec_matrix,
     _trace_cover,
     _trace_exit,
     pinhole_raycast,
@@ -223,23 +232,13 @@ class _FitBatch:
             return result, self._pose_gradient(batch, ok, rho)
         return result, None
 
-    def _residual_adjoints(self, batch, ok, rho):
-        """Shared first links of the backward chain, on the valid rows.
-
-        Returns (w3, n_b, scale): ``w3`` is the gradient of the loss with
-        respect to the board-plane hit point, ``n_b`` the board normal and
-        ``scale`` the exit direction dotted with ``w3`` over its dot
-        product with ``n_b``.
-        """
+    def _amplitude_gradient(self, surface, batch, ok, rho, dn):
+        # w3 is the gradient of the loss with respect to the board-plane hit
         rotation = self.rotation[ok]
         n_b = rotation[..., 2]
         w3 = 2.0 * (rho[:, 0, None] * rotation[..., 0] + rho[:, 1, None] * rotation[..., 1])
         r_o = batch.dir_out[ok]
         scale = (np.sum(r_o * w3, axis=-1) / np.sum(r_o * n_b, axis=-1))[:, None]
-        return w3, n_b, scale
-
-    def _amplitude_gradient(self, surface, batch, ok, rho, dn):
-        w3, n_b, scale = self._residual_adjoints(batch, ok, rho)
         dl_dro = batch.t_board[ok, None] * (w3 - n_b * scale)
 
         # backward through the exit refraction: r_o depends on the oriented
@@ -264,18 +263,44 @@ class _FitBatch:
         return _field_values_adjoint(surface, self.cover.s_outer, self.kernel(), g)
 
     def _pose_gradient(self, batch, ok, rho):
-        """One [rotation-increment, translation] block of 6 per image, for a
-        left rotation increment at the current pose; each block sums its
-        image's contiguous rows."""
-        w3, n_b, scale = self._residual_adjoints(batch, ok, rho)
-        x_t = batch.x_board[ok]
-        t_b = self.translation[ok]
-        d_omega = np.cross(w3, x_t - t_b) + scale * np.cross(n_b, t_b - x_t)
-        d_trans = scale * n_b - w3
-        rows = np.concatenate([d_omega, d_trans], axis=1)
+        """One [rotation-increment, translation] block of 6 per image: the
+        per-image sums of ``2 rho^T J`` over the rows of :func:`_pose_rows`."""
+        rows = _pose_rows(
+            self.rotation[ok], self.translation[ok], batch.dir_out[ok], batch.x_board[ok]
+        )
+        grad = 2.0 * (rho[:, 0, None] * rows[:, 0] + rho[:, 1, None] * rows[:, 1])
         image = self.image_index[ok]
-        blocks = [np.bincount(image, weights=col, minlength=self.n_images) for col in rows.T]
+        blocks = [np.bincount(image, weights=col, minlength=self.n_images) for col in grad.T]
         return np.stack(blocks, axis=1).ravel()
+
+
+def _pose_rows(rotation, translation, dir_out, x_board) -> np.ndarray:
+    """``d(board u, v)/d[delta, t]`` of each landing, shape ``(n, 2, 6)``.
+
+    ``delta`` is a left rotation increment of the pose and ``t`` its
+    translation; the exit rays (``dir_out`` through fixed outer hits)
+    do not move. With ``r = x_board - t``, the board axes ``a_k = R e_k``,
+    the normal ``n = R e3`` and ``q_k = (d . a_k)/(d . n)``:
+    ``du_k/d(delta) = a_k x r - q_k (n x r)`` and ``du_k/dt = q_k n - a_k``.
+    The landing lies on the board, so ``r = u_0 a_0 + u_1 a_1`` and the
+    cross products reduce to ``a_0 x r = u_1 n``, ``a_1 x r = -u_0 n`` and
+    ``n x r = u_0 a_1 - u_1 a_0``. ``rotation`` and ``translation`` are
+    one pose or one per landing.
+    """
+    a0, a1, normal = rotation[..., 0], rotation[..., 1], rotation[..., 2]
+    r = x_board - translation
+    u0 = np.sum(r * a0, axis=-1)[:, None]
+    u1 = np.sum(r * a1, axis=-1)[:, None]
+    d_dot_n = np.sum(dir_out * normal, axis=-1)
+    q0 = (np.sum(dir_out * a0, axis=-1) / d_dot_n)[:, None]
+    q1 = (np.sum(dir_out * a1, axis=-1) / d_dot_n)[:, None]
+    n_cross_r = u0 * a1 - u1 * a0
+    rows = np.empty((r.shape[0], 2, 6))
+    rows[:, 0, :3] = u1 * normal - q0 * n_cross_r
+    rows[:, 1, :3] = -u0 * normal - q1 * n_cross_r
+    rows[:, 0, 3:] = q0 * normal - a0
+    rows[:, 1, 3:] = q1 * normal - a1
+    return rows
 
 
 def loss(
@@ -433,10 +458,30 @@ def optimize_amplitudes(
 # pose refinement
 
 
-def _apply_pose_step(pose: BoardPose, omega: np.ndarray, translation: np.ndarray) -> BoardPose:
-    """Left-multiply a rotation increment and set the translation."""
-    rot = Rotation.from_rotvec(omega).as_matrix() @ pose.rotation
-    return replace(pose, rotation=rot, translation=np.asarray(translation, dtype=np.float64))
+def _pose_landing(p, rotation0, x_o, r_o):
+    """Rotation, board-plane hits and hit mask of the fixed exit rays for
+    the pose ``p = [omega, t]``, whose rotation is ``exp(omega) rotation0``."""
+    rot = _rotvec_matrix(p[:3]) @ rotation0
+    _, x_t, hit = _intersect_plane_batch(p[3:], rot[:, 2], x_o, r_o)
+    return rot, x_t, hit
+
+
+def _pose_residual(p, rotation0, x_o, r_o, x_cb) -> np.ndarray:
+    """Board residuals of one image at ``p``, flattened; a ray that misses
+    the plane contributes the constant 1e3."""
+    rot, x_t, hit = _pose_landing(p, rotation0, x_o, r_o)
+    return np.where(hit[:, None], _board_coords(rot, p[3:], x_t) - x_cb, 1e3).ravel()
+
+
+def _pose_jacobian(p, rotation0, x_o, r_o, x_cb) -> np.ndarray:
+    """Jacobian of :func:`_pose_residual` over ``p``: the rows of
+    :func:`_pose_rows`, with the rotation columns taken through the left
+    Jacobian of ``omega``; a ray that misses the plane has zero rows."""
+    rot, x_t, hit = _pose_landing(p, rotation0, x_o, r_o)
+    rows = np.zeros((x_o.shape[0], 2, 6))
+    rows[hit] = _pose_rows(rot, p[3:], r_o[hit], x_t[hit])
+    rows[..., :3] = rows[..., :3] @ _rotvec_left_jacobian(p[:3])
+    return rows.reshape(-1, 6)
 
 
 def _refine_image_gauss_newton(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
@@ -445,32 +490,29 @@ def _refine_image_gauss_newton(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
     ``x_o`` and ``r_o`` are the outer hits and exit directions of the
     corners that leave the cover, ``x_cb`` their board targets. The rays
     do not depend on the pose, so each trial pose only re-intersects the
-    board plane. Corners whose ray misses the plane for a trial pose
-    contribute a large constant residual.
+    board plane, and the Jacobian is analytic.
     """
     n_valid = x_o.shape[0]
     if n_valid == 0:
         return pose0, 0.0, 0.0, 0
-
-    def residual(p):
-        rot = Rotation.from_rotvec(p[:3]).as_matrix() @ pose0.rotation
-        t_b = p[3:]
-        _, x_t, hit = _intersect_plane_batch(t_b, rot[:, 2], x_o, r_o)
-        res = np.where(hit[:, None], _board_coords(rot, t_b, x_t) - x_cb, 1e3)
-        return res.ravel()
-
+    args = (pose0.rotation, x_o, r_o, x_cb)
     p0 = np.concatenate([np.zeros(3), pose0.translation])
-    initial_cost = float(np.sum(residual(p0) ** 2))
-    sol = least_squares(residual, p0, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    final_cost = float(np.sum(residual(sol.x) ** 2))
+    initial_cost = float(np.sum(_pose_residual(p0, *args) ** 2))
+    sol = least_squares(
+        _pose_residual,
+        p0,
+        jac=_pose_jacobian,
+        method="trf",
+        xtol=1e-14,
+        ftol=1e-14,
+        gtol=1e-14,
+        args=args,
+    )
+    final_cost = float(np.sum(_pose_residual(sol.x, *args) ** 2))
     if final_cost >= initial_cost:
         return pose0, initial_cost, initial_cost, n_valid
-    return (
-        _apply_pose_step(pose0, sol.x[:3], sol.x[3:]),
-        initial_cost,
-        final_cost,
-        n_valid,
-    )
+    rotation = _rotvec_matrix(sol.x[:3]) @ pose0.rotation
+    return replace(pose0, rotation=rotation, translation=sol.x[3:]), initial_cost, final_cost, n_valid
 
 
 def refine_poses(

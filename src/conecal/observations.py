@@ -16,10 +16,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
-
-from .errors import DataError
-from .raytrace import BoardPose
+from .errors import ConfigurationError, DataError
+from .raytrace import BoardPose, _rotvec_matrix
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def _pose_from_json(obj: dict, square_size: float, corners_per_side: int) -> Boa
     if "rotation_rowmajor" in obj:
         rot = np.array(obj["rotation_rowmajor"], dtype=np.float64).reshape(3, 3)
     elif "rotation_axis_angle_rad" in obj:
-        rot = Rotation.from_rotvec(np.asarray(obj["rotation_axis_angle_rad"])).as_matrix()
+        rot = _rotvec_matrix(obj["rotation_axis_angle_rad"])
     else:
         raise DataError("pose needs rotation_rowmajor or rotation_axis_angle_rad")
     return BoardPose(
@@ -132,8 +130,13 @@ def observations_to_json_dict(obs: ObservationSet) -> dict:
     images = []
     for im in obs.images:
         corners = [
-            {"i": int(ij[0]), "j": int(ij[1]), "px": float(p[0]), "py": float(p[1])}
-            for ij, p in zip(im.grid_ij, im.pixels)
+            {"i": i, "j": j, "px": px, "py": py}
+            for i, j, px, py in zip(
+                im.grid_ij[:, 0].tolist(),
+                im.grid_ij[:, 1].tolist(),
+                im.pixels[:, 0].tolist(),
+                im.pixels[:, 1].tolist(),
+            )
         ]
         images.append(
             {
@@ -167,7 +170,8 @@ def observations_from_json_dict(data: dict) -> ObservationSet:
                     image_index=int(im["index"]), initial_pose=pose, grid_ij=ij, pixels=px
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        # a pose or board that BoardPose rejects is bad data in this file
         raise DataError(f"malformed observations: {exc}") from exc
     return ObservationSet(square_size=square, corners_per_side=corners_per_side, images=tuple(images))
 

@@ -11,6 +11,7 @@ be excluded and reported deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -133,6 +134,55 @@ class BoardPose:
         ij = np.asarray(ij, dtype=np.float64)
         mid = (self.corners_per_side + 1) / 2.0
         return (ij - mid) * self.square_size
+
+
+_SMALL_ANGLE = 1e-3  # rad; below it the rotation-vector coefficients use their series
+
+
+def _cross_matrix(v: np.ndarray) -> np.ndarray:
+    """The matrix ``W`` with ``W @ x == np.cross(v, x)``."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def _rotvec_coefficients(omega):
+    """``W`` of a rotation vector and, for ``t = |omega|``, the coefficients
+    ``sin(t)/t``, ``(1 - cos t)/t^2`` and ``(t - sin t)/t^3``.
+
+    Below ``_SMALL_ANGLE`` the coefficients come from their Taylor series,
+    whose first dropped terms are below 1e-20 there; above it the second
+    is ``2 sin^2(t/2)/t^2``, which does not cancel. Raises ``ValueError``
+    unless ``omega`` is a 3-vector.
+    """
+    omega = np.asarray(omega, dtype=np.float64)
+    if omega.shape != (3,):
+        raise ValueError(f"a rotation vector has 3 components, got shape {omega.shape}")
+    theta2 = float(omega @ omega)
+    theta = math.sqrt(theta2)
+    if theta < _SMALL_ANGLE:
+        a = 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0)
+        b = 0.5 - theta2 / 24.0 * (1.0 - theta2 / 30.0)
+        c = 1.0 / 6.0 - theta2 / 120.0 * (1.0 - theta2 / 42.0)
+    else:
+        half = math.sin(0.5 * theta) / theta
+        a = math.sin(theta) / theta
+        b = 2.0 * half * half
+        c = (1.0 - a) / theta2
+    return _cross_matrix(omega), a, b, c
+
+
+def _rotvec_matrix(omega) -> np.ndarray:
+    """Rotation matrix of a rotation vector, by Rodrigues' formula
+    ``I + (sin t/t) W + ((1 - cos t)/t^2) W^2``."""
+    w, a, b, _ = _rotvec_coefficients(omega)
+    return np.eye(3) + a * w + b * (w @ w)
+
+
+def _rotvec_left_jacobian(omega) -> np.ndarray:
+    """SO(3) left Jacobian ``I + ((1 - cos t)/t^2) W + ((t - sin t)/t^3) W^2``:
+    a step ``d`` in ``omega`` turns ``exp(omega)`` by the left increment
+    ``J d``, to first order."""
+    w, _, b, c = _rotvec_coefficients(omega)
+    return np.eye(3) + b * w + c * (w @ w)
 
 
 @dataclass(frozen=True)

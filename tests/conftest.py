@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conecal import calibrate, geometry
+from conecal import calibrate, geometry, raytrace
 from conecal.camera import CameraIntrinsics
 from conecal.geometry import ConeGeometry, RbfPatch, RbfSurface
 from conecal.raytrace import BoardPose, SceneParams
@@ -74,6 +74,20 @@ def count_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(geometry, "rbf_kernel_terms", counting)
     monkeypatch.setattr(calibrate, "rbf_kernel_terms", counting)
+    return calls
+
+
+def count_cover_traces(monkeypatch):
+    """Record the number of rays of every ``_trace_cover`` call."""
+    calls = []
+    original = raytrace._trace_cover
+
+    def counting(cone, origins, dirs):
+        calls.append(int(np.prod(np.shape(dirs)[:-1])))
+        return original(cone, origins, dirs)
+
+    monkeypatch.setattr(raytrace, "_trace_cover", counting)
+    monkeypatch.setattr(calibrate, "_trace_cover", counting)
     return calls
 
 

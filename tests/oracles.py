@@ -350,3 +350,58 @@ def per_image_corner_scatter(params, observations):
         "rmse_cm": float(np.sqrt(total / count) * 100.0),
         "n_corners": count,
     }
+
+
+# --------------------------------------------------------------------------
+# pose refinement with a finite-difference Jacobian, one trace per image
+
+
+def refine_poses_finite_difference(params, observations):
+    """Zero-field pose refinement as one ``trace_pixels`` call per image and
+    a ``least_squares`` solve with scipy's 2-point finite-difference
+    Jacobian and scipy rotations.
+
+    Returns one ``(pose, initial_cost, final_cost, n_valid)`` per image;
+    ``calibrate.refine_poses`` must reach the same minima.
+    """
+    import dataclasses
+
+    from scipy.optimize import least_squares
+    from scipy.spatial.transform import Rotation
+
+    from conecal.geometry import RbfSurface
+    from conecal.raytrace import TraceStatus, trace_pixels
+
+    surface = params.surface
+    zero = params.with_surface(RbfSurface.flat(surface.patch, surface.grid, beta=surface.beta))
+    results = []
+    for im in observations.images:
+        batch = trace_pixels(zero, im.image_index, im.pixels)
+        left = (batch.status == TraceStatus.OK) | (batch.status == TraceStatus.MISS_BOARD)
+        x_o, r_o, x_cb = batch.x_outer[left], batch.dir_out[left], im.board_local()[left]
+        pose0 = params.pose(im.image_index)
+        if not np.any(left):
+            results.append((pose0, 0.0, 0.0, 0))
+            continue
+
+        def residual(p):
+            rot = Rotation.from_rotvec(p[:3]).as_matrix() @ pose0.rotation
+            normal = rot[:, 2]
+            denom = r_o @ normal
+            t = ((p[3:] - x_o) @ normal) / np.where(np.abs(denom) > 1e-12, denom, 1.0)
+            hit = (np.abs(denom) > 1e-12) & (t > 1e-12)
+            rel = x_o + t[:, None] * r_o - p[3:]
+            local = np.column_stack([rel @ rot[:, 0], rel @ rot[:, 1]])
+            return np.where(hit[:, None], local - x_cb, 1e3).ravel()
+
+        p0 = np.concatenate([np.zeros(3), pose0.translation])
+        cost0 = float(np.sum(residual(p0) ** 2))
+        sol = least_squares(residual, p0, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        cost1 = float(np.sum(residual(sol.x) ** 2))
+        if cost1 >= cost0:
+            results.append((pose0, cost0, cost0, int(np.count_nonzero(left))))
+            continue
+        rot = Rotation.from_rotvec(sol.x[:3]).as_matrix() @ pose0.rotation
+        pose = dataclasses.replace(pose0, rotation=rot, translation=sol.x[3:])
+        results.append((pose, cost0, cost1, int(np.count_nonzero(left))))
+    return results

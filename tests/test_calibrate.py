@@ -16,6 +16,8 @@ from scipy.spatial.transform import Rotation
 from conecal.calibrate import (
     FitResult,
     OptimizerOptions,
+    _pose_jacobian,
+    _pose_residual,
     loss,
     loss_gradient,
     optimize_amplitudes,
@@ -27,9 +29,9 @@ from conecal.camera import CameraIntrinsics
 from conecal.errors import ConfigurationError, DataError, DivergenceError
 from conecal.geometry import ConeGeometry, RbfPatch, RbfSurface
 from conecal.observations import ImageObservations, ObservationSet
-from conecal.raytrace import BoardPose, SceneParams, raycast, trace_pixels
+from conecal.raytrace import BoardPose, SceneParams, _rotvec_matrix, raycast, trace_pixels
 from conftest import count_kernel_calls, make_pose
-from oracles import project_consistent
+from oracles import project_consistent, refine_poses_finite_difference
 
 
 def small_scene(rng, grid=(3, 3), corners_per_side=5, n_images=2):
@@ -302,6 +304,15 @@ class TestStackedBatch:
         assert loss(params, obs) == result
         assert loss_gradient(params, obs, wrt="amplitudes")[0] == result
 
+    def test_pose_gradient_matches_the_adjoint_formula(self):
+        # the gradient sums 2 rho^T J over the refinement's Jacobian rows;
+        # the reference contracts the residual with the landing's adjoint
+        for seed in (150, 151, 152):
+            params, obs = scene_with_failures(np.random.default_rng(seed))
+            pose_grad = per_image_reference(params, obs)[3]
+            _, grad = loss_gradient(params, obs, wrt="poses")
+            assert np.all(np.abs(grad - pose_grad) <= 1e-12 * np.abs(pose_grad))
+
 
 class TestLossGradient:
     def test_amplitude_gradient_matches_fd(self):
@@ -440,6 +451,44 @@ class TestOptimizeAmplitudes:
         assert np.array_equal(fit1.surface.amplitudes, fit2.surface.amplitudes)
 
 
+class TestPoseLinearization:
+    @pytest.mark.parametrize("theta", [0.0, 1e-10, 1e-3, 1.0, math.pi - 1e-6])
+    def test_rotvec_matrix_matches_scipy(self, theta):
+        omega = theta * np.array([0.36, -0.48, 0.8])
+        expected = Rotation.from_rotvec(omega).as_matrix()
+        assert np.max(np.abs(_rotvec_matrix(omega) - expected)) <= 1e-15
+
+    def test_rotvec_matrix_needs_three_components(self):
+        with pytest.raises(ValueError):
+            _rotvec_matrix([0.1, 0.2])
+
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(510)
+        params, obs = small_scene(rng)
+        im = obs.images[1]
+        batch = trace_pixels(params, 1, im.pixels)
+        x_o, r_o, x_cb = batch.x_outer[batch.ok], batch.dir_out[batch.ok], im.board_local()[batch.ok]
+        # one more ray, leaving away from the board, misses its plane
+        x_o = np.vstack([x_o, x_o[:1]])
+        r_o = np.vstack([r_o, -r_o[:1]])
+        x_cb = np.vstack([x_cb, x_cb[:1]])
+        pose = params.pose(1)
+        # a rotation vector far enough from zero that the left Jacobian matters
+        p = np.concatenate([[0.03, -0.02, 0.05], pose.translation + [0.002, -0.001, 0.003]])
+        args = (pose.rotation, x_o, r_o, x_cb)
+
+        jac = _pose_jacobian(p, *args)
+        h = 1e-6
+        fd = np.empty_like(jac)
+        for c in range(6):
+            step = np.zeros(6)
+            step[c] = h
+            fd[:, c] = (_pose_residual(p + step, *args) - _pose_residual(p - step, *args)) / (2 * h)
+        assert np.all(_pose_residual(p, *args)[-2:] == 1e3)
+        assert np.all(jac[-2:] == 0.0) and np.all(fd[-2:] == 0.0)
+        assert_close_rel(jac, fd, rel=1e-6, floor=1e-9 * np.max(np.abs(fd)))
+
+
 class TestRefinePoses:
     def perturbed(self, scene, rng):
         poses = []
@@ -465,6 +514,22 @@ class TestRefinePoses:
         obs = consistent_observations(scene_zero, subsample=3)
         refined = refine_poses(scene_zero, obs)
         assert rmse_cm(refined.params, obs) <= rmse_cm(scene_zero, obs) + 1e-12
+
+    def test_matches_finite_difference_reference(self, scene_zero):
+        rng = np.random.default_rng(503)
+        obs = consistent_observations(scene_zero, subsample=2, rng=rng, noise_px=0.5)
+        start = self.perturbed(scene_zero, rng)
+        refined = refine_poses(start, obs)
+        expected = refine_poses_finite_difference(start, obs)
+        for report, pose, (ref_pose, cost0, cost1, n_valid) in zip(
+            refined.reports, refined.params.poses, expected
+        ):
+            assert report.n_valid == n_valid
+            assert report.initial_cost == pytest.approx(cost0, rel=1e-12)
+            assert report.final_cost < 0.5 * report.initial_cost
+            assert report.final_cost == pytest.approx(cost1, rel=1e-10)
+            assert np.max(np.abs(pose.rotation - ref_pose.rotation)) <= 1e-7
+            assert np.max(np.abs(pose.translation - ref_pose.translation)) <= 1e-7
 
     def test_preserves_surface(self, scene_zero):
         rng = np.random.default_rng(502)

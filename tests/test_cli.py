@@ -12,7 +12,7 @@ from conecal.cli import _write_depth_curve_csv, _write_scatter_csv, load_fitted_
 from conecal.config import default_config, load_config, merge_config
 from conecal.errors import ConfigurationError, DataError
 from conecal.observations import load_observations
-from conftest import count_kernel_calls
+from conftest import count_cover_traces, count_kernel_calls
 
 # a small scene keeps every invocation well under a second
 SMALL = {
@@ -119,6 +119,29 @@ class TestExitCodes:
         saved = json.loads((out / "fitted_surface.json").read_text())
         assert saved["diverged_at_iteration"] == 0
         assert np.all(np.isfinite(saved["amplitudes_m"]))
+
+    @pytest.mark.parametrize(
+        "pose",
+        [
+            {"rotation_rowmajor": [1, 0, 0, 0, 2, 0, 0, 0, 1], "translation_m": [0, 0, 0.5]},
+            {"rotation_rowmajor": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation_m": [0, 0.5]},
+            {"rotation_axis_angle_rad": [0.1, 0.2], "translation_m": [0, 0, 0.5]},
+        ],
+        ids=["non-orthonormal-rotation", "2-vector-translation", "2-vector-axis-angle"],
+    )
+    def test_malformed_pose_exits_3(self, tmp_path, pose):
+        data = generate_small(tmp_path)
+        doc = json.loads((data / "observations.json").read_text())
+        doc["images"][1]["initial_pose"] = pose
+        bad = tmp_path / "bad_pose.json"
+        bad.write_text(json.dumps(doc))
+        code = run(
+            [
+                "refine-poses", "--config", tmp_path / "config.json",
+                "--observations", bad, "--out", tmp_path / "ref",
+            ]
+        )
+        assert code == 3
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -248,6 +271,21 @@ class TestCalibrate:
         assert code == 0
         # one kernel matrix per image for the whole fit, final RMSE included
         assert len(calls) == load_observations(data / "observations.json").n_images
+
+    def test_refinement_and_fit_share_one_cover_trace(self, tmp_path, monkeypatch):
+        data = generate_small(tmp_path)
+        config = tmp_path / "config.json"
+        calls = count_cover_traces(monkeypatch)
+        code = run(
+            [
+                "calibrate", "--config", config,
+                "--observations", data / "observations.json",
+                "--out", tmp_path / "fit", "--steps", 3, "--refine-poses",
+            ]
+        )
+        assert code == 0
+        # pose refinement, the cone-only RMSE and the fit all read one batch
+        assert calls == [load_observations(data / "observations.json").n_corners]
 
     def test_grid_flag_overrides_config(self, tmp_path):
         data = generate_small(tmp_path)
