@@ -48,7 +48,7 @@ from .geometry import (
     _outer_normal_linearization,
     rbf_kernel_terms,
 )
-from .observations import ImageObservations, ObservationSet
+from .observations import ObservationSet
 from .raytrace import (
     STAGE_NAMES,
     BoardPose,
@@ -62,7 +62,7 @@ from .raytrace import (
     _trace_cover,
     _trace_exit,
     pinhole_raycast,
-    trace_pixels,  # unused here; kept so ``conecal.calibrate.trace_pixels`` resolves for tracers
+    trace_pixels,  # unused here; perfbench/tracing.py wraps this name
 )
 
 

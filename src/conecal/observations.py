@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
+
 from .errors import ConfigurationError, DataError
 from .raytrace import BoardPose, _rotvec_matrix
 
