@@ -512,7 +512,8 @@ def _refine_image_gauss_newton(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
     if final_cost >= initial_cost:
         return pose0, initial_cost, initial_cost, n_valid
     rotation = _rotvec_matrix(sol.x[:3]) @ pose0.rotation
-    return replace(pose0, rotation=rotation, translation=sol.x[3:]), initial_cost, final_cost, n_valid
+    pose = replace(pose0, rotation=rotation, translation=sol.x[3:])
+    return pose, initial_cost, final_cost, n_valid
 
 
 def refine_poses(

@@ -467,7 +467,8 @@ class TestPoseLinearization:
         params, obs = small_scene(rng)
         im = obs.images[1]
         batch = trace_pixels(params, 1, im.pixels)
-        x_o, r_o, x_cb = batch.x_outer[batch.ok], batch.dir_out[batch.ok], im.board_local()[batch.ok]
+        ok = batch.ok
+        x_o, r_o, x_cb = batch.x_outer[ok], batch.dir_out[ok], im.board_local()[ok]
         # one more ray, leaving away from the board, misses its plane
         x_o = np.vstack([x_o, x_o[:1]])
         r_o = np.vstack([r_o, -r_o[:1]])
