@@ -466,18 +466,36 @@ def _pose_landing(p, rotation0, x_o, r_o):
     return rot, x_t, hit
 
 
-def _pose_residual(p, rotation0, x_o, r_o, x_cb) -> np.ndarray:
+def _last_pose_landing():
+    """A :func:`_pose_landing` for one image's solve that keeps its latest
+    result: ``least_squares`` asks for the Jacobian at the point whose
+    residual it has just evaluated, so that landing is computed once."""
+    last_p, last = None, None
+
+    def landing(p, rotation0, x_o, r_o):
+        nonlocal last_p, last
+        key = p.tobytes()
+        if key != last_p:
+            last_p, last = key, _pose_landing(p, rotation0, x_o, r_o)
+        return last
+
+    return landing
+
+
+def _pose_residual(p, rotation0, x_o, r_o, x_cb, landing=_pose_landing) -> np.ndarray:
     """Board residuals of one image at ``p``, flattened; a ray that misses
-    the plane contributes the constant 1e3."""
-    rot, x_t, hit = _pose_landing(p, rotation0, x_o, r_o)
+    the plane contributes the constant 1e3. ``landing`` computes the
+    landing, as :func:`_pose_landing` does."""
+    rot, x_t, hit = landing(p, rotation0, x_o, r_o)
     return np.where(hit[:, None], _board_coords(rot, p[3:], x_t) - x_cb, 1e3).ravel()
 
 
-def _pose_jacobian(p, rotation0, x_o, r_o, x_cb) -> np.ndarray:
+def _pose_jacobian(p, rotation0, x_o, r_o, x_cb, landing=_pose_landing) -> np.ndarray:
     """Jacobian of :func:`_pose_residual` over ``p``: the rows of
     :func:`_pose_rows`, with the rotation columns taken through the left
-    Jacobian of ``omega``; a ray that misses the plane has zero rows."""
-    rot, x_t, hit = _pose_landing(p, rotation0, x_o, r_o)
+    Jacobian of ``omega``; a ray that misses the plane has zero rows.
+    ``landing`` is as for :func:`_pose_residual`."""
+    rot, x_t, hit = landing(p, rotation0, x_o, r_o)
     rows = np.zeros((x_o.shape[0], 2, 6))
     rows[hit] = _pose_rows(rot, p[3:], r_o[hit], x_t[hit])
     rows[..., :3] = rows[..., :3] @ _rotvec_left_jacobian(p[:3])
@@ -495,7 +513,7 @@ def _refine_image_gauss_newton(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
     n_valid = x_o.shape[0]
     if n_valid == 0:
         return pose0, 0.0, 0.0, 0
-    args = (pose0.rotation, x_o, r_o, x_cb)
+    args = (pose0.rotation, x_o, r_o, x_cb, _last_pose_landing())
     p0 = np.concatenate([np.zeros(3), pose0.translation])
     initial_cost = float(np.sum(_pose_residual(p0, *args) ** 2))
     sol = least_squares(
@@ -508,7 +526,8 @@ def _refine_image_gauss_newton(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
         gtol=1e-14,
         args=args,
     )
-    final_cost = float(np.sum(_pose_residual(sol.x, *args) ** 2))
+    # the residual at sol.x, as least_squares evaluated it last
+    final_cost = float(np.sum(sol.fun**2))
     if final_cost >= initial_cost:
         return pose0, initial_cost, initial_cost, n_valid
     rotation = _rotvec_matrix(sol.x[:3]) @ pose0.rotation

@@ -34,15 +34,15 @@ def pixel_to_ray(intrinsics: CameraIntrinsics, pixels) -> np.ndarray:
     always the camera center.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
-    d = np.stack(
-        [
-            (pixels[..., 0] - intrinsics.cx) / intrinsics.fx,
-            (pixels[..., 1] - intrinsics.cy) / intrinsics.fy,
-            np.ones(pixels.shape[:-1]),
-        ],
-        axis=-1,
-    )
-    return d / np.linalg.norm(d, axis=-1, keepdims=True)
+    x = (pixels[..., 0] - intrinsics.cx) / intrinsics.fx
+    y = (pixels[..., 1] - intrinsics.cy) / intrinsics.fy
+    # (x, y, 1) over its norm, summed and divided as np.linalg.norm would
+    norm = np.sqrt(x * x + y * y + 1.0)
+    d = np.empty(pixels.shape[:-1] + (3,))
+    d[..., 0] = x / norm
+    d[..., 1] = y / norm
+    d[..., 2] = 1.0 / norm
+    return d
 
 
 def pinhole_project(intrinsics: CameraIntrinsics, points) -> np.ndarray:

@@ -45,6 +45,39 @@ def _as_coords(s) -> np.ndarray:
     return s
 
 
+# The batched kernels compute on component arrays: a trace batch holds a few
+# hundred rays, where each numpy call costs more than its arithmetic and
+# ``np.stack``, ``np.cross`` and ``np.linalg.norm`` cost several plain ufunc
+# calls each. Each helper does exactly the floating-point operations of the
+# numpy routine its docstring names, in the same order, so its results equal
+# that routine's bit for bit.
+
+
+def _components(a) -> tuple:
+    """The three trailing-axis components of ``a`` as views."""
+    return a[..., 0], a[..., 1], a[..., 2]
+
+
+def _stack_last(*components) -> np.ndarray:
+    """``np.stack(components, axis=-1)``; the first component has the full
+    shape, the others broadcast to it (scalars included)."""
+    out = np.empty(np.shape(components[0]) + (len(components),))
+    for i, c in enumerate(components):
+        out[..., i] = c
+    return out
+
+
+def _dot(a, b):
+    """``np.sum(a * b, axis=-1)`` of two 3-vectors given as components; the
+    sum starts from +0.0, as numpy's does, so a zero sum has a plus sign."""
+    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple:
+    """``np.cross(a, b)`` of two 3-vectors given as components."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 @dataclass(frozen=True)
 class ConeGeometry:
     """Dimensions and optical constants of the double-cone cover.
@@ -280,9 +313,8 @@ def cone_point(cone: ConeGeometry, surface: RbfSurface | None, s, which: Which) 
 def _cone_coords(cone: ConeGeometry, x: np.ndarray) -> np.ndarray:
     """Cone coordinates with the height clipped to the slice (no check)."""
     ax, ay, az = cone.apex
-    s1 = np.clip(ay - x[..., 1], 0.0, cone.height)
-    s2 = np.arctan2(x[..., 0] - ax, x[..., 2] - az)
-    return np.stack([s1, s2], axis=-1)
+    s1 = (ay - x[..., 1]).clip(0.0, cone.height)
+    return _stack_last(s1, np.arctan2(x[..., 0] - ax, x[..., 2] - az))
 
 
 def cartesian_to_cone_coords(cone: ConeGeometry, x) -> np.ndarray:
@@ -316,16 +348,8 @@ def inner_surface_normal(cone: ConeGeometry, s) -> np.ndarray:
     if np.any(s[..., 0] < 1e-12):
         raise SingularSurfaceError("inner wall normal is undefined at the apex (s1 = 0)")
     cos_a = np.cos(cone.half_angle)
-    sin_a = np.sin(cone.half_angle)
     s2 = s[..., 1]
-    return np.stack(
-        [
-            -np.sin(s2) * cos_a,
-            -np.full_like(s2, sin_a),
-            -np.cos(s2) * cos_a,
-        ],
-        axis=-1,
-    )
+    return _stack_last(-np.sin(s2) * cos_a, -np.sin(cone.half_angle), -np.cos(s2) * cos_a)
 
 
 def _field_values(surface: RbfSurface | None, s, kernel=None):
@@ -405,30 +429,34 @@ def _outer_normal_linearization(cone: ConeGeometry, s, fields=None, derivatives:
     s = _as_coords(s)
     s1, s2 = s[..., 0], s[..., 1]
     sin2, cos2 = np.sin(s2), np.cos(s2)
-    zeros = np.zeros_like(s1)
-    phi, phi1, phi2 = (zeros, zeros, zeros) if fields is None else fields
+    # the perfect cone's zero field is a scalar 0.0, which rounds as zero arrays do
+    phi, phi1, phi2 = (0.0, 0.0, 0.0) if fields is None else fields
     slope = cone.tan_half_angle + phi1
-    u = np.stack([slope * sin2, -np.ones_like(s1), slope * cos2], axis=-1)
+    u = (slope * sin2, -1.0, slope * cos2)
     rr = cone.radius(s1, "outer") + phi
-    v = np.stack([rr * cos2 + phi2 * sin2, zeros, -rr * sin2 + phi2 * cos2], axis=-1)
+    v = (rr * cos2 + phi2 * sin2, 0.0, -rr * sin2 + phi2 * cos2)
 
-    raw = np.cross(u, v)
-    norm = np.linalg.norm(raw, axis=-1)
+    raw = _cross(u, v)
+    norm = np.sqrt(_dot(raw, raw))
     if np.any(norm < 1e-12):
         raise SingularSurfaceError("outer wall normal is undefined (degenerate tangents)")
-    n = raw / norm[..., None]
-    radial = np.stack([sin2, zeros, cos2], axis=-1)
-    sign = np.where(np.sum(n * radial, axis=-1) < 0.0, -1.0, 1.0)
-    n = n * sign[..., None]
+    n = _stack_last(*(c / norm for c in raw))
+    radial = (sin2, 0.0, cos2)
+    sign = np.where(_dot(_components(n), radial) < 0.0, -1.0, 1.0)
+    n *= sign[..., None]
     if not derivatives:
         return n, None
 
     # phi moves v along d(radial)/d(s2), phi1 moves u along the radial
     # direction and phi2 moves v along it
-    tangent = np.stack([cos2, zeros, -sin2], axis=-1)
-    d_raw = np.stack([np.cross(u, tangent), np.cross(radial, v), np.cross(u, radial)], axis=-1)
-    n_dot = np.sum(n[..., :, None] * d_raw, axis=-2, keepdims=True)
-    dn = (d_raw - n[..., :, None] * n_dot) * (sign / norm)[..., None, None]
+    tangent = (cos2, 0.0, -sin2)
+    n_parts = _components(n)
+    scale = sign / norm
+    dn = np.empty(n.shape + (3,))
+    for j, d_raw in enumerate((_cross(u, tangent), _cross(radial, v), _cross(u, radial))):
+        n_dot = _dot(n_parts, d_raw)
+        for i in range(3):
+            dn[..., i, j] = (d_raw[i] - n_parts[i] * n_dot) * scale
     return n, dn
 
 

@@ -29,7 +29,10 @@ from .geometry import (
     ConeGeometry,
     RbfSurface,
     Which,
+    _components,
     _cone_coords,
+    _dot,
+    _stack_last,
     inner_surface_normal,
     outer_surface_normal,
 )
@@ -48,6 +51,16 @@ class TraceStatus(IntEnum):
     MISS_BOARD = 5
     SINGULAR = 6
 
+
+# the kernels read statuses as plain ints: numpy compares an array with an
+# int several times faster than with an IntEnum member
+_OK = int(TraceStatus.OK)
+_MISS_INNER = int(TraceStatus.MISS_INNER)
+_TIR_INNER = int(TraceStatus.TIR_INNER)
+_MISS_OUTER = int(TraceStatus.MISS_OUTER)
+_TIR_OUTER = int(TraceStatus.TIR_OUTER)
+_MISS_BOARD = int(TraceStatus.MISS_BOARD)
+_SINGULAR = int(TraceStatus.SINGULAR)
 
 STAGE_NAMES = {
     TraceStatus.MISS_INNER: "inner-intersection",
@@ -241,14 +254,16 @@ def _refract_batch(d: np.ndarray, n: np.ndarray, eta: float):
     the incidence is beyond the critical angle. The tangential component
     is scaled by ``eta`` and the result is unit-norm by construction.
     """
-    cos_i = -np.sum(d * n, axis=-1)
-    n = np.where(cos_i[..., None] < 0.0, -n, n)
+    d, n = _components(d), _components(n)
+    cos_i = -_dot(d, n)
+    flip = cos_i < 0.0
     cos_i = np.abs(cos_i)
     k = 1.0 - eta * eta * (1.0 - cos_i * cos_i)
     ok = k >= 0.0
-    k_safe = np.where(ok, k, 0.0)
-    t = eta * d + (eta * cos_i - np.sqrt(k_safe))[..., None] * n
-    return t, ok
+    f = eta * cos_i - np.sqrt(np.where(ok, k, 0.0))
+    # f * (-n) == (-f) * n exactly, so the flip moves onto the scalar factor
+    f = np.where(flip, -f, f)
+    return _stack_last(*(eta * d_c + f * n_c for d_c, n_c in zip(d, n))), ok
 
 
 def refract(direction, normal, eta_ratio: float) -> np.ndarray:
@@ -282,38 +297,35 @@ def _intersect_cone_batch(cone: ConeGeometry, origins: np.ndarray, dirs: np.ndar
     """
     ax, ay, az = cone.apex
     w = cone.tan_half_angle
-    apex_v_y = cone.apex_y(which)
+    w2 = w * w
+    ox, oy, oz = _components(origins)
+    dx, dy, dz = _components(dirs)
+    ox = ox - ax
+    oz = oz - az
+    ydiff = cone.apex_y(which) - oy
 
-    ox = origins[..., 0] - ax
-    oz = origins[..., 2] - az
-    ydiff = apex_v_y - origins[..., 1]
-    dx, dy, dz = dirs[..., 0], dirs[..., 1], dirs[..., 2]
+    a = dx * dx + dz * dz - w2 * dy * dy
+    b = 2.0 * (ox * dx + oz * dz + w2 * ydiff * dy)
+    c = ox * ox + oz * oz - w2 * ydiff * ydiff
 
-    a = dx * dx + dz * dz - w * w * dy * dy
-    b = 2.0 * (ox * dx + oz * dz + w * w * ydiff * dy)
-    c = ox * ox + oz * oz - w * w * ydiff * ydiff
-
+    # a zero divisor only makes a root that the masks below reject
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = b * b - 4.0 * a * c
-        sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
-        q = -0.5 * (b + np.copysign(sqrt_disc, b))
+        q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
         linear = np.abs(a) < 1e-14
-        t1 = np.where(linear, -c / np.where(np.abs(b) < 1e-300, np.nan, b), q / np.where(a == 0.0, np.nan, a))
-        t2 = np.where(linear, np.inf, c / np.where(q == 0.0, np.nan, q))
+        t1 = np.where(linear, -c / b, q / a)
+        t2 = np.where(linear, np.inf, c / q)
     # grazing contact counts as a miss
     usable = np.where(linear, np.abs(b) >= 1e-300, disc > 1e-14)
 
-    candidates = np.stack([t1, t2], axis=-1)
-    y_hit = origins[..., 1, None] + candidates * dy[..., None]
-    s1 = ay - y_hit
-    valid = (
-        usable[..., None]
-        & np.isfinite(candidates)
-        & (candidates > _T_MIN)
-        & (s1 >= -1e-12)
-        & (s1 <= cone.height + 1e-12)
-    )
-    t = np.min(np.where(valid, candidates, np.inf), axis=-1)
+    def inside(t):
+        # a root kept as +inf reads as no hit, so only NaN and -inf need the
+        # t > _T_MIN test to be rejected
+        s1 = ay - (oy + t * dy)
+        valid = usable & (t > _T_MIN) & (s1 >= -1e-12) & (s1 <= cone.height + 1e-12)
+        return np.where(valid, t, np.inf)
+
+    t = np.minimum(inside(t1), inside(t2))
     return t, np.isfinite(t)
 
 
@@ -331,6 +343,11 @@ def intersect_cone(cone: ConeGeometry, ray: Ray, which: Which):
     return point, s
 
 
+def _advance(origins: np.ndarray, t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Points ``origins + t[..., None] * dirs``."""
+    return _stack_last(*(o + t * d for o, d in zip(_components(origins), _components(dirs))))
+
+
 def _intersect_plane_batch(
     point: np.ndarray, normal: np.ndarray, origins: np.ndarray, dirs: np.ndarray
 ):
@@ -340,12 +357,14 @@ def _intersect_plane_batch(
     Rays parallel to the plane or meeting it at or behind their origin
     are misses and carry the placeholder ``t = 1``.
     """
-    denom = np.sum(dirs * normal, axis=-1)
+    normal = _components(normal)
+    denom = _dot(_components(dirs), normal)
     ok = np.abs(denom) > 1e-12
-    t = np.sum((point - origins) * normal, axis=-1) / np.where(ok, denom, 1.0)
+    rel = [p_c - o_c for p_c, o_c in zip(_components(point), _components(origins))]
+    t = _dot(rel, normal) / np.where(ok, denom, 1.0)
     hit = ok & (t > _T_MIN)
     t = np.where(hit, t, 1.0)
-    return t, origins + t[..., None] * dirs, hit
+    return t, _advance(origins, t, dirs), hit
 
 
 def _board_to_world(rotation: np.ndarray, translation: np.ndarray, xy) -> np.ndarray:
@@ -361,10 +380,9 @@ def _board_coords(rotation: np.ndarray, translation: np.ndarray, x: np.ndarray) 
     ``rotation`` is one pose's ``(3, 3)`` matrix or one per point,
     ``(..., 3, 3)``, with ``translation`` shaped to match.
     """
-    rel = x - translation
-    return np.stack(
-        [np.sum(rel * rotation[..., 0], axis=-1), np.sum(rel * rotation[..., 1], axis=-1)],
-        axis=-1,
+    rel = [x_c - t_c for x_c, t_c in zip(_components(x), _components(translation))]
+    return _stack_last(
+        _dot(rel, _components(rotation[..., 0])), _dot(rel, _components(rotation[..., 1]))
     )
 
 
@@ -415,7 +433,7 @@ class TraceBatch:
 
     @property
     def ok(self) -> np.ndarray:
-        return self.status == TraceStatus.OK
+        return self.status == _OK
 
 
 def _trace_cover(cone: ConeGeometry, origins: np.ndarray, dirs: np.ndarray) -> TraceBatch:
@@ -425,31 +443,32 @@ def _trace_cover(cone: ConeGeometry, origins: np.ndarray, dirs: np.ndarray) -> T
     depends on the irregularity field. Rays that fail carry a safe
     ``s_outer`` at which the outer normal is defined.
     """
-    status = np.full(dirs.shape[:-1], TraceStatus.OK, dtype=np.int64)
-
     t_i, hit_i = _intersect_cone_batch(cone, origins, dirs, "inner")
-    status[~hit_i] = TraceStatus.MISS_INNER
     t_i = np.where(hit_i, t_i, 1.0)
-    x_i = origins + t_i[..., None] * dirs
+    x_i = _advance(origins, t_i, dirs)
     s_i = _cone_coords(cone, x_i)
-
-    near_apex = (s_i[..., 0] < 1e-12) & (status == TraceStatus.OK)
-    status[near_apex] = TraceStatus.SINGULAR
-    # a missed ray's clipped height can be 0, where the normal is undefined
-    s_i_safe = np.where((status != TraceStatus.OK)[..., None], [cone.height / 2, 0.0], s_i)
+    miss_i = ~hit_i
+    # rays that miss, or hit the apex, where the normal is undefined; a
+    # missed ray's clipped height can be 0 too
+    failed_inner = miss_i | (s_i[..., 0] < 1e-12)
+    s_i_safe = np.where(failed_inner[..., None], [cone.height / 2, 0.0], s_i)
 
     n_i = inner_surface_normal(cone, s_i_safe)
     eta_in = cone.eta_outside / cone.eta_inside
     d_glass, ok_in = _refract_batch(dirs, n_i, eta_in)
-    status[(~ok_in) & (status == TraceStatus.OK)] = TraceStatus.TIR_INNER
 
     t_o, hit_o = _intersect_cone_batch(cone, x_i, d_glass, "outer")
-    miss_o = (~hit_o) & (status == TraceStatus.OK)
-    status[miss_o] = TraceStatus.MISS_OUTER
     t_o = np.where(hit_o, t_o, 1.0)
-    x_o = x_i + t_o[..., None] * d_glass
+    x_o = _advance(x_i, t_o, d_glass)
     s_o = _cone_coords(cone, x_o)
-    s_o_safe = np.where((status != TraceStatus.OK)[..., None], [cone.height / 2, 0.0], s_o)
+
+    # each ray's status is its first failing stage: later stages first,
+    # each overwritten by the ones before it
+    status = np.where(hit_o, _OK, _MISS_OUTER)
+    status[~ok_in] = _TIR_INNER
+    status[failed_inner] = _SINGULAR
+    status[miss_i] = _MISS_INNER
+    s_o_safe = np.where((status != _OK)[..., None], [cone.height / 2, 0.0], s_o)
 
     return TraceBatch(
         ray_dir=dirs,
@@ -470,7 +489,7 @@ def _trace_exit(cone: ConeGeometry, cover: TraceBatch, n_outer: np.ndarray) -> T
     eta_out = cone.eta_inside / cone.eta_outside
     d_out, ok_out = _refract_batch(cover.dir_glass, n_outer, eta_out)
     status = cover.status.copy()
-    status[(~ok_out) & (status == TraceStatus.OK)] = TraceStatus.TIR_OUTER
+    status[(~ok_out) & (status == _OK)] = _TIR_OUTER
     return replace(cover, n_outer=n_outer, dir_out=d_out, status=status)
 
 
@@ -483,7 +502,7 @@ def _land_on_board(batch: TraceBatch, rotation: np.ndarray, translation: np.ndar
     t_b, x_t, hit_b = _intersect_plane_batch(
         translation, rotation[..., 2], batch.x_outer, batch.dir_out
     )
-    batch.status[(~hit_b) & (batch.status == TraceStatus.OK)] = TraceStatus.MISS_BOARD
+    batch.status[(~hit_b) & (batch.status == _OK)] = _MISS_BOARD
     batch.t_board = t_b
     batch.x_board = x_t
     batch.board_local = _board_coords(rotation, translation, x_t)

@@ -21,7 +21,7 @@ from .camera import CameraIntrinsics, pinhole_project
 from .errors import ConfigurationError, DataError
 from .geometry import ConeGeometry, RbfSurface
 from .observations import ImageObservations, ObservationSet
-from .raytrace import BoardPose, SceneParams, TraceStatus, _board_to_world, raycast_pixels
+from .raytrace import _OK, BoardPose, SceneParams, _board_to_world, raycast_pixels
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def project_corners(
         if rows.size == 0:
             break
         local[rows], status[rows] = raycast(rows, pixels[rows])
-        valid = status[rows] == TraceStatus.OK
+        valid = status[rows] == _OK
         residual = local[rows] - targets[rows]
         err = np.where(valid, np.linalg.norm(residual, axis=-1), np.inf)
         active = valid & (err > tol)
@@ -200,7 +200,7 @@ def project_corners(
             np.concatenate([pixels[rows] + [h, 0.0], pixels[rows] + [0.0, h]]),
         )
         local_x, local_y, base = fd_local[:k], fd_local[k:], local[rows]
-        fd_ok = (fd_status[:k] == TraceStatus.OK) & (fd_status[k:] == TraceStatus.OK)
+        fd_ok = (fd_status[:k] == _OK) & (fd_status[k:] == _OK)
         j00 = (local_x[:, 0] - base[:, 0]) / h
         j10 = (local_x[:, 1] - base[:, 1]) / h
         j01 = (local_y[:, 0] - base[:, 0]) / h
@@ -226,7 +226,7 @@ def project_corners(
             trial = pixels[rows] + lam * step
             trial_local, trial_status = raycast(rows, trial)
             trial_err = np.linalg.norm(trial_local - targets[rows], axis=-1)
-            improved = (trial_status == TraceStatus.OK) & (trial_err < err)
+            improved = (trial_status == _OK) & (trial_err < err)
             accepted = rows[improved]
             pixels[accepted] = trial[improved]
             local[accepted] = trial_local[improved]
@@ -236,7 +236,7 @@ def project_corners(
             lam *= 0.5
 
     residual = np.linalg.norm(local - targets, axis=-1)
-    converged = (status == TraceStatus.OK) & (residual <= tol)
+    converged = (status == _OK) & (residual <= tol)
     return pixels, converged
 
 

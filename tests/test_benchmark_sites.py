@@ -11,7 +11,19 @@ from pathlib import Path
 
 import pytest
 
+from conecal.cli import main
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# sites that the pipeline never reaches through the wrapped name
+KNOWN_DEAD = {
+    # calibrate imports the name only so that the wrapper resolves; its
+    # traces run the cover, exit and landing stages directly
+    "conecal.calibrate.trace_pixels",
+    # only the scalar raycast calls it in raytrace's namespace; synth's own
+    # wrapper of the same span name counts the pipeline's calls
+    "conecal.raytrace.raycast_pixels",
+}
 
 
 def wrapped_sites():
@@ -25,15 +37,57 @@ def wrapped_sites():
     raise AssertionError("perfbench/tracing.py defines no WRAPPED")
 
 
+def resolve(module_name, path):
+    """The owner of a wrapped site's attribute, and the attribute's name."""
+    owner = importlib.import_module(module_name)
+    *parents, attr = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
 @pytest.mark.skipif(not TRACING.is_file(), reason="perfbench/ is not in this checkout")
 def test_every_wrapped_site_resolves():
     sites = wrapped_sites()
     assert sites
     for module_name, path in sites:
         assert module_name.split(".")[0] == "conecal", module_name
-        owner = importlib.import_module(module_name)
-        *parents, attr = path.split(".")
-        for part in parents:
-            owner = getattr(owner, part)
+        owner, attr = resolve(module_name, path)
         # the tracer reads the attribute from the owner's own namespace
         assert attr in vars(owner), f"{module_name}.{path}"
+
+
+def counted(calls, site, original):
+    def wrapper(*args, **kwargs):
+        calls[site] += 1
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.skipif(not TRACING.is_file(), reason="perfbench/ is not in this checkout")
+def test_every_wrapped_site_is_called(tmp_path, monkeypatch, capsys):
+    # a site that resolves but is no longer called (say, a function that a
+    # rewrite inlined) would read 0 in its per-layer metrics without failing
+    calls = {}
+    for module_name, path in wrapped_sites():
+        owner, attr = resolve(module_name, path)
+        site = f"{module_name}.{path}"
+        calls[site] = 0
+        monkeypatch.setattr(owner, attr, counted(calls, site, vars(owner)[attr]))
+
+    data, fit, report = (str(tmp_path / name) for name in ("data", "fit", "report"))
+    assert main(["generate", "--out", data, "--seed", "1", "--images", "3", "--grid", "3x3"]) == 0
+    observations = str(tmp_path / "data" / "observations.json")
+    assert main(
+        ["calibrate", "--observations", observations, "--out", fit, "--refine-poses",
+         "--grid", "3x3", "--steps", "2"]
+    ) == 0
+    fitted = str(tmp_path / "fit" / "fitted_surface.json")
+    assert main(
+        ["analyze", "--observations", observations, "--fitted", fitted, "--out", report,
+         "--stride", "400"]
+    ) == 0
+    capsys.readouterr()
+
+    assert {site for site, n in calls.items() if n == 0} == KNOWN_DEAD

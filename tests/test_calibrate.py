@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from conecal import calibrate
 from conecal.calibrate import (
     FitResult,
     OptimizerOptions,
@@ -531,6 +532,39 @@ class TestRefinePoses:
             assert report.final_cost == pytest.approx(cost1, rel=1e-10)
             assert np.max(np.abs(pose.rotation - ref_pose.rotation)) <= 1e-7
             assert np.max(np.abs(pose.translation - ref_pose.translation)) <= 1e-7
+
+    def test_each_jacobian_reuses_the_landing_of_its_residual(self, scene_zero, monkeypatch):
+        rng = np.random.default_rng(504)
+        obs = consistent_observations(scene_zero, subsample=2, rng=rng, noise_px=0.5)
+        start = self.perturbed(scene_zero, rng)
+        uncached = calibrate._pose_landing
+        landings = []
+
+        def counting(*args):
+            landings.append(args[0].copy())
+            return uncached(*args)
+
+        solves = []
+        solve = calibrate.least_squares
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(calibrate, "_pose_landing", counting)
+        monkeypatch.setattr(calibrate, "least_squares", recording)
+        cached = refine_poses(start, obs)
+        # one landing per residual evaluation: the initial cost shares the
+        # solver's first, each Jacobian the residual's, the final cost sol.fun
+        assert len(landings) == sum(sol.nfev for sol in solves)
+        assert sum(sol.njev for sol in solves) > 0
+
+        monkeypatch.setattr(calibrate, "_last_pose_landing", lambda: uncached)
+        plain = refine_poses(start, obs)
+        assert cached.reports == plain.reports
+        for got, expected in zip(cached.params.poses, plain.params.poses):
+            assert got.rotation.tobytes() == expected.rotation.tobytes()
+            assert got.translation.tobytes() == expected.translation.tobytes()
 
     def test_preserves_surface(self, scene_zero):
         rng = np.random.default_rng(502)

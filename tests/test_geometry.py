@@ -15,8 +15,12 @@ import pytest
 from conecal.errors import ConfigurationError, OutOfRangeError, SingularSurfaceError
 from conecal.geometry import (
     _KERNEL_BLOCK_ROWS,
+    _components,
+    _cross,
+    _dot,
     _field_values,
     _field_values_adjoint,
+    _stack_last,
     ConeGeometry,
     RbfPatch,
     RbfSurface,
@@ -67,6 +71,36 @@ def fd_tangents(cone, surface, s, which, h=1e-7):
 @pytest.fixture
 def unit_patch():
     return RbfPatch(s1_range=(0.0, 0.02), s2_range=(-np.radians(15.0), np.radians(15.0)))
+
+
+class TestComponentHelpers:
+    """The kernels' component arithmetic equals the numpy routines bit for bit."""
+
+    def vectors(self, n):
+        rng = np.random.default_rng(71)
+        v = rng.normal(size=(2, n, 3)) * rng.choice([1e-9, 1.0, 1e9], size=(2, n, 3))
+        v[:, :5] = 0.0
+        v[1, :3] *= -1.0  # signed zeros
+        return v
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 300])
+    def test_dot_cross_and_norm(self, n):
+        a, b = self.vectors(n)
+        assert _dot(_components(a), _components(b)).tobytes() == np.sum(a * b, axis=-1).tobytes()
+        cross = _stack_last(*_cross(_components(a), _components(b)))
+        assert cross.tobytes() == np.cross(a, b).tobytes()
+        parts = _components(a)
+        assert np.sqrt(_dot(parts, parts)).tobytes() == np.linalg.norm(a, axis=-1).tobytes()
+
+    def test_scalar_components_act_as_constant_arrays(self):
+        a, b = self.vectors(50)
+        u = (a[:, 0], -1.0, a[:, 2])
+        v = (b[:, 0], 0.0, b[:, 2])
+        stacked_u = np.stack([a[:, 0], -np.ones(50), a[:, 2]], axis=-1)
+        stacked_v = np.stack([b[:, 0], np.zeros(50), b[:, 2]], axis=-1)
+        assert _stack_last(*u).tobytes() == stacked_u.tobytes()
+        assert _stack_last(*_cross(u, v)).tobytes() == np.cross(stacked_u, stacked_v).tobytes()
+        assert _dot(u, v).tobytes() == np.sum(stacked_u * stacked_v, axis=-1).tobytes()
 
 
 class TestNormalizeCoords:

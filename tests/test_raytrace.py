@@ -16,14 +16,19 @@ from conecal.errors import (
     ConfigurationError,
     DataError,
     MissError,
+    SingularSurfaceError,
     TotalInternalReflectionError,
 )
-from conecal.geometry import cone_point
+from conecal.geometry import ConeGeometry, RbfSurface, cone_point
 from conecal.raytrace import (
+    STAGE_NAMES,
     BoardPose,
     Ray,
     SceneParams,
     TraceStatus,
+    _intersect_cone_batch,
+    _land_on_board,
+    _trace_batch,
     intersect_board,
     intersect_cone,
     pinhole_raycast,
@@ -49,6 +54,12 @@ ETA_GLASS = 1.5
 def random_unit(rng, n):
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def generator_direction(cone, theta):
+    """Unit direction of the walls' generator at polar angle ``theta``, climbing."""
+    a = cone.half_angle
+    return np.array([np.sin(a) * np.sin(theta), -np.cos(a), np.sin(a) * np.cos(theta)])
 
 
 class TestRay:
@@ -267,6 +278,29 @@ class TestIntersectCone:
         ray = Ray(origin=[0.0, cone.apex[1] - 10 * cone.height, 0.0], direction=[0.0, -1.0, 0.0])
         assert intersect_cone(cone, ray, "inner") is None
 
+    @pytest.mark.parametrize("which", ["inner", "outer"])
+    def test_generator_parallel_rays_take_the_linear_root(self, cone, which):
+        # a ray parallel to a generator zeroes the quadratic term (|a| <
+        # 1e-14), so the single root -c/b is the hit
+        rng = np.random.default_rng(61)
+        n = 60
+        s = np.column_stack([rng.uniform(0.1, 0.9, n) * cone.height, rng.uniform(-3.0, 3.0, n)])
+        hits = cone_point(cone, None, s, which)
+        theta = s[:, 1] + rng.uniform(0.5, math.pi, n) * rng.choice([-1.0, 1.0], n)
+        dirs = np.array([generator_direction(cone, t) for t in theta])
+        dirs *= rng.choice([-1.0, 1.0], (n, 1))
+        lengths = rng.uniform(0.005, 0.02, n)
+        origins = hits - lengths[:, None] * dirs
+        w = cone.tan_half_angle
+        a = dirs[:, 0] ** 2 + dirs[:, 2] ** 2 - w * w * dirs[:, 1] ** 2
+        assert np.all(np.abs(a) < 1e-14)
+
+        t, hit = _intersect_cone_batch(cone, origins, dirs, which)
+        expected = cone_bisection_t(cone, origins, dirs, which)
+        assert np.all(hit) and np.all(np.isfinite(expected))
+        np.testing.assert_allclose(t, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(t, lengths, rtol=0.0, atol=1e-12)
+
     def test_apex_tangency_is_a_miss(self, cone):
         ray = Ray(origin=[0.0, 0.0, 0.0], direction=cone.apex_array)
         assert intersect_cone(cone, ray, "inner") is None
@@ -330,6 +364,98 @@ class TestTraceThroughCover:
         with pytest.raises(MissError) as err:
             trace_through_cover(scene_zero, Ray(origin=np.zeros(3), direction=d))
         assert err.value.stage == "outer-intersection"
+
+
+def failure_stage(params, pose, origin, direction) -> str:
+    """Stage name of one ray's trace through the scalar API, or "ok"."""
+    try:
+        out = trace_through_cover(params, Ray(origin=origin, direction=direction))
+    except (MissError, TotalInternalReflectionError) as err:
+        return err.stage
+    except SingularSurfaceError:
+        return STAGE_NAMES[TraceStatus.SINGULAR]
+    if intersect_board(pose, out) is None:
+        return STAGE_NAMES[TraceStatus.MISS_BOARD]
+    return "ok"
+
+
+class TestMixedFailureBatch:
+    """One batch of rays that complete mixed with rays failing at every stage."""
+
+    def rays(self, cone, intrinsics):
+        apex = np.array(cone.apex)
+        origins, dirs = [], []
+
+        def add(origin, direction):
+            origins.append(np.asarray(origin, dtype=np.float64))
+            dirs.append(np.asarray(direction, dtype=np.float64))
+
+        # straight up out of the slice: no inner hit
+        add([0.0, 0.0, 0.0], [0.0, -1.0, 0.0])
+        # parallel to a generator, meeting the inner wall 5e-13 m above the
+        # apex, where its normal is undefined
+        hit = cone_point(cone, None, np.array([5e-13, 0.3]), "inner")
+        d = generator_direction(cone, 0.3 + math.pi)
+        add(hit - 1e-6 * d, d)
+        # sideways from near the wall: grazing inner incidence, beyond the
+        # critical angle when the glass is the optically thinner medium
+        add(apex + [0.0, -0.04, 0.003], [1.0, 0.0, 0.0])
+        # from the axis, climbing to the inner wall 0.1 mm below the top of
+        # the slice: the glass leg leaves the height band before the outer wall
+        origin = apex - [0.0, cone.height - 1e-3, 0.0]
+        target = cone_point(cone, None, np.array([cone.height - 1e-4, 0.0]), "inner")
+        add(origin, (target - origin) / np.linalg.norm(target - origin))
+        # out through the back wall, away from the board
+        back = np.array([0.0, 0.3, -1.0])
+        add([0.0, 0.0, 0.0], back / np.linalg.norm(back))
+        # pixel rays over the sensor: through the steep field, some exceed
+        # the critical angle at the outer wall and the rest complete
+        xs = np.arange(100.0, 3200.0, 300.0)
+        ys = np.arange(100.0, 2400.0, 300.0)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        for d in pixel_to_ray(intrinsics, np.column_stack([gx.ravel(), gy.ravel()])):
+            add([0.0, 0.0, 0.0], d)
+        return np.array(origins), np.array(dirs)
+
+    @pytest.mark.parametrize(
+        ("eta_inside", "eta_outside", "failing"),
+        [
+            (1.5, 1.0, {"MISS_INNER", "SINGULAR", "MISS_OUTER", "TIR_OUTER", "MISS_BOARD"}),
+            (1.0, 1.5, {"MISS_INNER", "SINGULAR", "TIR_INNER", "MISS_OUTER", "MISS_BOARD"}),
+        ],
+    )
+    def test_each_row_fails_at_its_scalar_stage(
+        self, scene_zero, cone, eta_inside, eta_outside, failing
+    ):
+        cone = ConeGeometry(
+            cone.apex, cone.half_angle, cone.height, cone.radial_thickness, eta_inside, eta_outside
+        )
+        amps = np.array([[0.2, -0.2], [-0.2, 0.2]])
+        steep = RbfSurface(patch=scene_zero.surface.patch, grid=(2, 2), amplitudes=amps, beta=0.02)
+        params = SceneParams(scene_zero.intrinsics, cone, steep, scene_zero.poses)
+        pose = params.poses[0]
+        origins, dirs = self.rays(cone, params.intrinsics)
+
+        def trace(rows):
+            batch = _trace_batch(cone, steep, origins[rows], dirs[rows])
+            return _land_on_board(batch, pose.rotation, pose.translation)
+
+        batch = trace(slice(None))
+        present = {TraceStatus(s).name for s in batch.status.tolist()}
+        assert present == failing | {"OK"}
+        names = {**{int(s): name for s, name in STAGE_NAMES.items()}, int(TraceStatus.OK): "ok"}
+        for row, status in enumerate(batch.status.tolist()):
+            assert names[status] == failure_stage(params, pose, origins[row], dirs[row]), row
+
+        fields = (
+            "ray_dir", "x_inner", "dir_glass", "x_outer", "s_outer", "status",
+            "n_outer", "dir_out", "t_board", "x_board", "board_local",
+        )
+        for row in np.flatnonzero(batch.ok):
+            alone = trace(slice(row, row + 1))
+            for name in fields:
+                got, expected = getattr(batch, name)[row], getattr(alone, name)[0]
+                assert got.tobytes() == expected.tobytes(), (row, name)
 
 
 class TestRaycast:
