@@ -43,9 +43,12 @@ from .errors import ConfigurationError, DataError, DivergenceError
 from .camera import pixel_to_ray
 from .geometry import (
     RbfSurface,
+    _components,
+    _dot,
     _field_values,
     _field_values_adjoint,
     _outer_normal_linearization,
+    _stack_last,
     rbf_kernel_terms,
 )
 from .observations import ObservationSet
@@ -233,33 +236,37 @@ class _FitBatch:
         return result, None
 
     def _amplitude_gradient(self, surface, batch, ok, rho, dn):
+        # the chain runs on x/y/z component arrays, with the operations of the
+        # (N, 3) formula in numpy's order, so its bits are that formula's;
         # w3 is the gradient of the loss with respect to the board-plane hit
         rotation = self.rotation[ok]
-        n_b = rotation[..., 2]
-        w3 = 2.0 * (rho[:, 0, None] * rotation[..., 0] + rho[:, 1, None] * rotation[..., 1])
-        r_o = batch.dir_out[ok]
-        scale = (np.sum(r_o * w3, axis=-1) / np.sum(r_o * n_b, axis=-1))[:, None]
-        dl_dro = batch.t_board[ok, None] * (w3 - n_b * scale)
+        a0, a1, n_b = (_components(rotation[..., k]) for k in range(3))
+        rho0, rho1 = rho[:, 0], rho[:, 1]
+        w3 = [2.0 * (rho0 * a0_c + rho1 * a1_c) for a0_c, a1_c in zip(a0, a1)]
+        r_o = _components(batch.dir_out[ok])
+        scale = _dot(r_o, w3) / _dot(r_o, n_b)
+        t_board = batch.t_board[ok]
+        dl_dro = [t_board * (w3_c - n_c * scale) for w3_c, n_c in zip(w3, n_b)]
 
         # backward through the exit refraction: r_o depends on the oriented
         # outer normal both directly and via the incidence cosine
         eta = self.cone.eta_inside / self.cone.eta_outside
-        r_m = batch.dir_glass[ok]
-        n_hat = batch.n_outer[ok]
-        sigma = np.where(np.sum(r_m * n_hat, axis=-1) > 0.0, -1.0, 1.0)
-        n_eff = sigma[:, None] * n_hat
-        c_i = -np.sum(r_m * n_eff, axis=-1)
+        r_m = _components(batch.dir_glass[ok])
+        n_hat = _components(batch.n_outer[ok])
+        sigma = np.where(_dot(r_m, n_hat) > 0.0, -1.0, 1.0)
+        n_eff = [sigma * n_c for n_c in n_hat]
+        c_i = -_dot(r_m, n_eff)
         k_refr = 1.0 - eta * eta * (1.0 - c_i * c_i)
         c_t = np.sqrt(np.maximum(k_refr, 1e-300))
         f = eta * c_i - c_t
         df_dci = eta - eta * eta * c_i / c_t
-        dl_dneff = f[:, None] * dl_dro - (df_dci * np.sum(n_eff * dl_dro, axis=-1))[:, None] * r_m
-        dl_dnhat = sigma[:, None] * dl_dneff
+        along = df_dci * _dot(n_eff, dl_dro)
+        dl_dnhat = [sigma * (f * d_c - along * m_c) for d_c, m_c in zip(dl_dro, r_m)]
 
         # backward through the normal to the field value, slope and
         # angular derivative, then through K
         g = np.zeros((self.target.shape[0], 3))
-        g[ok] = np.sum(dl_dnhat[:, :, None] * dn, axis=1)
+        g[ok] = _stack_last(*(_dot(dl_dnhat, _components(dn[..., j])) for j in range(3)))
         return _field_values_adjoint(surface, self.cover.s_outer, self.kernel(), g)
 
     def _pose_gradient(self, batch, ok, rho):

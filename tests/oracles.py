@@ -405,3 +405,81 @@ def refine_poses_finite_difference(params, observations):
         pose = dataclasses.replace(pose0, rotation=rot, translation=sol.x[3:])
         results.append((pose, cost0, cost1, int(np.count_nonzero(left))))
     return results
+
+
+# --------------------------------------------------------------------------
+# the amplitude gradient's backward chain on (N, 3) rows
+
+
+def amplitude_gradient_cotangents(fit, batch, ok, rho, dn):
+    """The cotangents ``g`` (n_corners, 3) that ``_FitBatch._amplitude_gradient``
+    hands to the field adjoint, by the chain written on ``(N, 3)`` rows with
+    ``np.sum``: board hit -> exit direction -> exit refraction -> outer normal
+    -> (phi, phi1, phi2). The library's component-array chain must return
+    the same bits, signed zeros included."""
+    rotation = fit.rotation[ok]
+    n_b = rotation[..., 2]
+    w3 = 2.0 * (rho[:, 0, None] * rotation[..., 0] + rho[:, 1, None] * rotation[..., 1])
+    r_o = batch.dir_out[ok]
+    scale = (np.sum(r_o * w3, axis=-1) / np.sum(r_o * n_b, axis=-1))[:, None]
+    dl_dro = batch.t_board[ok, None] * (w3 - n_b * scale)
+
+    eta = fit.cone.eta_inside / fit.cone.eta_outside
+    r_m = batch.dir_glass[ok]
+    n_hat = batch.n_outer[ok]
+    sigma = np.where(np.sum(r_m * n_hat, axis=-1) > 0.0, -1.0, 1.0)
+    n_eff = sigma[:, None] * n_hat
+    c_i = -np.sum(r_m * n_eff, axis=-1)
+    k_refr = 1.0 - eta * eta * (1.0 - c_i * c_i)
+    c_t = np.sqrt(np.maximum(k_refr, 1e-300))
+    f = eta * c_i - c_t
+    df_dci = eta - eta * eta * c_i / c_t
+    dl_dneff = f[:, None] * dl_dro - (df_dci * np.sum(n_eff * dl_dro, axis=-1))[:, None] * r_m
+    dl_dnhat = sigma[:, None] * dl_dneff
+
+    g = np.zeros((fit.target.shape[0], 3))
+    g[ok] = np.sum(dl_dnhat[:, :, None] * dn, axis=1)
+    return g
+
+
+# --------------------------------------------------------------------------
+# the pose sampler without its outline prefilter
+
+
+def sample_pose_projecting_every_candidate(
+    sampler, rng, intrinsics, cone, surface, square_size, corners_per_side
+):
+    """``PoseSampler.sample_pose`` deciding every candidate by the zero-field
+    projection alone. It must draw from ``rng`` exactly as the sampler does,
+    so the loop is the sampler's own, without the outline test:
+    ``sample_pose`` must return the same poses and leave ``rng`` in the same
+    state."""
+    from conecal.errors import ConfigurationError, DataError
+    from conecal.geometry import RbfSurface
+    from conecal.raytrace import BoardPose, SceneParams
+    from conecal.synth import _on_sensor, _rotation_zyx, project_corners
+
+    zero = RbfSurface.flat(surface.patch, surface.grid, beta=surface.beta)
+    half_fov_x = (intrinsics.width / 2.0) / intrinsics.fx
+    half_fov_y = (intrinsics.height / 2.0) / intrinsics.fy
+    for _ in range(sampler.max_attempts):
+        depth = rng.uniform(*sampler.depth_range)
+        angles = np.radians(
+            rng.uniform(-sampler.rotation_range_deg, sampler.rotation_range_deg, 3)
+        )
+        dx = rng.uniform(-1.0, 1.0) * sampler.lateral_margin * depth * half_fov_x
+        dy = rng.uniform(-1.0, 1.0) * sampler.lateral_margin * depth * half_fov_y
+        pose = BoardPose(
+            rotation=_rotation_zyx(angles),
+            translation=np.array([dx, dy, depth]),
+            square_size=square_size,
+            corners_per_side=corners_per_side,
+        )
+        params = SceneParams(intrinsics=intrinsics, cone=cone, surface=zero, poses=(pose,))
+        try:
+            pixels, converged = project_corners(params, 0, pose.corner_board_coords())
+        except DataError:
+            continue
+        if np.all(converged) and np.all(_on_sensor(intrinsics, pixels)):
+            return pose
+    raise ConfigurationError(f"no fully visible pose found in {sampler.max_attempts} attempts")

@@ -9,8 +9,11 @@ import ast
 import importlib
 from pathlib import Path
 
+import json
+
 import pytest
 
+from conecal import synth
 from conecal.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -91,3 +94,45 @@ def test_every_wrapped_site_is_called(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
     assert {site for site, n in calls.items() if n == 0} == KNOWN_DEAD
+
+
+def test_every_sampled_pose_is_projected(tmp_path, monkeypatch, capsys):
+    # the benchmark's own tests pin synth.pose_attempts >= 2 on their small
+    # scene, counting project_corners calls inside sample_pose; a sampler
+    # that accepted a pose without projecting it would break that pin only
+    # when the benchmark runs
+    projections = []  # per sample_pose call
+    in_sampler = []
+    project = synth.project_corners
+    sample_pose = synth.PoseSampler.sample_pose
+
+    def counting_project(*args, **kwargs):
+        if in_sampler:
+            projections[-1] += 1
+        return project(*args, **kwargs)
+
+    def counted_sample_pose(*args, **kwargs):
+        projections.append(0)
+        in_sampler.append(True)
+        try:
+            return sample_pose(*args, **kwargs)
+        finally:
+            in_sampler.pop()
+
+    monkeypatch.setattr(synth, "project_corners", counting_project)
+    monkeypatch.setattr(synth.PoseSampler, "sample_pose", counted_sample_pose)
+    scene = tmp_path / "scene.json"
+    scene.write_text(
+        json.dumps(
+            {
+                "board": {"square_size_m": 0.03, "corners_per_side": 4},
+                "generate": {"n_images": 2},
+                "surface": {"grid_rows": 3, "grid_cols": 3},
+            }
+        )
+    )
+    out = str(tmp_path / "data")
+    assert main(["generate", "--config", str(scene), "--out", out, "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert len(projections) == 2
+    assert all(n >= 1 for n in projections)

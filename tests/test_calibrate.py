@@ -32,7 +32,11 @@ from conecal.geometry import ConeGeometry, RbfPatch, RbfSurface
 from conecal.observations import ImageObservations, ObservationSet
 from conecal.raytrace import BoardPose, SceneParams, _rotvec_matrix, raycast, trace_pixels
 from conftest import count_kernel_calls, make_pose
-from oracles import project_consistent, refine_poses_finite_difference
+from oracles import (
+    amplitude_gradient_cotangents,
+    project_consistent,
+    refine_poses_finite_difference,
+)
 
 
 def small_scene(rng, grid=(3, 3), corners_per_side=5, n_images=2):
@@ -313,6 +317,38 @@ class TestStackedBatch:
             pose_grad = per_image_reference(params, obs)[3]
             _, grad = loss_gradient(params, obs, wrt="poses")
             assert np.all(np.abs(grad - pose_grad) <= 1e-12 * np.abs(pose_grad))
+
+
+    def test_amplitude_chain_matches_the_row_formula_bit_for_bit(self, monkeypatch):
+        params, obs = scene_with_failures(np.random.default_rng(150))
+        fit = calibrate._FitBatch(params, obs)
+        fields = calibrate._field_values(params.surface, fit.cover.s_outer, fit.kernel)
+        n_outer, dn = calibrate._outer_normal_linearization(
+            fit.cone, fit.cover.s_outer, fields, derivatives=True
+        )
+        batch = calibrate._land_on_board(
+            calibrate._trace_exit(fit.cone, fit.cover, n_outer), fit.rotation, fit.translation
+        )
+        ok = batch.ok
+        assert not np.all(ok)
+        rho = (batch.board_local - fit.target)[ok]
+        # zero residuals of either sign, so the chain carries signed zeros
+        rho[0::4] = 0.0
+        rho[1::4] = -0.0
+        rho[2::4, 0] = -0.0
+        cotangents = []
+        adjoint = calibrate._field_values_adjoint
+        monkeypatch.setattr(
+            calibrate,
+            "_field_values_adjoint",
+            lambda surface, s, k, g: cotangents.append(g) or adjoint(surface, s, k, g),
+        )
+        fit._amplitude_gradient(params.surface, batch, ok, rho, dn[ok])
+        expected = amplitude_gradient_cotangents(fit, batch, ok, rho, dn[ok])
+        (got,) = cotangents
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        # a sum that starts from +0.0 ends at +0.0 on the zero residuals
+        assert np.all(got[ok][0::4] == 0.0) and not np.any(np.signbit(got[ok][0::4]))
 
 
 class TestLossGradient:

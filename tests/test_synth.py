@@ -1,12 +1,14 @@
 """Tests for synthetic data generation and the raycast inversion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conecal import synth
 from conecal.errors import ConfigurationError, DataError
 from conecal.geometry import RbfSurface
-from conecal.raytrace import SceneParams, TraceStatus, raycast_pixels
+from conecal.raytrace import BoardPose, SceneParams, TraceStatus, raycast_pixels
 from conecal.synth import (
     AmplitudeDistribution,
     GeneratedDataset,
@@ -16,7 +18,11 @@ from conecal.synth import (
     project_corners,
     sample_surface,
 )
-from oracles import gauss_newton_project_every_row, grid_search_project
+from oracles import (
+    gauss_newton_project_every_row,
+    grid_search_project,
+    sample_pose_projecting_every_candidate,
+)
 
 
 class TestAmplitudeDistribution:
@@ -59,12 +65,26 @@ class TestPoseSampler:
         assert np.array_equal(a.rotation, b.rotation)
         assert np.array_equal(a.translation, b.translation)
 
-    def test_impossible_constraints_raise(self, intrinsics, cone, flat_surface):
+    def test_impossible_constraints_raise(self, intrinsics, cone, flat_surface, monkeypatch):
+        projections = []
+        project = synth.project_corners
+        monkeypatch.setattr(
+            synth, "project_corners", lambda *a, **k: projections.append(1) or project(*a, **k)
+        )
         rng = np.random.default_rng(19)
         sampler = PoseSampler(depth_range=(0.3, 0.3), max_attempts=5)
         # a meter-scale board cannot fit the field of view at 0.3 m
         with pytest.raises(ConfigurationError):
             sampler.sample_pose(rng, intrinsics, cone, flat_surface, 0.2, 7)
+        # the outline rejects every candidate, and the stream ends where the
+        # sampler that projects every candidate ends it
+        assert projections == []
+        oracle_rng = np.random.default_rng(19)
+        with pytest.raises(ConfigurationError):
+            sample_pose_projecting_every_candidate(
+                sampler, oracle_rng, intrinsics, cone, flat_surface, 0.2, 7
+            )
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
@@ -75,6 +95,145 @@ class TestPoseSampler:
             PoseSampler(lateral_margin=0.0)
         with pytest.raises(ConfigurationError):
             PoseSampler(max_attempts=0)
+
+
+# (sampler, square size, corners per side) for the sampler's byte identity
+SAMPLER_SETTINGS = {
+    "defaults": (PoseSampler(), 0.03, 7),
+    "survey": (PoseSampler(lateral_margin=0.5), 0.015, 15),
+    "full-field": (PoseSampler(lateral_margin=1.0), 0.03, 7),
+    # most candidates of a 21 cm board this close are not fully visible
+    "near": (PoseSampler(depth_range=(0.3, 0.5)), 0.015, 15),
+}
+
+
+class TestOutlinePrefilter:
+    @pytest.mark.parametrize("setting", sorted(SAMPLER_SETTINGS))
+    def test_poses_and_stream_match_projecting_every_candidate(
+        self, setting, intrinsics, cone, flat_surface
+    ):
+        sampler, square, n = SAMPLER_SETTINGS[setting]
+        for seed in range(5):
+            rng = np.random.default_rng([seed, 71])
+            oracle_rng = np.random.default_rng([seed, 71])
+            poses = sampler.sample_poses(rng, intrinsics, cone, flat_surface, square, n, 3)
+            for pose in poses:
+                expected = sample_pose_projecting_every_candidate(
+                    sampler, oracle_rng, intrinsics, cone, flat_surface, square, n
+                )
+                assert np.array_equal(pose.rotation, expected.rotation)
+                assert np.array_equal(pose.translation, expected.translation)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_an_outline_that_does_not_trace_decides_nothing(
+        self, intrinsics, cone, flat_surface, monkeypatch
+    ):
+        # the top edge of a sensor this tall looks far above the cover, so
+        # the outline does not trace and every candidate is projected
+        tall = dataclasses.replace(intrinsics, height=40000, cy=20000.0)
+        assert synth._sensor_outline(tall, cone) is None
+        assert synth._sensor_outline(intrinsics, cone) is not None
+
+        def outcome(sample, rng):
+            try:
+                pose = sample(PoseSampler(max_attempts=4), rng, tall, cone, flat_surface, 0.03, 7)
+            except ConfigurationError:
+                return None, rng.bit_generator.state
+            return (pose.rotation.tolist(), pose.translation.tolist()), rng.bit_generator.state
+
+        monkeypatch.setattr(synth, "_outline_rejects", lambda *a: pytest.fail("outline used"))
+        got = outcome(PoseSampler.sample_pose, np.random.default_rng(5))
+        assert got == outcome(sample_pose_projecting_every_candidate, np.random.default_rng(5))
+
+    def test_distance_outside(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        points = np.array([[0.5, 0.5], [2.0, 0.5], [-1.0, -1.0], [0.5, 1.5], [0.999, 0.001]])
+        expected = [0.0, 1.0, np.sqrt(2.0), 0.5, 0.0]
+        for polygon in (square, square[::-1]):
+            assert np.allclose(synth._distance_outside(polygon, points), expected, atol=1e-15)
+        # a concave polygon: the notch of a U is outside it
+        u_shape = np.array(
+            [[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0], [2.0, 1.0], [1.0, 1.0],
+             [1.0, 3.0], [0.0, 3.0]]
+        )
+        got = synth._distance_outside(u_shape, np.array([[1.5, 2.5], [0.5, 2.5], [1.5, 0.5]]))
+        assert np.allclose(got, [0.5, 0.0, 0.0], atol=1e-15)
+
+
+def candidate_poses(rng, intrinsics, n, square_size, corners_per_side, lateral_margin):
+    """Board poses drawn as the sampler draws its candidates."""
+    half_fov = np.array([intrinsics.width / intrinsics.fx, intrinsics.height / intrinsics.fy]) / 2
+    poses = []
+    for _ in range(n):
+        depth = rng.uniform(0.3, 1.5)
+        rot = synth._rotation_zyx(np.radians(rng.uniform(-25.0, 25.0, 3)))
+        lateral = rng.uniform(-1.0, 1.0, 2) * lateral_margin * depth * half_fov
+        poses.append(BoardPose(rot, np.append(lateral, depth), square_size, corners_per_side))
+    return poses
+
+
+def outline_pixels(intrinsics, offset):
+    """Pixels ``offset`` of a step along each sensor edge, as the outline
+    takes them: 0 gives the outline's own pixels, 0.5 their midpoints."""
+    w, h = intrinsics.width, intrinsics.height
+    k = synth._OUTLINE_PIXELS_PER_EDGE
+    f = (np.arange(k) + offset) / k
+    edges = [
+        np.column_stack([f * w, np.zeros(k)]),
+        np.column_stack([np.full(k, w), f * h]),
+        np.column_stack([(1.0 - f) * w, np.full(k, h)]),
+        np.column_stack([np.zeros(k), (1.0 - f) * h]),
+    ]
+    return np.concatenate(edges)
+
+
+@pytest.mark.parametrize("board", [(0.03, 7), (0.015, 15)])
+def test_outline_rejects_only_invisible_poses(board, intrinsics, cone, flat_surface):
+    square, n = board
+    rng = np.random.default_rng([n, 29])
+    poses = []
+    for margin in (0.5, 0.85, 1.0):
+        poses += candidate_poses(rng, intrinsics, 350, square, n, margin)
+    outline = synth._sensor_outline(intrinsics, cone)
+    verdicts = np.array([synth._outline_rejects(outline, pose) for pose in poses])
+
+    # the exact rule, by one stacked zero-field projection of every candidate
+    params = SceneParams(intrinsics, cone, flat_surface, tuple(poses))
+    targets = np.concatenate([pose.corner_board_coords() for pose in poses])
+    index = np.repeat(np.arange(len(poses)), n * n)
+    pixels, converged = project_corners(params, index, targets)
+    visible = converged & synth._on_sensor(intrinsics, pixels)
+    accepted = np.bincount(index, weights=visible, minlength=len(poses)) == n * n
+
+    rejected = ~accepted
+    assert not np.any(verdicts & accepted)
+    assert np.count_nonzero(rejected) >= 100
+    assert np.count_nonzero(verdicts) >= 0.9 * np.count_nonzero(rejected)
+
+    # the polygon is the traced outline landed on the plane, and the outline
+    # between its pixels strays from it by far less than the margin
+    vertices = outline_pixels(intrinsics, 0.0)
+    midpoints = outline_pixels(intrinsics, 0.5)
+    for k in range(0, len(poses), 100):
+        chunk = poses[k : k + 100]
+        params = SceneParams(intrinsics, cone, flat_surface, tuple(chunk))
+        index = np.repeat(np.arange(len(chunk)), len(vertices))
+        landed, status = raycast_pixels(params, index, np.tile(vertices, (len(chunk), 1)))
+        mid, mid_status = raycast_pixels(params, index, np.tile(midpoints, (len(chunk), 1)))
+        for j, pose in enumerate(chunk):
+            rows = slice(j * len(vertices), (j + 1) * len(vertices))
+            polygon = synth._landed_outline(outline, pose)
+            if polygon is None:
+                continue
+            assert np.all(status[rows] == TraceStatus.OK)
+            assert np.all(mid_status[rows] == TraceStatus.OK)
+            assert np.allclose(landed[rows], polygon, rtol=0.0, atol=1e-12)
+            # each midpoint's distance from its own segment of the polygon
+            edge = np.roll(polygon, -1, axis=0) - polygon
+            rel = mid[rows] - polygon
+            t = np.clip(np.sum(rel * edge, axis=-1) / np.sum(edge * edge, axis=-1), 0.0, 1.0)
+            chord = np.linalg.norm(rel - t[:, None] * edge, axis=-1)
+            assert np.max(chord) <= synth._OUTLINE_MARGIN_PER_DEPTH * pose.translation[2] / 10
 
 
 class TestProjectCorners:
