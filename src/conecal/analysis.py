@@ -23,6 +23,7 @@ from .raytrace import (
     STAGE_NAMES,
     SceneParams,
     TraceStatus,
+    _land,
     _land_on_board,
     _raise_for_status,
     _trace_batch,
@@ -161,15 +162,14 @@ def distortion_vs_inverse_depth(
     dirs = pixel_to_ray(params.intrinsics, pixel[None, :])
     batch = _trace_batch(params.cone, params.surface, np.zeros_like(dirs), dirs)
     _raise_for_status(int(batch.status[0]))
-    x_o = batch.x_outer[0]
-    r_o = batch.dir_out[0]
-    if r_o[2] <= 1e-12:
-        raise DataError("ray leaves the cover moving away from the scene")
 
     inv_depths = np.linspace(lo, hi, n_samples)
-    depths = 1.0 / inv_depths
-    t = (depths - x_o[2]) / r_o[2]
-    points = x_o[None, :] + t[:, None] * r_o[None, :]
+    # one frontal plane z = depth per sample, all met by the one exit ray
+    planes = np.zeros((n_samples, 3))
+    planes[:, 2] = 1.0 / inv_depths
+    _, points, _, hit = _land(np.eye(3), planes, batch.x_outer, batch.dir_out)
+    if not np.all(hit):
+        raise DataError("ray leaves the cover without reaching every depth plane")
     deltas = pinhole_project(params.intrinsics, points) - pixel
 
     slope = np.empty(2)

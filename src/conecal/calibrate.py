@@ -57,8 +57,7 @@ from .raytrace import (
     BoardPose,
     SceneParams,
     TraceStatus,
-    _board_coords,
-    _intersect_plane_batch,
+    _land,
     _land_on_board,
     _rotvec_left_jacobian,
     _rotvec_matrix,
@@ -211,16 +210,24 @@ class _FitBatch:
             )
         )
 
-    def evaluate(self, surface: RbfSurface, wrt: str | None = None):
-        """Loss under ``surface`` (this batch's centers, any amplitudes)
-        and, for ``wrt`` "amplitudes" or "poses", its gradient (else None)."""
+    def trace(self, surface: RbfSurface, derivatives: bool):
+        """Exit stage and board landing of every corner under ``surface``,
+        and the outer normal's field derivatives when ``derivatives`` is set
+        (else None). Each row has the bits that
+        :func:`~conecal.raytrace.trace_pixels` gives its pixel."""
         fields = _field_values(surface, self.cover.s_outer, self.kernel)
         n_outer, dn = _outer_normal_linearization(
-            self.cone, self.cover.s_outer, fields, derivatives=wrt == "amplitudes"
+            self.cone, self.cover.s_outer, fields, derivatives
         )
         batch = _land_on_board(
             _trace_exit(self.cone, self.cover, n_outer), self.rotation, self.translation
         )
+        return batch, dn
+
+    def evaluate(self, surface: RbfSurface, wrt: str | None = None):
+        """Loss under ``surface`` (this batch's centers, any amplitudes)
+        and, for ``wrt`` "amplitudes" or "poses", its gradient (else None)."""
+        batch, dn = self.trace(surface, wrt == "amplitudes")
         ok = batch.ok
         n_active = int(np.count_nonzero(ok))
         if n_active == 0:
@@ -272,37 +279,35 @@ class _FitBatch:
     def _pose_gradient(self, batch, ok, rho):
         """One [rotation-increment, translation] block of 6 per image: the
         per-image sums of ``2 rho^T J`` over the rows of :func:`_pose_rows`."""
-        rows = _pose_rows(
-            self.rotation[ok], self.translation[ok], batch.dir_out[ok], batch.x_board[ok]
-        )
+        rows = _pose_rows(self.rotation[ok], batch.board_local[ok], batch.dir_out[ok])
         grad = 2.0 * (rho[:, 0, None] * rows[:, 0] + rho[:, 1, None] * rows[:, 1])
         image = self.image_index[ok]
         blocks = [np.bincount(image, weights=col, minlength=self.n_images) for col in grad.T]
         return np.stack(blocks, axis=1).ravel()
 
 
-def _pose_rows(rotation, translation, dir_out, x_board) -> np.ndarray:
+def _pose_rows(rotation, local, dir_out) -> np.ndarray:
     """``d(board u, v)/d[delta, t]`` of each landing, shape ``(n, 2, 6)``.
 
     ``delta`` is a left rotation increment of the pose and ``t`` its
     translation; the exit rays (``dir_out`` through fixed outer hits)
-    do not move. With ``r = x_board - t``, the board axes ``a_k = R e_k``,
-    the normal ``n = R e3`` and ``q_k = (d . a_k)/(d . n)``:
+    do not move. With the landing's board coordinates ``local = (u_0, u_1)``,
+    ``r = x_board - t``, the board axes ``a_k = R e_k``, the normal
+    ``n = R e3`` and ``q_k = (d . a_k)/(d . n)``:
     ``du_k/d(delta) = a_k x r - q_k (n x r)`` and ``du_k/dt = q_k n - a_k``.
     The landing lies on the board, so ``r = u_0 a_0 + u_1 a_1`` and the
     cross products reduce to ``a_0 x r = u_1 n``, ``a_1 x r = -u_0 n`` and
-    ``n x r = u_0 a_1 - u_1 a_0``. ``rotation`` and ``translation`` are
-    one pose or one per landing.
+    ``n x r = u_0 a_1 - u_1 a_0``. ``rotation`` is one pose or one per
+    landing.
     """
     a0, a1, normal = rotation[..., 0], rotation[..., 1], rotation[..., 2]
-    r = x_board - translation
-    u0 = np.sum(r * a0, axis=-1)[:, None]
-    u1 = np.sum(r * a1, axis=-1)[:, None]
+    u0 = local[:, 0, None]
+    u1 = local[:, 1, None]
     d_dot_n = np.sum(dir_out * normal, axis=-1)
     q0 = (np.sum(dir_out * a0, axis=-1) / d_dot_n)[:, None]
     q1 = (np.sum(dir_out * a1, axis=-1) / d_dot_n)[:, None]
     n_cross_r = u0 * a1 - u1 * a0
-    rows = np.empty((r.shape[0], 2, 6))
+    rows = np.empty((local.shape[0], 2, 6))
     rows[:, 0, :3] = u1 * normal - q0 * n_cross_r
     rows[:, 1, :3] = -u0 * normal - q1 * n_cross_r
     rows[:, 0, 3:] = q0 * normal - a0
@@ -466,11 +471,12 @@ def optimize_amplitudes(
 
 
 def _pose_landing(p, rotation0, x_o, r_o):
-    """Rotation, board-plane hits and hit mask of the fixed exit rays for
-    the pose ``p = [omega, t]``, whose rotation is ``exp(omega) rotation0``."""
+    """Rotation, board coordinates of the landings and hit mask of the fixed
+    exit rays for the pose ``p = [omega, t]``, whose rotation is
+    ``exp(omega) rotation0``."""
     rot = _rotvec_matrix(p[:3]) @ rotation0
-    _, x_t, hit = _intersect_plane_batch(p[3:], rot[:, 2], x_o, r_o)
-    return rot, x_t, hit
+    _, _, local, hit = _land(rot, p[3:], x_o, r_o)
+    return rot, local, hit
 
 
 def _last_pose_landing():
@@ -493,8 +499,8 @@ def _pose_residual(p, rotation0, x_o, r_o, x_cb, landing=_pose_landing) -> np.nd
     """Board residuals of one image at ``p``, flattened; a ray that misses
     the plane contributes the constant 1e3. ``landing`` computes the
     landing, as :func:`_pose_landing` does."""
-    rot, x_t, hit = landing(p, rotation0, x_o, r_o)
-    return np.where(hit[:, None], _board_coords(rot, p[3:], x_t) - x_cb, 1e3).ravel()
+    _, local, hit = landing(p, rotation0, x_o, r_o)
+    return np.where(hit[:, None], local - x_cb, 1e3).ravel()
 
 
 def _pose_jacobian(p, rotation0, x_o, r_o, x_cb, landing=_pose_landing) -> np.ndarray:
@@ -502,20 +508,22 @@ def _pose_jacobian(p, rotation0, x_o, r_o, x_cb, landing=_pose_landing) -> np.nd
     :func:`_pose_rows`, with the rotation columns taken through the left
     Jacobian of ``omega``; a ray that misses the plane has zero rows.
     ``landing`` is as for :func:`_pose_residual`."""
-    rot, x_t, hit = landing(p, rotation0, x_o, r_o)
+    rot, local, hit = landing(p, rotation0, x_o, r_o)
     rows = np.zeros((x_o.shape[0], 2, 6))
-    rows[hit] = _pose_rows(rot, p[3:], r_o[hit], x_t[hit])
+    rows[hit] = _pose_rows(rot, local[hit], r_o[hit])
     rows[..., :3] = rows[..., :3] @ _rotvec_left_jacobian(p[:3])
     return rows.reshape(-1, 6)
 
 
-def _refine_image_gauss_newton(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
-    """Least-squares pose update for one image from its fixed exit rays.
+def _refine_image_pose(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
+    """One image's pose from its fixed exit rays, by one ``least_squares``
+    (``trf``) solve over ``[omega, t]`` with the analytic Jacobian.
 
     ``x_o`` and ``r_o`` are the outer hits and exit directions of the
     corners that leave the cover, ``x_cb`` their board targets. The rays
-    do not depend on the pose, so each trial pose only re-intersects the
-    board plane, and the Jacobian is analytic.
+    do not depend on the pose, so each trial pose only lands them on its
+    board plane. Returns ``(pose, initial_cost, final_cost, n_valid)``;
+    the starting pose is kept when the solve does not lower the cost.
     """
     n_valid = x_o.shape[0]
     if n_valid == 0:
@@ -567,7 +575,7 @@ def refine_poses(
     for im, start, stop in zip(observations.images, batch.offsets[:-1], batch.offsets[1:]):
         rows = slice(start, stop)
         left = exit_rays.ok[rows]
-        pose, cost0, cost1, n_valid = _refine_image_gauss_newton(
+        pose, cost0, cost1, n_valid = _refine_image_pose(
             params.pose(im.image_index),
             exit_rays.x_outer[rows][left],
             exit_rays.dir_out[rows][left],

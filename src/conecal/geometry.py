@@ -358,30 +358,30 @@ def _field_values(surface: RbfSurface | None, s, kernel=None):
     Returns None, the perfect cone, when there is no surface or all its
     amplitudes are zero; no kernel is evaluated then. ``kernel``, when
     given, is a zero-argument callable returning ``K`` at ``s`` (the fit
-    builds it lazily and keeps it); otherwise ``K`` is built here. With
-    ``m = K [a, a c_1, a c_2]``, ``phi = m_0`` and, by the rule of
-    :func:`_slope_scale`, ``phi_d = (m_d - s_d phi) / (beta span_d)``.
-    A ``K`` built here is multiplied row by row, since a BLAS product
-    rounds a row differently with the number of rows: a traced ray's
-    result then does not depend on the rest of its batch. It is built
+    builds it lazily and keeps it); otherwise ``K`` is built here
     ``_KERNEL_BLOCK_ROWS`` rows at a time, so its memory does not grow
-    with the batch.
+    with the batch. With ``m = K [a, a c_1, a c_2]``, ``phi = m_0`` and,
+    by the rule of :func:`_slope_scale`,
+    ``phi_d = (m_d - s_d phi) / (beta span_d)``. Either ``K`` is
+    multiplied row by row, since a BLAS product rounds a row differently
+    with the number of rows: a point's result then depends neither on the
+    rest of its batch nor on where ``K`` came from, so the fit and a trace
+    of the same ray agree bit for bit.
     """
     if surface is None or not np.any(surface.amplitudes):
         return None
     amplitudes = surface.flat_amplitudes
     centers = surface.centers
     weights = np.column_stack([amplitudes, amplitudes * centers[:, 0], amplitudes * centers[:, 1]])
-    if kernel is None:
-        s = _as_coords(s)
-        rows = s.reshape(-1, 2)
-        m = np.empty((rows.shape[0], 3))
-        for start in range(0, rows.shape[0], _KERNEL_BLOCK_ROWS):
-            block = slice(start, start + _KERNEL_BLOCK_ROWS)
-            m[block] = (rbf_kernel_terms(surface, rows[block])[:, None, :] @ weights)[:, 0, :]
-        m = m.reshape(s.shape[:-1] + (3,))
-    else:
-        m = kernel() @ weights
+    s = _as_coords(s)
+    rows = s.reshape(-1, 2)
+    cached = None if kernel is None else kernel().reshape(rows.shape[0], surface.n_centers)
+    m = np.empty((rows.shape[0], 3))
+    for start in range(0, rows.shape[0], _KERNEL_BLOCK_ROWS):
+        block = slice(start, start + _KERNEL_BLOCK_ROWS)
+        k = rbf_kernel_terms(surface, rows[block]) if cached is None else cached[block]
+        m[block] = (k[:, None, :] @ weights)[:, 0, :]
+    m = m.reshape(s.shape[:-1] + (3,))
     phi = m[..., 0]
     s_norm = normalize_coords(surface.patch, s)
     scale = _slope_scale(surface)
@@ -468,20 +468,3 @@ def outer_surface_normal(cone: ConeGeometry, surface: RbfSurface | None, s) -> n
     reduces to the closed-form cone normal and no kernel is evaluated.
     """
     return _outer_normal_linearization(cone, s, _field_values(surface, s))[0]
-
-
-def outer_normal_amplitude_jacobian(cone: ConeGeometry, surface: RbfSurface, s) -> np.ndarray:
-    """d(outer unit normal)/d(amplitudes), shape ``(..., 3, n_centers)``.
-
-    The field is linear in the amplitudes, so each center contributes
-    fixed tangent perturbations; the jacobian is their cross products
-    pushed through the normalization of the raw normal: ``dn`` times
-    ``[K; K (c_d - s_d) / (beta span_d)]``, all from the one ``K``.
-    """
-    k = rbf_kernel_terms(surface, s)
-    _, dn = _outer_normal_linearization(cone, s, _field_values(surface, s, lambda: k), True)
-    s_norm = normalize_coords(surface.patch, s)
-    scale = _slope_scale(surface)
-    centers = surface.centers
-    slopes = [k * (centers[:, d] - s_norm[..., d, None]) / scale[d] for d in range(2)]
-    return dn @ np.stack([k, *slopes], axis=-2)

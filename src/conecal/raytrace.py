@@ -394,6 +394,19 @@ def intersect_board(pose: BoardPose, ray: Ray):
     return x[0] if hit[0] else None
 
 
+def _land(rotation: np.ndarray, translation: np.ndarray, origins: np.ndarray, dirs: np.ndarray):
+    """Where rays land on a board: ``(t, x, local, hit)``.
+
+    Ray parameters, camera-frame hits, their board coordinates and the hit
+    mask, with misses as for :func:`_intersect_plane_batch`. ``rotation``
+    ``(..., 3, 3)`` and ``translation`` ``(..., 3)`` are one board pose or
+    one per ray; the poses and the rays broadcast against each other.
+    Every board landing of the package goes through here.
+    """
+    t, x, hit = _intersect_plane_batch(translation, rotation[..., 2], origins, dirs)
+    return t, x, _board_coords(rotation, translation, x), hit
+
+
 def world_to_board_local(pose: BoardPose, x, tol: float = 1e-9) -> np.ndarray:
     """Planar board coordinates of an on-plane camera-frame point."""
     x = np.asarray(x, dtype=np.float64)
@@ -494,18 +507,12 @@ def _trace_exit(cone: ConeGeometry, cover: TraceBatch, n_outer: np.ndarray) -> T
 
 
 def _land_on_board(batch: TraceBatch, rotation: np.ndarray, translation: np.ndarray) -> TraceBatch:
-    """Board landing of the exit rays, in place.
-
-    ``rotation`` and ``translation`` are one board pose, or one pose per
-    ray with shapes ``(..., 3, 3)`` and ``(..., 3)``.
-    """
-    t_b, x_t, hit_b = _intersect_plane_batch(
-        translation, rotation[..., 2], batch.x_outer, batch.dir_out
-    )
+    """Board landing of the exit rays, in place; poses as for :func:`_land`."""
+    t_b, x_t, local, hit_b = _land(rotation, translation, batch.x_outer, batch.dir_out)
     batch.status[(~hit_b) & (batch.status == _OK)] = _MISS_BOARD
     batch.t_board = t_b
     batch.x_board = x_t
-    batch.board_local = _board_coords(rotation, translation, x_t)
+    batch.board_local = local
     return batch
 
 
@@ -593,5 +600,5 @@ def pinhole_raycast(intrinsics: CameraIntrinsics, pose: BoardPose, pixels):
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     dirs = pixel_to_ray(intrinsics, pixels)
-    _, x_t, hit = _intersect_plane_batch(pose.translation, pose.normal, np.zeros_like(dirs), dirs)
-    return _board_coords(pose.rotation, pose.translation, x_t), hit
+    _, _, local, hit = _land(pose.rotation, pose.translation, np.zeros_like(dirs), dirs)
+    return local, hit

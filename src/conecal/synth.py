@@ -26,9 +26,8 @@ from .raytrace import (
     _OK,
     BoardPose,
     SceneParams,
-    _board_coords,
     _board_to_world,
-    _intersect_plane_batch,
+    _land,
     _trace_batch,
     raycast_pixels,
 )
@@ -176,11 +175,8 @@ def _sensor_outline(intrinsics: CameraIntrinsics, cone: ConeGeometry):
 def _landed_outline(outline, pose: BoardPose):
     """The outline's rays landed on the pose's board plane, in board
     coordinates, or None when one of them misses the plane."""
-    origins, dirs = outline
-    _, x, hit = _intersect_plane_batch(pose.translation, pose.normal, origins, dirs)
-    if not np.all(hit):
-        return None
-    return _board_coords(pose.rotation, pose.translation, x)
+    _, _, local, hit = _land(pose.rotation, pose.translation, *outline)
+    return local if np.all(hit) else None
 
 
 def _outline_rejects(outline, pose: BoardPose) -> bool:
@@ -237,13 +233,12 @@ def _rotation_zyx(angles) -> np.ndarray:
     return rz @ ry @ rx
 
 
+# pixel step of the forward differences behind the projection's 2x2 jacobian
+_FD_STEP_PX = 0.01
+
+
 def project_corners(
-    params: SceneParams,
-    image_index,
-    board_xy,
-    tol: float = 1e-9,
-    max_iters: int = 50,
-    fd_step_px: float = 0.01,
+    params: SceneParams, image_index, board_xy, tol: float = 1e-9, max_iters: int = 50
 ):
     """Pixels whose rays land on the given board-frame points.
 
@@ -294,7 +289,7 @@ def project_corners(
             break
 
         # both forward differences of the active rows in one trace
-        h = fd_step_px
+        h = _FD_STEP_PX
         k = rows.size
         fd_local, fd_status = raycast(
             np.concatenate([rows, rows]),

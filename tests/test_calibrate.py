@@ -28,9 +28,10 @@ from conecal.calibrate import (
 )
 from conecal.camera import CameraIntrinsics
 from conecal.errors import ConfigurationError, DataError, DivergenceError
-from conecal.geometry import ConeGeometry, RbfPatch, RbfSurface
+from conecal.geometry import _KERNEL_BLOCK_ROWS, ConeGeometry, RbfPatch, RbfSurface
 from conecal.observations import ImageObservations, ObservationSet
 from conecal.raytrace import BoardPose, SceneParams, _rotvec_matrix, raycast, trace_pixels
+from conecal.synth import AmplitudeDistribution, generate_dataset
 from conftest import count_kernel_calls, make_pose
 from oracles import (
     amplitude_gradient_cotangents,
@@ -318,17 +319,38 @@ class TestStackedBatch:
             _, grad = loss_gradient(params, obs, wrt="poses")
             assert np.all(np.abs(grad - pose_grad) <= 1e-12 * np.abs(pose_grad))
 
+    def test_fit_landings_equal_trace_pixels_bit_for_bit(self, intrinsics, cone, patch):
+        # the fit's cached K and a trace's blocked K take the same row-wise
+        # product, so every corner lands on the same bits either way
+        failing = scene_with_failures(np.random.default_rng(150))
+        ds = generate_dataset(
+            intrinsics,
+            cone,
+            RbfSurface.flat(patch, (10, 10)),
+            n_images=24,
+            amplitude_dist=AmplitudeDistribution(),
+            noise_sigma_px=0.5,
+            seed=7,
+        )
+        statuses = []
+        for params, obs in (failing, (ds.params, ds.observations)):
+            fit = calibrate._FitBatch(params, obs)
+            landed, _ = fit.trace(params.surface, False)
+            pixels = np.concatenate([im.pixels for im in obs.images])
+            traced = trace_pixels(params, fit.image_index, pixels)
+            assert np.array_equal(landed.status, traced.status)
+            assert np.array_equal(
+                landed.board_local.view(np.int64), traced.board_local.view(np.int64)
+            )
+            statuses.append(set(traced.status.tolist()))
+        # failures at several stages in one scene, more rows than a K block in the other
+        assert len(statuses[0]) >= 4
+        assert pixels.shape[0] > _KERNEL_BLOCK_ROWS
 
     def test_amplitude_chain_matches_the_row_formula_bit_for_bit(self, monkeypatch):
         params, obs = scene_with_failures(np.random.default_rng(150))
         fit = calibrate._FitBatch(params, obs)
-        fields = calibrate._field_values(params.surface, fit.cover.s_outer, fit.kernel)
-        n_outer, dn = calibrate._outer_normal_linearization(
-            fit.cone, fit.cover.s_outer, fields, derivatives=True
-        )
-        batch = calibrate._land_on_board(
-            calibrate._trace_exit(fit.cone, fit.cover, n_outer), fit.rotation, fit.translation
-        )
+        batch, dn = fit.trace(params.surface, True)
         ok = batch.ok
         assert not np.all(ok)
         rho = (batch.board_local - fit.target)[ok]

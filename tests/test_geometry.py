@@ -20,6 +20,7 @@ from conecal.geometry import (
     _dot,
     _field_values,
     _field_values_adjoint,
+    _outer_normal_linearization,
     _stack_last,
     ConeGeometry,
     RbfPatch,
@@ -29,7 +30,6 @@ from conecal.geometry import (
     denormalize_coords,
     inner_surface_normal,
     normalize_coords,
-    outer_normal_amplitude_jacobian,
     outer_surface_normal,
     rbf_kernel_terms,
     rbf_offset,
@@ -264,6 +264,11 @@ class TestFieldValuesFromKernel:
         for g, w in zip(got, want):
             assert g.shape == shape[:-1]
             assert np.array_equal(g, w)
+        # a cached K, as the fit passes it, takes the same product
+        k = rbf_kernel_terms(surface, s)
+        for g, w in zip(_field_values(surface, s, lambda: k), want):
+            assert g.shape == shape[:-1]
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     def test_zero_field_never_builds_the_kernel(self, patch):
         def no_kernel():
@@ -409,33 +414,32 @@ class TestOuterSurfaceNormal:
             assert abs(np.dot(n, d2)) / np.linalg.norm(d2) < 1e-7
 
     def test_amplitude_jacobian_matches_fd(self, cone, patch):
-        """Each column of the jacobian against central differences, step 1e-8."""
+        """Each column of the normal's derivative in the field value, slope
+        and angular derivative against central differences, step 1e-8; the
+        amplitude jacobian is this times the fields' linear map."""
         rng = np.random.default_rng(41)
-        grid = (3, 4)
-        amps = rng.normal(1e-5, 5e-6, grid)
-        surface = RbfSurface.flat(patch, grid).with_amplitudes(amps)
+        surface = RbfSurface.flat(patch, (3, 4)).with_amplitudes(rng.normal(1e-5, 5e-6, (3, 4)))
         h = 1e-8
         points = np.column_stack([rng.uniform(0.032, 0.048, 5), rng.uniform(-0.2, 0.2, 5)])
-        batched = outer_normal_amplitude_jacobian(cone, surface, points)
-        assert batched.shape == (5, 3, grid[0] * grid[1])
-        for s, jac_row in zip(points, batched):
-            jac = outer_normal_amplitude_jacobian(cone, surface, s)
-            assert jac.shape == (3, grid[0] * grid[1])
-            np.testing.assert_allclose(jac_row, jac, rtol=1e-13, atol=1e-13 * np.max(np.abs(jac)))
-            for k in range(grid[0] * grid[1]):
-                i, j = divmod(k, grid[1])
-                plus = amps.copy()
-                plus[i, j] += h
-                minus = amps.copy()
-                minus[i, j] -= h
+        fields = _field_values(surface, points)
+        n, dn = _outer_normal_linearization(cone, points, fields, derivatives=True)
+        assert dn.shape == (5, 3, 3)
+        assert np.array_equal(n, outer_surface_normal(cone, surface, points))
+        for row, s in enumerate(points):
+            at_s = tuple(f[row] for f in fields)
+            n_s, dn_s = _outer_normal_linearization(cone, s, at_s, derivatives=True)
+            np.testing.assert_allclose(n_s, n[row], rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(dn_s, dn[row], rtol=1e-13, atol=1e-13 * np.max(np.abs(dn_s)))
+            for j in range(3):
+                plus, minus = list(at_s), list(at_s)
+                plus[j] += h
+                minus[j] -= h
                 fd = (
-                    outer_surface_normal(cone, surface.with_amplitudes(plus), s)
-                    - outer_surface_normal(cone, surface.with_amplitudes(minus), s)
+                    _outer_normal_linearization(cone, s, plus)[0]
+                    - _outer_normal_linearization(cone, s, minus)[0]
                 ) / (2 * h)
                 scale = max(np.linalg.norm(fd), 1e-12)
-                np.testing.assert_allclose(
-                    jac[:, k], fd, atol=1e-4 * scale + 1e-12
-                )
+                np.testing.assert_allclose(dn_s[:, j], fd, atol=1e-6 * scale)
 
 
 class TestConeGeometryValidation:
