@@ -11,14 +11,14 @@ gradients use a left rotation increment about the current estimate.
 
 Every evaluation runs on one stacked batch of all images' corners. Its
 cover stage (inner hit and refraction, outer hit) and the kernel matrix
-``K`` at the outer hits are computed once per (parameters, observations)
-and reused for every iterate of a fit. That is exact only because the
-outer intersection is taken on the perfect cone, so the outer hits do
-not move with the amplitudes; an exact intersection with the displaced
-wall would have to rebuild the batch for every iterate. The cover does
-not depend on the poses either, so one batch also serves the pose
-refinement (its zero-field exit rays) and, re-stacked under the refined
-poses, the RMSEs and the fit.
+``K`` at the outer hits are computed once per live observation set,
+camera, cone and centers, and reused for every iterate of a fit. That is
+exact only because the outer intersection is taken on the perfect cone,
+so the outer hits do not move with the amplitudes; an exact intersection
+with the displaced wall would have to rebuild the batch for every
+iterate. The cover does not depend on the poses either, which each
+evaluation reads from its parameters, so one batch also serves the pose
+refinement (its zero-field exit rays), the RMSEs and the fit.
 
 Pose refinement and the pose gradient share one linearization of the
 board landing, :func:`_pose_rows`: the refinement hands it to
@@ -32,8 +32,8 @@ results.
 
 from __future__ import annotations
 
-import copy
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,51 +149,35 @@ class RefineResult:
 class _FitBatch:
     """Every image's corners stacked in image order, traced through the cover once.
 
-    Holds per corner the image index, ``grid_ij``, the board target and
-    the pose columns, plus the amplitude-independent cover stage. The
-    kernel matrix ``K`` at the outer hits is built on first use, image by
-    image, and is the only kernel data kept: the field's slope and
-    angular derivative, and their amplitude gradient, follow from it
-    exactly (:func:`~conecal.geometry._field_values` and its adjoint).
+    Holds per corner the image index, ``grid_ij`` and the board target,
+    plus the pose- and amplitude-independent cover stage. The kernel
+    matrix ``K`` at the outer hits is built on first use, image by image,
+    and is the only kernel data kept: the field's slope and angular
+    derivative, and their amplitude gradient, follow from it exactly
+    (:func:`~conecal.geometry._field_values` and its adjoint).
     """
 
     def __init__(self, params: SceneParams, observations: ObservationSet):
         images = observations.images
         counts = [im.n_corners for im in images]
-        self.cone = params.cone
-        self.surface = params.surface  # its centers, patch and width; K does not see the amplitudes
         self.n_images = len(images)
         self.offsets = np.concatenate([[0], np.cumsum(counts)])
         self.image_index = np.repeat([im.image_index for im in images], counts)
         self.grid_ij = np.concatenate([im.grid_ij for im in images])
         self.target = np.concatenate([im.board_local() for im in images])
-        self._stack_poses(params)
         dirs = pixel_to_ray(params.intrinsics, np.concatenate([im.pixels for im in images]))
-        self.cover = _trace_cover(self.cone, np.zeros_like(dirs), dirs)
+        self.cover = _trace_cover(params.cone, np.zeros_like(dirs), dirs)
         self._kernel = None
 
-    def _stack_poses(self, params: SceneParams) -> None:
-        """Each corner's rotation and translation, from its image's pose in ``params``."""
-        counts = np.diff(self.offsets)
-        poses = [params.pose(index) for index in range(self.n_images)]
-        self.rotation = np.repeat(np.stack([pose.rotation for pose in poses]), counts, axis=0)
-        self.translation = np.repeat(np.stack([pose.translation for pose in poses]), counts, axis=0)
-
-    def with_poses(self, params: SceneParams) -> "_FitBatch":
-        """This batch under the poses of ``params``; the cover, and ``K`` once
-        built, are shared, since neither depends on the poses."""
-        moved = copy.copy(self)
-        moved._stack_poses(params)
-        return moved
-
-    def kernel(self) -> np.ndarray:
-        """``K`` at every outer hit, shape (n_corners, n_centers); built
-        image by image to bound the temporaries of the kernel evaluation."""
+    def kernel(self, surface: RbfSurface) -> np.ndarray:
+        """``K`` at every outer hit for the centers of ``surface``, shape
+        (n_corners, n_centers); built image by image to bound the
+        temporaries of the kernel evaluation."""
         if self._kernel is None:
-            self._kernel = np.empty((self.target.shape[0], self.surface.n_centers))
+            self._kernel = np.empty((self.target.shape[0], surface.n_centers))
             for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
                 s_outer = self.cover.s_outer[start:stop]
-                self._kernel[start:stop] = rbf_kernel_terms(self.surface, s_outer)
+                self._kernel[start:stop] = rbf_kernel_terms(surface, s_outer)
         return self._kernel
 
     def errored(self, status: np.ndarray) -> tuple:
@@ -210,24 +194,24 @@ class _FitBatch:
             )
         )
 
-    def trace(self, surface: RbfSurface, derivatives: bool):
-        """Exit stage and board landing of every corner under ``surface``,
-        and the outer normal's field derivatives when ``derivatives`` is set
-        (else None). Each row has the bits that
-        :func:`~conecal.raytrace.trace_pixels` gives its pixel."""
-        fields = _field_values(surface, self.cover.s_outer, self.kernel)
+    def trace(self, params: SceneParams, derivatives: bool):
+        """Exit stage and board landing of every corner under ``params``,
+        the outer normal's field derivatives when ``derivatives`` is set
+        (else None) and each corner's board rotation. Each row has the bits
+        that :func:`~conecal.raytrace.trace_pixels` gives its pixel."""
+        surface = params.surface
+        fields = _field_values(surface, self.cover.s_outer, lambda: self.kernel(surface))
         n_outer, dn = _outer_normal_linearization(
-            self.cone, self.cover.s_outer, fields, derivatives
+            params.cone, self.cover.s_outer, fields, derivatives
         )
-        batch = _land_on_board(
-            _trace_exit(self.cone, self.cover, n_outer), self.rotation, self.translation
-        )
-        return batch, dn
+        rotation, translation = params.pose_arrays(self.image_index)
+        batch = _land_on_board(_trace_exit(params.cone, self.cover, n_outer), rotation, translation)
+        return batch, dn, rotation
 
-    def evaluate(self, surface: RbfSurface, wrt: str | None = None):
-        """Loss under ``surface`` (this batch's centers, any amplitudes)
-        and, for ``wrt`` "amplitudes" or "poses", its gradient (else None)."""
-        batch, dn = self.trace(surface, wrt == "amplitudes")
+    def evaluate(self, params: SceneParams, wrt: str | None = None):
+        """Loss under ``params`` and, for ``wrt`` "amplitudes" or "poses",
+        its gradient (else None)."""
+        batch, dn, rotation = self.trace(params, wrt == "amplitudes")
         ok = batch.ok
         n_active = int(np.count_nonzero(ok))
         if n_active == 0:
@@ -237,16 +221,15 @@ class _FitBatch:
             value=float(np.sum(rho**2)), n_active=n_active, errored=self.errored(batch.status)
         )
         if wrt == "amplitudes":
-            return result, self._amplitude_gradient(surface, batch, ok, rho, dn[ok])
+            return result, self._amplitude_gradient(params, rotation[ok], batch, ok, rho, dn[ok])
         if wrt == "poses":
-            return result, self._pose_gradient(batch, ok, rho)
+            return result, self._pose_gradient(rotation[ok], batch, ok, rho)
         return result, None
 
-    def _amplitude_gradient(self, surface, batch, ok, rho, dn):
+    def _amplitude_gradient(self, params, rotation, batch, ok, rho, dn):
         # the chain runs on x/y/z component arrays, with the operations of the
         # (N, 3) formula in numpy's order, so its bits are that formula's;
         # w3 is the gradient of the loss with respect to the board-plane hit
-        rotation = self.rotation[ok]
         a0, a1, n_b = (_components(rotation[..., k]) for k in range(3))
         rho0, rho1 = rho[:, 0], rho[:, 1]
         w3 = [2.0 * (rho0 * a0_c + rho1 * a1_c) for a0_c, a1_c in zip(a0, a1)]
@@ -257,7 +240,7 @@ class _FitBatch:
 
         # backward through the exit refraction: r_o depends on the oriented
         # outer normal both directly and via the incidence cosine
-        eta = self.cone.eta_inside / self.cone.eta_outside
+        eta = params.cone.eta_inside / params.cone.eta_outside
         r_m = _components(batch.dir_glass[ok])
         n_hat = _components(batch.n_outer[ok])
         sigma = np.where(_dot(r_m, n_hat) > 0.0, -1.0, 1.0)
@@ -274,12 +257,13 @@ class _FitBatch:
         # angular derivative, then through K
         g = np.zeros((self.target.shape[0], 3))
         g[ok] = _stack_last(*(_dot(dl_dnhat, _components(dn[..., j])) for j in range(3)))
-        return _field_values_adjoint(surface, self.cover.s_outer, self.kernel(), g)
+        surface = params.surface
+        return _field_values_adjoint(surface, self.cover.s_outer, self.kernel(surface), g)
 
-    def _pose_gradient(self, batch, ok, rho):
+    def _pose_gradient(self, rotation, batch, ok, rho):
         """One [rotation-increment, translation] block of 6 per image: the
         per-image sums of ``2 rho^T J`` over the rows of :func:`_pose_rows`."""
-        rows = _pose_rows(self.rotation[ok], batch.board_local[ok], batch.dir_out[ok])
+        rows = _pose_rows(rotation, batch.board_local[ok], batch.dir_out[ok])
         grad = 2.0 * (rho[:, 0, None] * rows[:, 0] + rho[:, 1, None] * rows[:, 1])
         image = self.image_index[ok]
         blocks = [np.bincount(image, weights=col, minlength=self.n_images) for col in grad.T]
@@ -315,40 +299,37 @@ def _pose_rows(rotation, local, dir_out) -> np.ndarray:
     return rows
 
 
-def loss(
-    params: SceneParams, observations: ObservationSet, *, batch: _FitBatch | None = None
-) -> LossResult:
-    """Sum of squared corner residuals in board coordinates (m^2).
-
-    ``batch`` is a stacked batch already built from ``observations`` and
-    the cone, camera, poses and centers of ``params``; the fit passes its
-    own so that every iterate reuses one cover trace. By default one is
-    built for this evaluation.
-    """
-    if batch is None:
-        batch = _FitBatch(params, observations)
-    return batch.evaluate(params.surface)[0]
+# (key, batch) per live observation set: an entry goes with its set
+_FIT_BATCHES: "weakref.WeakKeyDictionary[ObservationSet, tuple]" = weakref.WeakKeyDictionary()
 
 
-def loss_gradient(
-    params: SceneParams,
-    observations: ObservationSet,
-    wrt: str = "amplitudes",
-    *,
-    batch: _FitBatch | None = None,
-):
+def _fit_batch(params: SceneParams, observations: ObservationSet) -> _FitBatch:
+    """The stacked batch of ``observations`` under the camera, cone and
+    centers of ``params``, rebuilt when one of them differs from the last
+    call's on this set; the poses and amplitudes are read per evaluation."""
+    surface = params.surface
+    key = (params.intrinsics, params.cone, surface.patch, surface.grid, surface.beta)
+    entry = _FIT_BATCHES.get(observations)
+    if entry is None or entry[0] != key:
+        entry = _FIT_BATCHES[observations] = (key, _FitBatch(params, observations))
+    return entry[1]
+
+
+def loss(params: SceneParams, observations: ObservationSet) -> LossResult:
+    """Sum of squared corner residuals in board coordinates (m^2)."""
+    return _fit_batch(params, observations).evaluate(params)[0]
+
+
+def loss_gradient(params: SceneParams, observations: ObservationSet, wrt: str = "amplitudes"):
     """Loss and its analytic gradient.
 
     ``wrt="amplitudes"`` returns the gradient over the flattened center
     amplitudes; ``wrt="poses"`` returns one ``[rotation-increment,
     translation]`` block of 6 per image, concatenated in image order.
-    ``batch`` is as for :func:`loss`.
     """
     if wrt not in ("amplitudes", "poses"):
         raise ConfigurationError(f"unknown gradient target {wrt!r}")
-    if batch is None:
-        batch = _FitBatch(params, observations)
-    return batch.evaluate(params.surface, wrt)
+    return _fit_batch(params, observations).evaluate(params, wrt)
 
 
 class _AdamState:
@@ -395,8 +376,6 @@ def optimize_amplitudes(
     params: SceneParams,
     observations: ObservationSet,
     options: OptimizerOptions | None = None,
-    *,
-    batch: _FitBatch | None = None,
 ) -> FitResult:
     """Descend the corner loss over the field amplitudes.
 
@@ -404,12 +383,9 @@ def optimize_amplitudes(
     parameters, the per-iterate loss history (initial value included)
     and the exclusions of the final evaluation.  On divergence the raised
     error carries the last well-behaved iterate in ``last_stable`` so
-    callers can persist a usable result. ``batch`` is as for :func:`loss`;
-    by default one is built here and serves every iterate.
+    callers can persist a usable result.
     """
     options = options or OptimizerOptions()
-    if batch is None:
-        batch = _FitBatch(params, observations)
     current = params
     x = params.surface.flat_amplitudes.copy()
     adam = _AdamState(x.size)
@@ -418,7 +394,7 @@ def optimize_amplitudes(
 
     for it in range(options.step_count):
         try:
-            result, grad = loss_gradient(current, observations, "amplitudes", batch=batch)
+            result, grad = loss_gradient(current, observations, "amplitudes")
         except DataError:
             if it == 0:
                 raise
@@ -455,7 +431,7 @@ def optimize_amplitudes(
             current.surface.with_amplitudes(x.reshape(current.surface.grid))
         )
 
-    final = loss(current, observations, batch=batch)
+    final = loss(current, observations)
     history.append(final.value)
     _check_divergence(final.value, None, options.step_count, last_stable)
     return FitResult(
@@ -550,9 +526,7 @@ def _refine_image_pose(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
     return pose, initial_cost, final_cost, n_valid
 
 
-def refine_poses(
-    params: SceneParams, observations: ObservationSet, *, batch: _FitBatch | None = None
-) -> RefineResult:
+def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineResult:
     """Improve the per-image board poses under the zero-field model.
 
     Each image's pose is a separate 6-parameter least-squares problem
@@ -563,13 +537,11 @@ def refine_poses(
     refinement itself always runs with amplitudes zeroed).
 
     The exit rays do not depend on the poses, so every image's come from
-    one zero-field exit stage on the cover of ``batch``, a stacked batch
-    as for :func:`loss`; by default one is built here.
+    one zero-field exit stage on the cover that :func:`loss` traces.
     """
-    if batch is None:
-        batch = _FitBatch(params, observations)
-    n_outer, _ = _outer_normal_linearization(batch.cone, batch.cover.s_outer)
-    exit_rays = _trace_exit(batch.cone, batch.cover, n_outer)
+    batch = _fit_batch(params, observations)
+    n_outer, _ = _outer_normal_linearization(params.cone, batch.cover.s_outer)
+    exit_rays = _trace_exit(params.cone, batch.cover, n_outer)
     poses = []
     reports = []
     for im, start, stop in zip(observations.images, batch.offsets[:-1], batch.offsets[1:]):
@@ -597,14 +569,9 @@ def refine_poses(
 # summary metrics
 
 
-def rmse_cm(
-    params: SceneParams, observations: ObservationSet, *, batch: _FitBatch | None = None
-) -> float:
-    """Root-mean-square corner residual under the full model, in cm.
-
-    ``batch`` is as for :func:`loss`.
-    """
-    result = loss(params, observations, batch=batch)
+def rmse_cm(params: SceneParams, observations: ObservationSet) -> float:
+    """Root-mean-square corner residual under the full model, in cm."""
+    result = loss(params, observations)
     return math.sqrt(result.value / result.n_active) * 100.0
 
 

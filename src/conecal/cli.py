@@ -29,7 +29,6 @@ from .analysis import (
 from .calibrate import (
     FitResult,
     OptimizerOptions,
-    _FitBatch,
     optimize_amplitudes,
     pinhole_rmse_cm,
     refine_poses,
@@ -40,6 +39,7 @@ from .config import (
     board_from_config,
     cone_from_config,
     config_with_amplitudes,
+    generate_counts_from_config,
     intrinsics_from_config,
     load_config,
     pose_sampler_from_config,
@@ -107,6 +107,7 @@ def cmd_generate(args) -> None:
         config["generate"]["noise_sigma_px"] = args.noise
 
     template = surface_from_config(config)
+    n_images, noise_sigma_px = generate_counts_from_config(config)
     square_size, corners_per_side = board_from_config(config)
     # stored amplitudes pin the ground truth; otherwise draw fresh ones
     dist = None
@@ -116,12 +117,12 @@ def cmd_generate(args) -> None:
         intrinsics_from_config(config),
         cone_from_config(config),
         template,
-        n_images=int(config["generate"]["n_images"]),
+        n_images=n_images,
         square_size=square_size,
         corners_per_side=corners_per_side,
         amplitude_dist=dist,
         pose_sampler=pose_sampler_from_config(config),
-        noise_sigma_px=float(config["generate"]["noise_sigma_px"]),
+        noise_sigma_px=noise_sigma_px,
         seed=args.seed,
     )
 
@@ -240,7 +241,8 @@ def load_fitted_surface(path) -> RbfSurface:
             amplitudes=np.array(data["amplitudes_m"], dtype=np.float64),
             beta=float(data["beta_norm_sq"]),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        # a grid or patch that RbfSurface rejects is bad data in this file
         raise DataError(f"malformed fitted surface file {path}: {exc}") from exc
 
 
@@ -255,20 +257,18 @@ def cmd_calibrate(args) -> None:
     observations = load_observations(args.observations)
     start_surface = surface_from_config(config)
     params = _scene_for_observations(config, start_surface, observations)
-    # one stacked cover trace serves the pose refinement, the RMSEs and the fit
-    batch = _FitBatch(params, observations)
+    # the refinement, the cone-only RMSE and the fit share the set's one cover trace
     if args.refine_poses:
-        params = refine_poses(params, observations, batch=batch).params
-        batch = batch.with_poses(params)
+        params = refine_poses(params, observations).params
 
     zero = RbfSurface.flat(start_surface.patch, start_surface.grid, beta=start_surface.beta)
     rmse_initial = pinhole_rmse_cm(params, observations)
-    rmse_cone_only = rmse_cm(params.with_surface(zero), observations, batch=batch)
+    rmse_cone_only = rmse_cm(params.with_surface(zero), observations)
     options = OptimizerOptions(step_count=args.steps, learning_rate=args.rate)
 
     out = _ensure_out(args)
     try:
-        result = optimize_amplitudes(params, observations, options, batch=batch)
+        result = optimize_amplitudes(params, observations, options)
     except DivergenceError as exc:
         if exc.last_stable is None:
             raise

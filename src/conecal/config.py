@@ -183,7 +183,7 @@ def cone_from_config(config: dict) -> ConeGeometry:
     if not isinstance(apex, (list, tuple)) or len(apex) != 3:
         raise ConfigurationError("config key 'cone.apex_m' must be a 3-element array")
     return ConeGeometry(
-        apex=tuple(float(v) for v in apex),
+        apex=tuple(_number(apex, i, "cone.apex_m") for i in range(3)),
         half_angle=_number(section, "half_angle_rad", "cone"),
         height=_number(section, "height_m", "cone"),
         radial_thickness=_number(section, "radial_thickness_m", "cone"),
@@ -223,13 +223,21 @@ def surface_from_config(config: dict) -> RbfSurface:
     amplitudes = section["amplitudes_m"]
     if amplitudes is None:
         return surface
-    amps = np.asarray(amplitudes, dtype=np.float64)
-    if amps.shape != surface.grid:
+    rows, cols = surface.grid
+    if (
+        not isinstance(amplitudes, (list, tuple))
+        or len(amplitudes) != rows
+        or any(not isinstance(row, (list, tuple)) or len(row) != cols for row in amplitudes)
+    ):
         raise ConfigurationError(
-            f"config key 'surface.amplitudes_m' has shape {amps.shape}, "
-            f"expected {surface.grid}"
+            f"config key 'surface.amplitudes_m' must be {rows} rows of {cols} numbers"
         )
-    return surface.with_amplitudes(amps)
+    return surface.with_amplitudes(
+        [
+            [_number(row, j, f"surface.amplitudes_m[{i}]") for j in range(cols)]
+            for i, row in enumerate(amplitudes)
+        ]
+    )
 
 
 def amplitude_distribution_from_config(config: dict) -> AmplitudeDistribution:
@@ -250,6 +258,15 @@ def pose_sampler_from_config(config: dict) -> PoseSampler:
         rotation_range_deg=_number(section, "rotation_range_deg", "generate"),
         lateral_margin=_number(section, "lateral_margin", "generate"),
         max_attempts=_integer(section, "max_attempts", "generate"),
+    )
+
+
+def generate_counts_from_config(config: dict) -> tuple[int, float]:
+    """(number of images, corner noise sigma in px) of a synthetic dataset."""
+    section = config["generate"]
+    return (
+        _integer(section, "n_images", "generate"),
+        _number(section, "noise_sigma_px", "generate"),
     )
 
 

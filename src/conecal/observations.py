@@ -64,9 +64,10 @@ class ImageObservations:
         return self.initial_pose.corner_board_coords(self.grid_ij)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSet:
-    """All images of one capture session, sharing one board, in index order."""
+    """All images of one capture session, sharing one board, in index order.
+    Compared and hashed by identity, so the fit can key its batch on a set."""
 
     square_size: float
     corners_per_side: int

@@ -411,20 +411,20 @@ def refine_poses_finite_difference(params, observations):
 # the amplitude gradient's backward chain on (N, 3) rows
 
 
-def amplitude_gradient_cotangents(fit, batch, ok, rho, dn):
+def amplitude_gradient_cotangents(params, fit, batch, ok, rho, dn):
     """The cotangents ``g`` (n_corners, 3) that ``_FitBatch._amplitude_gradient``
     hands to the field adjoint, by the chain written on ``(N, 3)`` rows with
     ``np.sum``: board hit -> exit direction -> exit refraction -> outer normal
     -> (phi, phi1, phi2). The library's component-array chain must return
     the same bits, signed zeros included."""
-    rotation = fit.rotation[ok]
+    rotation = np.stack([params.pose(i).rotation for i in fit.image_index[ok].tolist()])
     n_b = rotation[..., 2]
     w3 = 2.0 * (rho[:, 0, None] * rotation[..., 0] + rho[:, 1, None] * rotation[..., 1])
     r_o = batch.dir_out[ok]
     scale = (np.sum(r_o * w3, axis=-1) / np.sum(r_o * n_b, axis=-1))[:, None]
     dl_dro = batch.t_board[ok, None] * (w3 - n_b * scale)
 
-    eta = fit.cone.eta_inside / fit.cone.eta_outside
+    eta = params.cone.eta_inside / params.cone.eta_outside
     r_m = batch.dir_glass[ok]
     n_hat = batch.n_outer[ok]
     sigma = np.where(np.sum(r_m * n_hat, axis=-1) > 0.0, -1.0, 1.0)

@@ -7,13 +7,16 @@ oracles.py, so none of the library's own inversion code is trusted here.
 """
 
 import dataclasses
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from conecal import calibrate
+from conecal import calibrate, cli
 from conecal.calibrate import (
     FitResult,
     OptimizerOptions,
@@ -27,12 +30,13 @@ from conecal.calibrate import (
     rmse_cm,
 )
 from conecal.camera import CameraIntrinsics
+from conecal.config import default_config, merge_config
 from conecal.errors import ConfigurationError, DataError, DivergenceError
 from conecal.geometry import _KERNEL_BLOCK_ROWS, ConeGeometry, RbfPatch, RbfSurface
 from conecal.observations import ImageObservations, ObservationSet
 from conecal.raytrace import BoardPose, SceneParams, _rotvec_matrix, raycast, trace_pixels
 from conecal.synth import AmplitudeDistribution, generate_dataset
-from conftest import count_kernel_calls, make_pose
+from conftest import count_cover_traces, count_kernel_calls, make_pose
 from oracles import (
     amplitude_gradient_cotangents,
     project_consistent,
@@ -335,7 +339,7 @@ class TestStackedBatch:
         statuses = []
         for params, obs in (failing, (ds.params, ds.observations)):
             fit = calibrate._FitBatch(params, obs)
-            landed, _ = fit.trace(params.surface, False)
+            landed, _, _ = fit.trace(params, False)
             pixels = np.concatenate([im.pixels for im in obs.images])
             traced = trace_pixels(params, fit.image_index, pixels)
             assert np.array_equal(landed.status, traced.status)
@@ -350,7 +354,7 @@ class TestStackedBatch:
     def test_amplitude_chain_matches_the_row_formula_bit_for_bit(self, monkeypatch):
         params, obs = scene_with_failures(np.random.default_rng(150))
         fit = calibrate._FitBatch(params, obs)
-        batch, dn = fit.trace(params.surface, True)
+        batch, dn, rotation = fit.trace(params, True)
         ok = batch.ok
         assert not np.all(ok)
         rho = (batch.board_local - fit.target)[ok]
@@ -365,12 +369,83 @@ class TestStackedBatch:
             "_field_values_adjoint",
             lambda surface, s, k, g: cotangents.append(g) or adjoint(surface, s, k, g),
         )
-        fit._amplitude_gradient(params.surface, batch, ok, rho, dn[ok])
-        expected = amplitude_gradient_cotangents(fit, batch, ok, rho, dn[ok])
+        fit._amplitude_gradient(params, rotation[ok], batch, ok, rho, dn[ok])
+        expected = amplitude_gradient_cotangents(params, fit, batch, ok, rho, dn[ok])
         (got,) = cotangents
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
         # a sum that starts from +0.0 ends at +0.0 on the zero residuals
         assert np.all(got[ok][0::4] == 0.0) and not np.any(np.signbit(got[ok][0::4]))
+
+
+class TestFitBatchCache:
+    """The stacked batch is derived from (set, camera, cone, centers) and
+    kept only while its set lives."""
+
+    def test_a_kept_batch_gives_the_bits_of_a_new_one(self, monkeypatch):
+        params, obs = scene_with_failures(np.random.default_rng(150))
+        loss_gradient(params, obs)  # builds the set's batch and its K
+        step = _rotvec_matrix([0.004, -0.006, 0.002])
+        poses = [
+            dataclasses.replace(p, rotation=step @ p.rotation, translation=p.translation + 0.003)
+            for p in params.poses
+        ]
+        amplitudes = 0.9 * params.surface.amplitudes
+        moved = params.with_poses(poses).with_surface(params.surface.with_amplitudes(amplitudes))
+        same_images = ObservationSet(obs.square_size, obs.corners_per_side, obs.images)
+        covers = count_cover_traces(monkeypatch)
+        kept = [loss(moved, obs), *loss_gradient(moved, obs), *loss_gradient(moved, obs, "poses")]
+        assert covers == []
+        new = [
+            loss(moved, same_images),
+            *loss_gradient(moved, same_images),
+            *loss_gradient(moved, same_images, "poses"),
+        ]
+        assert covers == [same_images.n_corners]
+        assert kept[0] == new[0] == kept[1] == new[3] and kept[0].errored
+        for got, want in ((kept[2], new[2]), (kept[4], new[4])):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_new_centers_rebuild_the_batch(self, monkeypatch):
+        params, obs = small_scene(np.random.default_rng(411))
+        patch, grid, beta = params.surface.patch, params.surface.grid, params.surface.beta
+        covers = count_cover_traces(monkeypatch)
+        for surface in (
+            params.surface,
+            RbfSurface.flat(patch, grid, beta=beta),  # same centers: kept
+            RbfSurface.flat(patch, (2, 4)),
+            RbfSurface.flat(patch, (2, 4), beta=0.5 * RbfSurface.flat(patch, (2, 4)).beta),
+        ):
+            loss(params.with_surface(surface), obs)
+        assert covers == [obs.n_corners] * 3
+
+    def test_batch_goes_with_its_set(self):
+        params, obs = small_scene(np.random.default_rng(412))
+        loss_gradient(params, obs)
+        batch = weakref.ref(calibrate._fit_batch(params, obs))
+        assert batch() is not None
+        del obs
+        gc.collect()
+        assert batch() is None
+
+    def test_calibrate_leaves_no_batch_alive(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        small = {"board": {"corners_per_side": 5}, "surface": {"grid_rows": 3, "grid_cols": 3}}
+        config.write_text(json.dumps(merge_config(default_config(), small)))
+        generate = ["generate", "--config", config, "--out", tmp_path, "--images", 2]
+        assert cli.main([str(a) for a in generate]) == 0
+        built = []
+
+        class Recorded(calibrate._FitBatch):
+            def __init__(self, params, observations):
+                super().__init__(params, observations)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(calibrate, "_FitBatch", Recorded)
+        argv = ["calibrate", "--config", config, "--observations", tmp_path / "observations.json"]
+        argv += ["--out", tmp_path / "fit", "--steps", "3", "--refine-poses"]
+        assert cli.main([str(a) for a in argv]) == 0
+        # no gc.collect(): the batch must go as soon as the command drops its set
+        assert len(built) == 1 and built[0]() is None
 
 
 class TestLossGradient:
@@ -474,13 +549,16 @@ class TestOptimizeAmplitudes:
     def test_kernels_evaluated_once_per_fit(self, monkeypatch):
         rng = np.random.default_rng(405)
         _, start, obs = self.make_recovery_problem(rng)
+        same_images = ObservationSet(obs.square_size, obs.corners_per_side, obs.images)
         calls = count_kernel_calls(monkeypatch)
         counts = []
-        for steps in (2, 5):
+        for steps, observations in ((2, obs), (5, obs), (2, same_images)):
             calls.clear()
-            optimize_amplitudes(start, obs, OptimizerOptions(step_count=steps))
+            optimize_amplitudes(start, observations, OptimizerOptions(step_count=steps))
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        # K is built once per set and centers, one call per image: a second
+        # fit on the set reuses it, a new set of the same images builds its own
+        assert counts == [obs.n_images, 0, obs.n_images]
 
     def test_final_loss_matches_a_fresh_loss(self):
         rng = np.random.default_rng(406)

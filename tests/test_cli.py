@@ -33,6 +33,47 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+# config documents `generate` must reject with exit 2, and the key its error names
+BAD_CONFIGS = {
+    "unknown-section": ('{"surfaces": {}}', "surfaces"),
+    "text-apex-entry": ('{"cone": {"apex_m": [0.0, "high", -0.0015]}}', "cone.apex_m"),
+    "ragged-amplitudes": (
+        '{"surface": {"grid_rows": 2, "grid_cols": 2, "amplitudes_m": [[0.0, 0.0], [0.0]]}}',
+        "surface.amplitudes_m",
+    ),
+    "text-amplitude": (
+        '{"surface": {"grid_rows": 2, "grid_cols": 2,'
+        ' "amplitudes_m": [[0.0, "1e-5"], [0.0, 0.0]]}}',
+        "surface.amplitudes_m",
+    ),
+    "text-n-images": ('{"generate": {"n_images": "3"}}', "n_images"),
+    "fractional-n-images": ('{"generate": {"n_images": 1.7}}', "n_images"),
+    "text-noise": ('{"generate": {"noise_sigma_px": "0.5"}}', "noise_sigma_px"),
+}
+
+
+def fitted_surface_text(**changes) -> str:
+    """A calibrate output for a flat 10x10 surface, with ``changes`` applied."""
+    data = {
+        "grid_rows": 10,
+        "grid_cols": 10,
+        "amplitudes_m": [[0.0] * 10 for _ in range(10)],
+        "beta_norm_sq": 0.0123,
+        "patch": {"s1_min_m": 0.03, "s1_max_m": 0.05, "s2_min_rad": -0.26, "s2_max_rad": 0.26},
+    }
+    data.update(changes)
+    return json.dumps(data)
+
+
+# fitted files whose grid or patch the surface itself rejects
+BAD_FITTED = {
+    "short-amplitude-grid": fitted_surface_text(amplitudes_m=[[0.0] * 10 for _ in range(3)]),
+    "decreasing-s1": fitted_surface_text(
+        patch={"s1_min_m": 0.05, "s1_max_m": 0.03, "s2_min_rad": -0.26, "s2_max_rad": 0.26}
+    ),
+}
+
+
 def generate_small(tmp_path, out="data", seed=7, extra=()):
     config = write_config(tmp_path)
     code = run(
@@ -73,10 +114,12 @@ class TestConfig:
 
 
 class TestExitCodes:
-    def test_bad_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("document, key", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
+    def test_bad_config_exits_2(self, tmp_path, capsys, document, key):
         path = tmp_path / "bad.json"
-        path.write_text('{"surfaces": {}}')
+        path.write_text(document)
         assert run(["generate", "--config", path, "--out", tmp_path]) == 2
+        assert key in capsys.readouterr().err
 
     def test_bad_patch_exits_2_for_refine_poses(self, tmp_path):
         data = generate_small(tmp_path)
@@ -95,6 +138,20 @@ class TestExitCodes:
 
     def test_missing_observations_exits_3(self, tmp_path):
         code = run(["calibrate", "--observations", tmp_path / "nope.json", "--out", tmp_path])
+        assert code == 3
+
+    @pytest.mark.parametrize("text", list(BAD_FITTED.values()), ids=list(BAD_FITTED))
+    def test_analyze_with_malformed_fitted_file_exits_3(self, tmp_path, text):
+        data = generate_small(tmp_path)
+        fitted = tmp_path / "fitted.json"
+        fitted.write_text(text)
+        code = run(
+            [
+                "analyze", "--config", tmp_path / "config.json",
+                "--observations", data / "observations.json",
+                "--fitted", fitted, "--out", tmp_path / "an",
+            ]
+        )
         assert code == 3
 
     def test_analyze_without_surface_exits_3(self, tmp_path):
@@ -346,9 +403,12 @@ class TestCalibrate:
 
     def test_malformed_fitted_file_raises(self, tmp_path):
         path = tmp_path / "fitted.json"
-        path.write_text('{"grid_rows": 2}')
-        with pytest.raises(DataError):
-            load_fitted_surface(path)
+        for text in ('{"grid_rows": 2}', *BAD_FITTED.values()):
+            path.write_text(text)
+            with pytest.raises(DataError):
+                load_fitted_surface(path)
+        path.write_text(fitted_surface_text())
+        assert load_fitted_surface(path).grid == (10, 10)
 
 
 def scatter_csv_writer_form(path, scatter):

@@ -101,6 +101,19 @@ class TestContainers:
             with pytest.raises(DataError, match="no image"):
                 reversed_set.image(index)
 
+    def test_sets_compare_and_hash_by_identity(self, tmp_path):
+        # the fit keys its stacked batch on the set, so a set must hash, and
+        # two loads of one file must be two sets (field-wise, the arrays
+        # would make == raise and hash() fail)
+        save_observations(small_set(), tmp_path / "obs.json")
+        first = load_observations(tmp_path / "obs.json")
+        second = load_observations(tmp_path / "obs.json")
+        assert first != second
+        assert not first == second
+        assert first == first
+        assert hash(first) == hash(first)
+        assert {first: 1, second: 2}[first] == 1
+
     def test_board_mismatch_rejected(self):
         obs = small_set(n_images=1)
         with pytest.raises(DataError, match="board dimensions"):
