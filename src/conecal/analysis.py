@@ -3,10 +3,11 @@
 The distortion at a pixel is measured against a frontal plane: trace
 the pixel through the cover to the plane ``z = depth``, project that
 landing point with the bare pinhole model, and report the pixel
-displacement. Because the cover only displaces and redirects the ray
-before it leaves the outer wall, each displacement component is an
-affine function of inverse depth; the curve fit exposes the slope and
-intercept of that relation.
+displacement; every diagnostic lands through :func:`_frontal_deltas`.
+Because the cover only displaces and redirects the ray before it leaves
+the outer wall, each displacement component is an affine function of
+inverse depth; the curve fit exposes the slope and intercept of that
+relation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .raytrace import (
     STAGE_NAMES,
     SceneParams,
     TraceStatus,
-    _land,
     _land_on_board,
     _raise_for_status,
     _trace_batch,
@@ -31,18 +31,30 @@ from .raytrace import (
 )
 
 _STATUS_NAMES = {int(st): "ok" if st == TraceStatus.OK else STAGE_NAMES[st] for st in TraceStatus}
+# rows per write of the distortion CSV: written at once, an 81 016-row field
+# held 31 MB of rows and text (6 MB in blocks), the peak of its whole analyze
+_CSV_BLOCK_ROWS = 8192
 
 
-def _trace_to_frontal_plane(params: SceneParams, pixels: np.ndarray, depth: float):
-    """Landing points of pixel rays on the plane z = depth.
-
-    Returns (points, status); rays that leave the cover moving away from
-    the plane are flagged as board-plane misses.
-    """
+def _frontal_deltas(params: SceneParams, pixels: np.ndarray, depth):
+    """``(deltas, status)`` of pixels landed on the frontal planes ``z = depth``
+    (one depth, or one per row): each landing's pinhole projection minus its
+    pixel, NaN where the trace failed, and the trace status; a ray leaving
+    the cover away from its plane is a board-plane miss."""
     dirs = pixel_to_ray(params.intrinsics, pixels)
     batch = _trace_batch(params.cone, params.surface, np.zeros_like(dirs), dirs)
-    batch = _land_on_board(batch, np.eye(3), np.array([0.0, 0.0, depth]))
-    return batch.x_board, batch.status
+    plane = np.zeros(np.shape(depth) + (3,))
+    plane[..., 2] = depth
+    batch = _land_on_board(batch, np.eye(3), plane)
+    points, status = batch.x_board, batch.status
+    # dropped before the deltas are allocated: above the trace's arrays they
+    # pin the heap, which raised an 81 016-pixel analyze's peak RSS by 9-15 MB
+    del batch
+    ok = status == TraceStatus.OK
+    deltas = np.full_like(pixels, np.nan)
+    if np.any(ok):
+        deltas[ok] = pinhole_project(params.intrinsics, points[ok]) - pixels[ok]
+    return deltas, status
 
 
 def distortion_vector(params: SceneParams, pixel, depth: float) -> np.ndarray:
@@ -55,9 +67,9 @@ def distortion_vector(params: SceneParams, pixel, depth: float) -> np.ndarray:
     if depth <= 0.0:
         raise DataError("depth must be positive")
     pixel = np.asarray(pixel, dtype=np.float64)
-    points, status = _trace_to_frontal_plane(params, pixel[None, :], float(depth))
+    deltas, status = _frontal_deltas(params, pixel[None, :], float(depth))
     _raise_for_status(int(status[0]))
-    return pinhole_project(params.intrinsics, points[0]) - pixel
+    return deltas[0]
 
 
 @dataclass(frozen=True)
@@ -85,11 +97,7 @@ def distortion_field(params: SceneParams, depth: float, stride: int = 40) -> Dis
     ys = np.arange(0.0, params.intrinsics.height, float(stride))
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pixels = np.column_stack([gx.ravel(), gy.ravel()])
-    points, status = _trace_to_frontal_plane(params, pixels, float(depth))
-    ok = status == TraceStatus.OK
-    deltas = np.full_like(pixels, np.nan)
-    if np.any(ok):
-        deltas[ok] = pinhole_project(params.intrinsics, points[ok]) - pixels[ok]
+    deltas, status = _frontal_deltas(params, pixels, float(depth))
     return DistortionField(
         depth=float(depth), stride=int(stride), pixels=pixels, deltas=deltas, status=status
     )
@@ -108,17 +116,21 @@ def write_distortion_csv(field: DistortionField, path) -> None:
         np.ascontiguousarray(field.pixels, dtype=np.float64).view(np.int64), return_inverse=True
     )
     coords = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    coords = coords[inverse.reshape(field.pixels.shape)].tolist()
+    coords = coords[inverse.reshape(field.pixels.shape)]
     depth = repr(field.depth)
     tails = {st: f"{depth},{name}" for st, name in _STATUS_NAMES.items()}
     norms = np.hypot(field.deltas[:, 0], field.deltas[:, 1])
-    lines = ["px,py,dpx,dpy,norm,depth,status"]
-    for (px, py), (dx, dy), norm, st in zip(
-        coords, field.deltas.tolist(), norms.tolist(), field.status.tolist()
-    ):
-        lines.append(f"{px},{py},{dx!r},{dy!r},{norm!r},{tails[st]}")
+    columns = (coords, field.deltas, norms, field.status)
     with Path(path).open("w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("px,py,dpx,dpy,norm,depth,status\n")
+        for start in range(0, len(coords), _CSV_BLOCK_ROWS):
+            block = [column[start : start + _CSV_BLOCK_ROWS].tolist() for column in columns]
+            fh.write(
+                "".join(
+                    f"{px},{py},{dx!r},{dy!r},{norm!r},{tails[st]}\n"
+                    for (px, py), (dx, dy), norm, st in zip(*block)
+                )
+            )
 
 
 @dataclass(frozen=True)
@@ -150,8 +162,9 @@ def distortion_vs_inverse_depth(
 ) -> DepthCurve:
     """Sample one pixel's distortion across depths and fit the affine law.
 
-    The ray is traced through the cover once; only the plane intersection
-    varies with depth.
+    The pixel is traced once per depth, each row landing on its own
+    frontal plane. A trace failure raises its stage error; an exit ray
+    that misses a depth plane raises :class:`DataError`.
     """
     lo, hi = float(inv_depth_range[0]), float(inv_depth_range[1])
     if not 0.0 < lo < hi:
@@ -159,18 +172,13 @@ def distortion_vs_inverse_depth(
     if n_samples < 2:
         raise DataError("need at least two depth samples")
     pixel = np.asarray(pixel, dtype=np.float64)
-    dirs = pixel_to_ray(params.intrinsics, pixel[None, :])
-    batch = _trace_batch(params.cone, params.surface, np.zeros_like(dirs), dirs)
-    _raise_for_status(int(batch.status[0]))
-
     inv_depths = np.linspace(lo, hi, n_samples)
-    # one frontal plane z = depth per sample, all met by the one exit ray
-    planes = np.zeros((n_samples, 3))
-    planes[:, 2] = 1.0 / inv_depths
-    _, points, _, hit = _land(np.eye(3), planes, batch.x_outer, batch.dir_out)
-    if not np.all(hit):
+    deltas, status = _frontal_deltas(params, np.tile(pixel, (n_samples, 1)), 1.0 / inv_depths)
+    if np.any(status != TraceStatus.OK):
+        # every row is the same ray, so a failure before the landing is in row 0
+        if status[0] != TraceStatus.MISS_BOARD:
+            _raise_for_status(int(status[0]))
         raise DataError("ray leaves the cover without reaching every depth plane")
-    deltas = pinhole_project(params.intrinsics, points) - pixel
 
     slope = np.empty(2)
     intercept = np.empty(2)

@@ -18,8 +18,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import (
     corner_error_scatter,
     distortion_field,
@@ -39,6 +37,7 @@ from .config import (
     board_from_config,
     cone_from_config,
     config_with_amplitudes,
+    default_config,
     generate_counts_from_config,
     intrinsics_from_config,
     load_config,
@@ -46,7 +45,7 @@ from .config import (
     surface_from_config,
 )
 from .errors import ConfigurationError, DataError, DivergenceError
-from .geometry import RbfPatch, RbfSurface
+from .geometry import RbfSurface
 from .observations import (
     _pose_to_json,
     load_observations,
@@ -185,25 +184,24 @@ def cmd_refine_poses(args) -> None:
 
 
 def _fitted_surface_json(
-    config: dict,
     fit: FitResult,
     rmse_initial: float,
     rmse_cone_only: float,
     options: OptimizerOptions,
     diverged_at: int | None,
 ) -> dict:
-    patch = config["surface"]["patch"]
     surface = fit.surface
+    patch = surface.patch
     return {
         "grid_rows": surface.grid[0],
         "grid_cols": surface.grid[1],
         "amplitudes_m": [[float(v) for v in row] for row in surface.amplitudes],
         "beta_norm_sq": surface.beta,
         "patch": {
-            "s1_min_m": float(patch["s1_min_m"]),
-            "s1_max_m": float(patch["s1_max_m"]),
-            "s2_min_rad": float(patch["s2_min_rad"]),
-            "s2_max_rad": float(patch["s2_max_rad"]),
+            "s1_min_m": patch.s1_range[0],
+            "s1_max_m": patch.s1_range[1],
+            "s2_min_rad": patch.s2_range[0],
+            "s2_max_rad": patch.s2_range[1],
         },
         "rmse_initial_cm": rmse_initial,
         "rmse_cone_only_cm": rmse_cone_only,
@@ -225,24 +223,19 @@ def _fitted_surface_json(
 
 
 def load_fitted_surface(path) -> RbfSurface:
-    """Rebuild the irregularity field written by the calibrate subcommand."""
+    """Rebuild the irregularity field written by the calibrate subcommand from
+    its surface keys, read as a config ``surface`` section that stores amplitudes."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"fitted surface file not found: {path}")
     try:
         data = json.loads(path.read_text())
-        patch = RbfPatch(
-            s1_range=(data["patch"]["s1_min_m"], data["patch"]["s1_max_m"]),
-            s2_range=(data["patch"]["s2_min_rad"], data["patch"]["s2_max_rad"]),
-        )
-        return RbfSurface(
-            patch=patch,
-            grid=(int(data["grid_rows"]), int(data["grid_cols"])),
-            amplitudes=np.array(data["amplitudes_m"], dtype=np.float64),
-            beta=float(data["beta_norm_sq"]),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ConfigurationError) as exc:
-        # a grid or patch that RbfSurface rejects is bad data in this file
+        section = {key: data[key] for key in default_config()["surface"]}
+        if section["amplitudes_m"] is None:
+            raise ConfigurationError("key 'amplitudes_m' must hold the fitted amplitudes")
+        return surface_from_config({"surface": section})
+    except (json.JSONDecodeError, KeyError, TypeError, ConfigurationError) as exc:
+        # a surface the config reader rejects is bad data in this file
         raise DataError(f"malformed fitted surface file {path}: {exc}") from exc
 
 
@@ -275,7 +268,7 @@ def cmd_calibrate(args) -> None:
         write_json(
             out / "fitted_surface.json",
             _fitted_surface_json(
-                config, exc.last_stable, rmse_initial, rmse_cone_only, options, exc.iteration
+                exc.last_stable, rmse_initial, rmse_cone_only, options, exc.iteration
             ),
         )
         print(f"saved last stable iterate to {out / 'fitted_surface.json'}", file=sys.stderr)
@@ -283,7 +276,7 @@ def cmd_calibrate(args) -> None:
 
     write_json(
         out / "fitted_surface.json",
-        _fitted_surface_json(config, result, rmse_initial, rmse_cone_only, options, None),
+        _fitted_surface_json(result, rmse_initial, rmse_cone_only, options, None),
     )
     _print_rmse_table(rmse_initial, result.rmse_cm)
 

@@ -58,6 +58,7 @@ import numpy as np
 from .camera import CameraIntrinsics
 from .errors import ConfigurationError
 from .geometry import ConeGeometry, RbfPatch, RbfSurface
+from .observations import _json_number
 from .synth import AmplitudeDistribution, PoseSampler
 
 _DEFAULTS: dict = {
@@ -151,18 +152,13 @@ def load_config(path: str | os.PathLike | None) -> dict:
     return merge_config(default_config(), user)
 
 
-def _number(section: dict, key: str, where: str) -> float:
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"config key {where}.{key!r} must be a number, got {value!r}")
-    return float(value)
+def _number(section: dict | list, key: str | int, where: str) -> float:
+    name = f"config key {where}[{key}]" if isinstance(key, int) else f"config key {where}.{key}"
+    return _json_number(section[key], name, error=ConfigurationError)
 
 
 def _integer(section: dict, key: str, where: str) -> int:
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"config key {where}.{key!r} must be an integer, got {value!r}")
-    return value
+    return _json_number(section[key], f"config key {where}.{key}", int, ConfigurationError)
 
 
 def intrinsics_from_config(config: dict) -> CameraIntrinsics:
@@ -219,12 +215,10 @@ def surface_from_config(config: dict) -> RbfSurface:
     beta = section["beta_norm_sq"]
     if beta is not None:
         beta = _number(section, "beta_norm_sq", "surface")
-    surface = RbfSurface.flat(patch, grid, beta=beta)
     amplitudes = section["amplitudes_m"]
-    if amplitudes is None:
-        return surface
-    rows, cols = surface.grid
-    if (
+    rows, cols = grid
+    # checked before the flat surface allocates a rows x cols grid
+    if amplitudes is not None and (
         not isinstance(amplitudes, (list, tuple))
         or len(amplitudes) != rows
         or any(not isinstance(row, (list, tuple)) or len(row) != cols for row in amplitudes)
@@ -232,6 +226,9 @@ def surface_from_config(config: dict) -> RbfSurface:
         raise ConfigurationError(
             f"config key 'surface.amplitudes_m' must be {rows} rows of {cols} numbers"
         )
+    surface = RbfSurface.flat(patch, grid, beta=beta)
+    if amplitudes is None:
+        return surface
     return surface.with_amplitudes(
         [
             [_number(row, j, f"surface.amplitudes_m[{i}]") for j in range(cols)]

@@ -128,6 +128,14 @@ def _pose_from_json(obj: dict, square_size: float, corners_per_side: int) -> Boa
     )
 
 
+def _json_number(value, name: str, kind: type = float, error: type[Exception] = TypeError):
+    """``value`` as ``kind`` if it is a JSON number (an integer for ``int``); raises
+    ``error`` for a bool, a string or a fraction, which ``kind`` would accept."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise error(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def observations_to_json_dict(obs: ObservationSet) -> dict:
     images = []
     for im in obs.images:
@@ -159,19 +167,16 @@ def observations_to_json_dict(obs: ObservationSet) -> dict:
 def observations_from_json_dict(data: dict) -> ObservationSet:
     try:
         board = data["board"]
-        square = float(board["square_size_m"])
-        corners_per_side = int(board["corners_per_side"])
+        square = _json_number(board["square_size_m"], "board.square_size_m")
+        corners_per_side = _json_number(board["corners_per_side"], "board.corners_per_side", int)
         images = []
         for im in data["images"]:
             pose = _pose_from_json(im["initial_pose"], square, corners_per_side)
             corners = im["corners"]
             ij = np.array([[c["i"], c["j"]] for c in corners])
             px = np.array([[c["px"], c["py"]] for c in corners], dtype=np.float64)
-            images.append(
-                ImageObservations(
-                    image_index=int(im["index"]), initial_pose=pose, grid_ij=ij, pixels=px
-                )
-            )
+            index = _json_number(im["index"], "image index", int)
+            images.append(ImageObservations(index, pose, ij, px))
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         # a pose or board that BoardPose rejects is bad data in this file
         raise DataError(f"malformed observations: {exc}") from exc

@@ -221,23 +221,23 @@ class SceneParams:
     def with_poses(self, poses) -> "SceneParams":
         return SceneParams(self.intrinsics, self.cone, self.surface, tuple(poses))
 
-    def pose(self, image_index: int) -> BoardPose:
-        if not 0 <= image_index < len(self.poses):
-            raise DataError(f"no pose for image index {image_index}")
-        return self.poses[image_index]
-
-    def pose_arrays(self, image_index):
-        """Rotation and translation of one image's pose, or of one pose per
-        entry of an integer index array (shapes ``(..., 3, 3)``, ``(..., 3)``)."""
-        if np.ndim(image_index) == 0:
-            pose = self.pose(image_index)
-            return pose.rotation, pose.translation
+    def _checked_index(self, image_index) -> np.ndarray:
+        """``image_index`` as an array; a bool, float or out-of-range entry is a ``DataError``."""
         index = np.asarray(image_index)
         if index.dtype.kind not in "iu":
             raise DataError(f"image indices must be integers, got dtype {index.dtype}")
         bad = (index < 0) | (index >= len(self.poses))
         if np.any(bad):
             raise DataError(f"no pose for image index {index[bad][0]}")
+        return index
+
+    def pose(self, image_index: int) -> BoardPose:
+        return self.poses[int(self._checked_index(image_index))]
+
+    def pose_arrays(self, image_index):
+        """Rotation and translation of the pose of each entry of an integer
+        index, scalar or array (shapes ``(..., 3, 3)``, ``(..., 3)``)."""
+        index = self._checked_index(image_index)
         rotation = np.stack([pose.rotation for pose in self.poses])
         translation = np.stack([pose.translation for pose in self.poses])
         return rotation[index], translation[index]
@@ -432,8 +432,6 @@ class TraceBatch:
     the exit direction, the board landing the rest.
     """
 
-    ray_dir: np.ndarray  # (..., 3) unit direction leaving the camera
-    x_inner: np.ndarray  # (..., 3) inner-wall hit
     dir_glass: np.ndarray  # (..., 3) unit direction inside the glass
     x_outer: np.ndarray  # (..., 3) outer-wall hit (perfect cone)
     s_outer: np.ndarray  # (..., 2) cone coordinates of the outer hit
@@ -484,8 +482,6 @@ def _trace_cover(cone: ConeGeometry, origins: np.ndarray, dirs: np.ndarray) -> T
     s_o_safe = np.where((status != _OK)[..., None], [cone.height / 2, 0.0], s_o)
 
     return TraceBatch(
-        ray_dir=dirs,
-        x_inner=x_i,
         dir_glass=d_glass,
         x_outer=x_o,
         s_outer=s_o_safe,

@@ -163,6 +163,11 @@ class TestDepthCurve:
                 distortion_vector(scene_zero, [1000.0, 900.0], 1.0 / inv_d), delta, atol=1e-10
             )
 
+    def test_failing_ray_raises_its_stage(self, scene_zero):
+        with pytest.raises(MissError) as excinfo:
+            distortion_vs_inverse_depth(scene_zero, [1640.0, -1e7])
+        assert excinfo.value.stage == "inner-intersection"
+
     def test_bad_range_rejected(self, scene_zero):
         with pytest.raises(DataError):
             distortion_vs_inverse_depth(scene_zero, [820.0, 1232.0], inv_depth_range=(2.0, 1.0))

@@ -33,10 +33,14 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-# config documents `generate` must reject with exit 2, and the key its error names
+# config documents `generate` must reject with exit 2, and the text its error
+# must contain: a bad number's key is spelled as a config file spells it
 BAD_CONFIGS = {
     "unknown-section": ('{"surfaces": {}}', "surfaces"),
-    "text-apex-entry": ('{"cone": {"apex_m": [0.0, "high", -0.0015]}}', "cone.apex_m"),
+    "text-apex-entry": (
+        '{"cone": {"apex_m": [0.0, "high", -0.0015]}}',
+        "config key cone.apex_m[1] must",
+    ),
     "ragged-amplitudes": (
         '{"surface": {"grid_rows": 2, "grid_cols": 2, "amplitudes_m": [[0.0, 0.0], [0.0]]}}',
         "surface.amplitudes_m",
@@ -44,11 +48,17 @@ BAD_CONFIGS = {
     "text-amplitude": (
         '{"surface": {"grid_rows": 2, "grid_cols": 2,'
         ' "amplitudes_m": [[0.0, "1e-5"], [0.0, 0.0]]}}',
-        "surface.amplitudes_m",
+        "config key surface.amplitudes_m[0][1] must",
     ),
-    "text-n-images": ('{"generate": {"n_images": "3"}}', "n_images"),
-    "fractional-n-images": ('{"generate": {"n_images": 1.7}}', "n_images"),
-    "text-noise": ('{"generate": {"noise_sigma_px": "0.5"}}', "noise_sigma_px"),
+    "text-n-images": ('{"generate": {"n_images": "3"}}', "config key generate.n_images must"),
+    "fractional-n-images": (
+        '{"generate": {"n_images": 1.7}}',
+        "config key generate.n_images must",
+    ),
+    "text-noise": (
+        '{"generate": {"noise_sigma_px": "0.5"}}',
+        "config key generate.noise_sigma_px must",
+    ),
 }
 
 
@@ -65,12 +75,25 @@ def fitted_surface_text(**changes) -> str:
     return json.dumps(data)
 
 
-# fitted files whose grid or patch the surface itself rejects
+def with_amplitude(value) -> list:
+    """A flat 10x10 amplitude grid with ``value`` at row 0, column 1."""
+    amplitudes = [[0.0] * 10 for _ in range(10)]
+    amplitudes[0][1] = value
+    return amplitudes
+
+
+# fitted files that the config's surface reader, or the surface itself, rejects
 BAD_FITTED = {
     "short-amplitude-grid": fitted_surface_text(amplitudes_m=[[0.0] * 10 for _ in range(3)]),
     "decreasing-s1": fitted_surface_text(
         patch={"s1_min_m": 0.05, "s1_max_m": 0.03, "s2_min_rad": -0.26, "s2_max_rad": 0.26}
     ),
+    "bool-amplitude": fitted_surface_text(amplitudes_m=with_amplitude(True)),
+    "text-amplitude": fitted_surface_text(amplitudes_m=with_amplitude("1e-5")),
+    "fractional-grid-rows": fitted_surface_text(
+        grid_rows=2.7, amplitudes_m=[[0.0] * 10 for _ in range(2)]
+    ),
+    "null-amplitudes": fitted_surface_text(amplitudes_m=None),
 }
 
 

@@ -166,6 +166,25 @@ class TestJsonFormat:
         with pytest.raises(DataError, match="malformed"):
             observations_from_json_dict({"images": [{"index": 0}]})
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("image", "index", 0.7, "image index must be an integer"),
+            ("image", "index", "0", "image index must be an integer"),
+            ("image", "index", True, "image index must be an integer"),
+            ("board", "corners_per_side", 7.9, "board.corners_per_side must be an integer"),
+            ("board", "square_size_m", "0.03", "board.square_size_m must be a number"),
+        ],
+        ids=["fractional-index", "text-index", "bool-index", "fractional-corners", "text-square"],
+    )
+    def test_coerced_numbers_rejected(self, section, key, value, message):
+        # int() and float() would truncate or parse each of these
+        doc = observations_to_json_dict(small_set(n_images=1))
+        target = doc["images"][0] if section == "image" else doc["board"]
+        target[key] = value
+        with pytest.raises(DataError, match=f"malformed observations: {message}"):
+            observations_from_json_dict(doc)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_observations(tmp_path / "nope.json")

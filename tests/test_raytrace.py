@@ -146,6 +146,14 @@ class TestSceneParams:
             with pytest.raises(DataError):
                 trace_pixels(scene_zero, np.array(index), pixels)
 
+    @pytest.mark.parametrize("index", [0.0, True], ids=["float", "bool"])
+    def test_non_integer_scalar_index_rejected(self, scene_zero, index):
+        pixels = np.array([[900.0, 700.0], [1200.0, 1100.0]])
+        with pytest.raises(DataError, match="integers"):
+            raycast_pixels(scene_zero, index, pixels)
+        with pytest.raises(DataError, match="integers"):
+            scene_zero.pose(index)
+
 
 class TestRefract:
     def test_hand_worked_case(self):
@@ -448,7 +456,7 @@ class TestMixedFailureBatch:
             assert names[status] == failure_stage(params, pose, origins[row], dirs[row]), row
 
         fields = (
-            "ray_dir", "x_inner", "dir_glass", "x_outer", "s_outer", "status",
+            "dir_glass", "x_outer", "s_outer", "status",
             "n_outer", "dir_out", "t_board", "x_board", "board_local",
         )
         for row in np.flatnonzero(batch.ok):
