@@ -31,9 +31,6 @@ from .raytrace import (
 )
 
 _STATUS_NAMES = {int(st): "ok" if st == TraceStatus.OK else STAGE_NAMES[st] for st in TraceStatus}
-# rows per write of the distortion CSV: written at once, an 81 016-row field
-# held 31 MB of rows and text (6 MB in blocks), the peak of its whole analyze
-_CSV_BLOCK_ROWS = 8192
 
 
 def _frontal_deltas(params: SceneParams, pixels: np.ndarray, depth):
@@ -46,15 +43,11 @@ def _frontal_deltas(params: SceneParams, pixels: np.ndarray, depth):
     plane = np.zeros(np.shape(depth) + (3,))
     plane[..., 2] = depth
     batch = _land_on_board(batch, np.eye(3), plane)
-    points, status = batch.x_board, batch.status
-    # dropped before the deltas are allocated: above the trace's arrays they
-    # pin the heap, which raised an 81 016-pixel analyze's peak RSS by 9-15 MB
-    del batch
-    ok = status == TraceStatus.OK
+    ok = batch.status == TraceStatus.OK
     deltas = np.full_like(pixels, np.nan)
     if np.any(ok):
-        deltas[ok] = pinhole_project(params.intrinsics, points[ok]) - pixels[ok]
-    return deltas, status
+        deltas[ok] = pinhole_project(params.intrinsics, batch.x_board[ok]) - pixels[ok]
+    return deltas, batch.status
 
 
 def distortion_vector(params: SceneParams, pixel, depth: float) -> np.ndarray:
@@ -116,21 +109,17 @@ def write_distortion_csv(field: DistortionField, path) -> None:
         np.ascontiguousarray(field.pixels, dtype=np.float64).view(np.int64), return_inverse=True
     )
     coords = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    coords = coords[inverse.reshape(field.pixels.shape)]
+    coords = coords[inverse.reshape(field.pixels.shape)].tolist()
     depth = repr(field.depth)
     tails = {st: f"{depth},{name}" for st, name in _STATUS_NAMES.items()}
     norms = np.hypot(field.deltas[:, 0], field.deltas[:, 1])
-    columns = (coords, field.deltas, norms, field.status)
+    lines = ["px,py,dpx,dpy,norm,depth,status"]
+    for (px, py), (dx, dy), norm, st in zip(
+        coords, field.deltas.tolist(), norms.tolist(), field.status.tolist()
+    ):
+        lines.append(f"{px},{py},{dx!r},{dy!r},{norm!r},{tails[st]}")
     with Path(path).open("w", newline="") as fh:
-        fh.write("px,py,dpx,dpy,norm,depth,status\n")
-        for start in range(0, len(coords), _CSV_BLOCK_ROWS):
-            block = [column[start : start + _CSV_BLOCK_ROWS].tolist() for column in columns]
-            fh.write(
-                "".join(
-                    f"{px},{py},{dx!r},{dy!r},{norm!r},{tails[st]}\n"
-                    for (px, py), (dx, dy), norm, st in zip(*block)
-                )
-            )
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

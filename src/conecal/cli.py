@@ -232,7 +232,7 @@ def load_fitted_surface(path) -> RbfSurface:
         data = json.loads(path.read_text())
         section = {key: data[key] for key in default_config()["surface"]}
         if section["amplitudes_m"] is None:
-            raise ConfigurationError("key 'amplitudes_m' must hold the fitted amplitudes")
+            raise ConfigurationError("key amplitudes_m must hold the fitted amplitudes")
         return surface_from_config({"surface": section})
     except (json.JSONDecodeError, KeyError, TypeError, ConfigurationError) as exc:
         # a surface the config reader rejects is bad data in this file

@@ -122,9 +122,9 @@ def merge_config(base: dict, override: dict, _path: str = "") -> dict:
     for key, value in override.items():
         where = f"{_path}.{key}" if _path else key
         if key not in base:
-            raise ConfigurationError(f"unknown config key {where!r}")
+            raise ConfigurationError(f"unknown config key {where}")
         if isinstance(base[key], dict) and not isinstance(value, dict) and value is not None:
-            raise ConfigurationError(f"config key {where!r} must be an object")
+            raise ConfigurationError(f"config key {where} must be an object")
         if isinstance(base[key], dict) and isinstance(value, dict):
             merged[key] = merge_config(base[key], value, where)
         else:
@@ -154,11 +154,11 @@ def load_config(path: str | os.PathLike | None) -> dict:
 
 def _number(section: dict | list, key: str | int, where: str) -> float:
     name = f"config key {where}[{key}]" if isinstance(key, int) else f"config key {where}.{key}"
-    return _json_number(section[key], name, error=ConfigurationError)
+    return _json_number(section[key], name, float)
 
 
 def _integer(section: dict, key: str, where: str) -> int:
-    return _json_number(section[key], f"config key {where}.{key}", int, ConfigurationError)
+    return _json_number(section[key], f"config key {where}.{key}", int)
 
 
 def intrinsics_from_config(config: dict) -> CameraIntrinsics:
@@ -177,7 +177,7 @@ def cone_from_config(config: dict) -> ConeGeometry:
     section = config["cone"]
     apex = section["apex_m"]
     if not isinstance(apex, (list, tuple)) or len(apex) != 3:
-        raise ConfigurationError("config key 'cone.apex_m' must be a 3-element array")
+        raise ConfigurationError("config key cone.apex_m must be a 3-element array")
     return ConeGeometry(
         apex=tuple(_number(apex, i, "cone.apex_m") for i in range(3)),
         half_angle=_number(section, "half_angle_rad", "cone"),
@@ -224,7 +224,7 @@ def surface_from_config(config: dict) -> RbfSurface:
         or any(not isinstance(row, (list, tuple)) or len(row) != cols for row in amplitudes)
     ):
         raise ConfigurationError(
-            f"config key 'surface.amplitudes_m' must be {rows} rows of {cols} numbers"
+            f"config key surface.amplitudes_m must be {rows} rows of {cols} numbers"
         )
     surface = RbfSurface.flat(patch, grid, beta=beta)
     if amplitudes is None:
@@ -273,9 +273,9 @@ def board_from_config(config: dict) -> tuple[float, int]:
     square = _number(section, "square_size_m", "board")
     corners = _integer(section, "corners_per_side", "board")
     if square <= 0.0:
-        raise ConfigurationError("config key 'board.square_size_m' must be positive")
+        raise ConfigurationError("config key board.square_size_m must be positive")
     if corners < 2:
-        raise ConfigurationError("config key 'board.corners_per_side' must be at least 2")
+        raise ConfigurationError("config key board.corners_per_side must be at least 2")
     return square, corners
 
 

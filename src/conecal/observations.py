@@ -128,11 +128,14 @@ def _pose_from_json(obj: dict, square_size: float, corners_per_side: int) -> Boa
     )
 
 
-def _json_number(value, name: str, kind: type = float, error: type[Exception] = TypeError):
-    """``value`` as ``kind`` if it is a JSON number (an integer for ``int``); raises
-    ``error`` for a bool, a string or a fraction, which ``kind`` would accept."""
+def _json_number(value, name: str, kind: type):
+    """``value`` as ``kind`` (``float`` or ``int``) if it is a JSON number, an
+    integer for ``int``; a bool, a string or a fraction, which ``kind`` would
+    accept, raises :class:`ConfigurationError`."""
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        raise error(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        raise ConfigurationError(
+            f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+        )
     return kind(value)
 
 
@@ -167,7 +170,7 @@ def observations_to_json_dict(obs: ObservationSet) -> dict:
 def observations_from_json_dict(data: dict) -> ObservationSet:
     try:
         board = data["board"]
-        square = _json_number(board["square_size_m"], "board.square_size_m")
+        square = _json_number(board["square_size_m"], "board.square_size_m", float)
         corners_per_side = _json_number(board["corners_per_side"], "board.corners_per_side", int)
         images = []
         for im in data["images"]:
