@@ -13,6 +13,7 @@ relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -32,22 +33,51 @@ from .raytrace import (
 
 _STATUS_NAMES = {int(st): "ok" if st == TraceStatus.OK else STAGE_NAMES[st] for st in TraceStatus}
 
+# Rows traced at a time and rows formatted per CSV write: the diagnostics'
+# working set stays a block, however many samples or rows an output holds.
+# Every step is row-wise, so the block size does not change a bit.
+_FIELD_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 4096
+
 
 def _frontal_deltas(params: SceneParams, pixels: np.ndarray, depth):
     """``(deltas, status)`` of pixels landed on the frontal planes ``z = depth``
     (one depth, or one per row): each landing's pinhole projection minus its
     pixel, NaN where the trace failed, and the trace status; a ray leaving
-    the cover away from its plane is a board-plane miss."""
+    the cover away from its plane is a board-plane miss. The pixels are
+    traced ``_FIELD_BLOCK_ROWS`` at a time."""
+    depth = np.broadcast_to(depth, pixels.shape[:1])
+    deltas = np.empty_like(pixels)
+    status = np.empty(pixels.shape[0], dtype=np.int64)
+    for start in range(0, pixels.shape[0], _FIELD_BLOCK_ROWS):
+        block = slice(start, start + _FIELD_BLOCK_ROWS)
+        deltas[block], status[block] = _frontal_block(params, pixels[block], depth[block])
+    return deltas, status
+
+
+def _frontal_block(params: SceneParams, pixels: np.ndarray, depth: np.ndarray):
+    """:func:`_frontal_deltas` of one block, with one depth per row; its
+    trace is released on return, before the next block is traced."""
     dirs = pixel_to_ray(params.intrinsics, pixels)
     batch = _trace_batch(params.cone, params.surface, np.zeros_like(dirs), dirs)
-    plane = np.zeros(np.shape(depth) + (3,))
-    plane[..., 2] = depth
+    plane = np.zeros_like(dirs)
+    plane[:, 2] = depth
     batch = _land_on_board(batch, np.eye(3), plane)
     ok = batch.status == TraceStatus.OK
     deltas = np.full_like(pixels, np.nan)
     if np.any(ok):
         deltas[ok] = pinhole_project(params.intrinsics, batch.x_board[ok]) - pixels[ok]
     return deltas, batch.status
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and the row texts the iterable ``rows`` yields, one
+    line each, ``_CSV_BLOCK_ROWS`` rows per write."""
+    rows = iter(rows)
+    with Path(path).open("w", newline="") as fh:
+        fh.write(header + "\n")
+        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+            fh.write("\n".join(block) + "\n")
 
 
 def distortion_vector(params: SceneParams, pixel, depth: float) -> np.ndarray:
@@ -88,8 +118,7 @@ def distortion_field(params: SceneParams, depth: float, stride: int = 40) -> Dis
         raise DataError("depth must be positive")
     xs = np.arange(0.0, params.intrinsics.width, float(stride))
     ys = np.arange(0.0, params.intrinsics.height, float(stride))
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pixels = np.column_stack([gx.ravel(), gy.ravel()])
+    pixels = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     deltas, status = _frontal_deltas(params, pixels, float(depth))
     return DistortionField(
         depth=float(depth), stride=int(stride), pixels=pixels, deltas=deltas, status=status
@@ -101,25 +130,30 @@ def write_distortion_csv(field: DistortionField, path) -> None:
 
     Numbers are written as ``repr`` of the float and no field needs CSV
     quoting, so the rows are formatted directly from Python floats. The
-    sample grid repeats a few hundred coordinates, so each distinct
-    coordinate (by bit pattern) and each status's ``depth,status`` tail
-    is formatted once.
+    sample grid repeats a few hundred coordinates, so each block's distinct
+    coordinates (by bit pattern) and each status's ``depth,status`` tail
+    are formatted once.
     """
-    bits, inverse = np.unique(
-        np.ascontiguousarray(field.pixels, dtype=np.float64).view(np.int64), return_inverse=True
-    )
-    coords = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    coords = coords[inverse.reshape(field.pixels.shape)].tolist()
     depth = repr(field.depth)
     tails = {st: f"{depth},{name}" for st, name in _STATUS_NAMES.items()}
-    norms = np.hypot(field.deltas[:, 0], field.deltas[:, 1])
-    lines = ["px,py,dpx,dpy,norm,depth,status"]
-    for (px, py), (dx, dy), norm, st in zip(
-        coords, field.deltas.tolist(), norms.tolist(), field.status.tolist()
-    ):
-        lines.append(f"{px},{py},{dx!r},{dy!r},{norm!r},{tails[st]}")
-    with Path(path).open("w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+
+    def rows():
+        for start in range(0, field.pixels.shape[0], _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            pixels = np.ascontiguousarray(field.pixels[block], dtype=np.float64)
+            bits, inverse = np.unique(pixels.view(np.int64), return_inverse=True)
+            texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+            deltas = field.deltas[block]
+            norms = np.hypot(deltas[:, 0], deltas[:, 1])
+            for (px, py), (dx, dy), norm, st in zip(
+                texts[inverse.reshape(pixels.shape)].tolist(),
+                deltas.tolist(),
+                norms.tolist(),
+                field.status[block].tolist(),
+            ):
+                yield f"{px},{py},{dx!r},{dy!r},{norm!r},{tails[st]}"
+
+    _write_csv(path, "px,py,dpx,dpy,norm,depth,status", rows())
 
 
 @dataclass(frozen=True)

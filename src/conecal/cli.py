@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    _write_csv,
     corner_error_scatter,
     distortion_field,
     distortion_vs_inverse_depth,
@@ -286,29 +287,30 @@ def cmd_calibrate(args) -> None:
 
 
 def _write_depth_curve_csv(path: Path, curves) -> None:
-    lines = ["px,py,inv_depth_per_m,dpx,dpy"]
-    for curve in curves:
-        px, py = curve.pixel.tolist()
-        for inv_depth, (dx, dy) in zip(curve.inv_depths.tolist(), curve.deltas.tolist()):
-            lines.append(f"{px!r},{py!r},{inv_depth!r},{dx!r},{dy!r}")
-    with path.open("w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    def rows():
+        for curve in curves:
+            px, py = curve.pixel.tolist()
+            for inv_depth, (dx, dy) in zip(curve.inv_depths.tolist(), curve.deltas.tolist()):
+                yield f"{px!r},{py!r},{inv_depth!r},{dx!r},{dy!r}"
+
+    _write_csv(path, "px,py,inv_depth_per_m,dpx,dpy", rows())
 
 
 def _write_scatter_csv(path: Path, scatter: dict) -> None:
     """One row per corner; a failed corner's residual fields are empty."""
-    lines = ["image,i,j,px,py,status,dmx_m,dmy_m,err_m"]
-    for image in scatter["images"]:
-        index = image["index"]
-        for c in image["corners"]:
-            dmx, dmy, err = c["dmx_m"], c["dmy_m"], c["err_m"]
-            lines.append(
-                f"{index},{c['i']},{c['j']},{c['px']!r},{c['py']!r},{c['status']},"
-                f"{'' if dmx is None else repr(dmx)},{'' if dmy is None else repr(dmy)},"
-                f"{'' if err is None else repr(err)}"
-            )
-    with path.open("w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+
+    def rows():
+        for image in scatter["images"]:
+            index = image["index"]
+            for c in image["corners"]:
+                dmx, dmy, err = c["dmx_m"], c["dmy_m"], c["err_m"]
+                yield (
+                    f"{index},{c['i']},{c['j']},{c['px']!r},{c['py']!r},{c['status']},"
+                    f"{'' if dmx is None else repr(dmx)},{'' if dmy is None else repr(dmy)},"
+                    f"{'' if err is None else repr(err)}"
+                )
+
+    _write_csv(path, "image,i,j,px,py,status,dmx_m,dmy_m,err_m", rows())
 
 
 def cmd_analyze(args) -> None:

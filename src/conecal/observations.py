@@ -11,6 +11,7 @@ double as pose indices.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -115,14 +116,15 @@ def _pose_to_json(pose: BoardPose) -> dict:
 
 def _pose_from_json(obj: dict, square_size: float, corners_per_side: int) -> BoardPose:
     if "rotation_rowmajor" in obj:
-        rot = np.array(obj["rotation_rowmajor"], dtype=np.float64).reshape(3, 3)
+        rot = _json_numbers(obj["rotation_rowmajor"], "rotation_rowmajor").reshape(3, 3)
     elif "rotation_axis_angle_rad" in obj:
-        rot = _rotvec_matrix(obj["rotation_axis_angle_rad"])
+        rotvec = _json_numbers(obj["rotation_axis_angle_rad"], "rotation_axis_angle_rad")
+        rot = _rotvec_matrix(rotvec)
     else:
         raise DataError("pose needs rotation_rowmajor or rotation_axis_angle_rad")
     return BoardPose(
         rotation=rot,
-        translation=np.array(obj["translation_m"], dtype=np.float64),
+        translation=_json_numbers(obj["translation_m"], "translation_m"),
         square_size=square_size,
         corners_per_side=corners_per_side,
     )
@@ -137,6 +139,16 @@ def _json_number(value, name: str, kind: type):
             f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
         )
     return kind(value)
+
+
+def _json_numbers(values: list, name: str) -> np.ndarray:
+    """A flat list of JSON numbers as float64; a bool, a string or a null,
+    which ``np.array`` would coerce, raises :class:`ConfigurationError`."""
+    kinds = set(map(type, values))
+    if not kinds <= {float, int}:
+        bad = sorted(kind.__name__ for kind in kinds - {float, int})
+        raise ConfigurationError(f"{name} must hold numbers, got {', '.join(bad)}")
+    return np.array(values, dtype=np.float64)
 
 
 def observations_to_json_dict(obs: ObservationSet) -> dict:
@@ -177,7 +189,8 @@ def observations_from_json_dict(data: dict) -> ObservationSet:
             pose = _pose_from_json(im["initial_pose"], square, corners_per_side)
             corners = im["corners"]
             ij = np.array([[c["i"], c["j"]] for c in corners])
-            px = np.array([[c["px"], c["py"]] for c in corners], dtype=np.float64)
+            px = _json_numbers([v for c in corners for v in (c["px"], c["py"])], "corner pixels")
+            px = px.reshape(-1, 2)
             index = _json_number(im["index"], "image index", int)
             images.append(ImageObservations(index, pose, ij, px))
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
@@ -261,32 +274,46 @@ def _record_texts(values: list, indent: str) -> list[str] | None:
     return list(map(template.format, *columns))
 
 
-def _json_text(obj, indent: str) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` for an object at ``indent``."""
+def _json_chunks(obj, indent: str):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for an object at ``indent``,
+    yielded in pieces: a list of scalars or of flat records whole, any other
+    list or dict one element or entry at a time."""
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            yield "[]"
+            return
         inner = indent + "  "
         texts = _scalar_texts(obj)
         if texts is None:
             texts = _record_texts(obj, inner)
-        if texts is None:
-            texts = [_json_text(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+        if texts is not None:
+            yield "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+            return
+        separator = "[\n" + inner
+        for v in obj:
+            yield separator
+            yield from _json_chunks(v, inner)
+            separator = ",\n" + inner
+        yield "\n" + indent + "]"
+        return
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            yield "{}"
+            return
         inner = indent + "  "
-        texts = []
+        separator = "{\n" + inner
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            texts.append(encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner))
-        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "}"
+            yield separator + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(obj[key], inner)
+            separator = ",\n" + inner
+        yield "\n" + indent + "}"
+        return
     texts = _scalar_texts([obj])
     if texts is None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return texts[0]
+    yield texts[0]
 
 
 def write_json(path, obj) -> None:
@@ -295,11 +322,25 @@ def write_json(path, obj) -> None:
     The text is the same, byte for byte; ``json`` falls back to its
     pure-Python encoder whenever ``indent`` is set, and this writer
     renders lists of scalars and lists of flat records a column at a
-    time instead. Like ``json``, it raises ``TypeError`` for values it
+    time instead. The text is written as it is made, one list element or
+    dict entry at a time (a list of scalars or of flat records is one
+    piece), so its memory does not grow with the document. It goes to a
+    sibling ``<name>.tmp`` file that replaces ``path`` once complete; on an
+    error that file is removed and ``path`` is left as it was. Like
+    ``json``, it raises ``TypeError`` for values it
     cannot encode (``np.int64``, sets, ...); unlike ``json``, also for
     non-``str`` dict keys.
     """
-    Path(path).write_text(_json_text(obj, "") + "\n")
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with partial.open("w") as fh:
+            fh.writelines(_json_chunks(obj, ""))
+            fh.write("\n")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, path)
 
 
 def save_observations(obs: ObservationSet, path) -> None:

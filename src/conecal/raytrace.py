@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -216,7 +217,11 @@ class SceneParams:
             )
 
     def with_surface(self, surface: RbfSurface) -> "SceneParams":
-        return SceneParams(self.intrinsics, self.cone, surface, self.poses)
+        params = SceneParams(self.intrinsics, self.cone, surface, self.poses)
+        if "_pose_stack" in self.__dict__:
+            # the same poses: a fit's every step gathers from one stack
+            params.__dict__["_pose_stack"] = self._pose_stack
+        return params
 
     def with_poses(self, poses) -> "SceneParams":
         return SceneParams(self.intrinsics, self.cone, self.surface, tuple(poses))
@@ -238,9 +243,17 @@ class SceneParams:
         """Rotation and translation of the pose of each entry of an integer
         index, scalar or array (shapes ``(..., 3, 3)``, ``(..., 3)``)."""
         index = self._checked_index(image_index)
+        rotation, translation = self._pose_stack
+        return rotation[index], translation[index]
+
+    @cached_property
+    def _pose_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pose's rotation and translation, stacked once, read-only."""
         rotation = np.stack([pose.rotation for pose in self.poses])
         translation = np.stack([pose.translation for pose in self.poses])
-        return rotation[index], translation[index]
+        rotation.flags.writeable = False
+        translation.flags.writeable = False
+        return rotation, translation
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the distortion diagnostics."""
 
 import csv
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from conecal.analysis import (
     DepthCurve,
     DistortionField,
+    _frontal_deltas,
     corner_error_scatter,
     distortion_field,
     distortion_vector,
@@ -16,8 +19,12 @@ from conecal.analysis import (
 )
 import conecal.analysis
 from conecal.calibrate import loss
+from conecal.cli import _write_depth_curve_csv, _write_scatter_csv
 from conecal.errors import DataError, MissError
+from conecal.geometry import RbfSurface
+from conecal.observations import write_json
 from conecal.raytrace import STAGE_NAMES, TraceStatus
+from conftest import count_cover_traces
 from oracles import per_image_corner_scatter
 
 
@@ -271,3 +278,96 @@ class TestCornerErrorScatter:
         report = corner_error_scatter(params, single)
         assert report["n_corners"] == 1
         assert report["rmse_cm"].hex() == per_image_corner_scatter(params, single)["rmse_cm"].hex()
+
+
+class TestBlocks:
+    def test_outputs_do_not_depend_on_the_block_sizes(self, monkeypatch, tmp_path):
+        """Small prime blocks split every output in many places, runs of
+        failed rows across a boundary included; no byte or bit may change."""
+        from test_calibrate import scene_with_failures
+
+        params, obs = scene_with_failures(np.random.default_rng(150))
+        pixels = distortion_field(params, depth=0.7, stride=500).pixels
+        # rows 4-9 miss the cover, across the boundaries of 7-row trace
+        # blocks and of 5- and 3-row CSV blocks
+        pixels[4:10] = [1640.0, -1e7]
+        depths = np.linspace(0.3, 1.5, pixels.shape[0])
+        scatter = corner_error_scatter(params, obs)
+        curves = [
+            distortion_vs_inverse_depth(params, pixel, n_samples=11)
+            for pixel in ((820.0, 1232.0), (410.5, 1000.25))
+        ]
+
+        def outputs(out):
+            out.mkdir()
+            deltas, status = _frontal_deltas(params, pixels, 0.7)
+            field = DistortionField(0.7, 500, pixels, deltas, status)
+            write_distortion_csv(field, out / "field.csv")
+            _write_scatter_csv(out / "scatter.csv", scatter)
+            _write_depth_curve_csv(out / "curves.csv", curves)
+            write_json(out / "scatter.json", scatter)
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            return files, (deltas, status), _frontal_deltas(params, pixels, depths)
+
+        real = outputs(tmp_path / "real")
+        assert {TraceStatus.OK, TraceStatus.MISS_INNER, TraceStatus.TIR_OUTER} <= set(real[1][1])
+        monkeypatch.setattr(conecal.analysis, "_FIELD_BLOCK_ROWS", 7)
+        monkeypatch.setattr(conecal.analysis, "_CSV_BLOCK_ROWS", 5)
+        traced = count_cover_traces(monkeypatch)
+        small = outputs(tmp_path / "small")
+        assert max(traced) == 7 and sum(traced) == 2 * pixels.shape[0]
+        monkeypatch.setattr(conecal.analysis, "_CSV_BLOCK_ROWS", 3)
+        smaller = outputs(tmp_path / "smaller")
+        for other in (small, smaller):
+            assert other[0] == real[0]
+            for got, want in zip(other[1] + other[2], real[1] + real[2]):
+                assert got.tobytes() == want.tobytes()
+        expected = json.dumps(scatter, indent=2, sort_keys=True) + "\n"
+        assert real[0]["scatter.json"] == expected.encode()
+
+
+def traced_peak(action) -> int:
+    """Peak bytes that ``action()`` allocates on top of what already exists."""
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The diagnostics' outputs are traced and written a block at a time, so
+    four times the rows may not cost four times the memory. What still grows
+    is the field's own result (40 bytes a sample: pixels, deltas, status),
+    a fraction of one block's trace; 1.5x leaves room for that, where a
+    working set that grows with the rows reads close to 4x (1.9x for the
+    field, whose kernel was already built in blocks)."""
+
+    def test_field_and_its_csv(self, scene_zero, tmp_path):
+        # the default config's 8x8 field; strides 40 and 20 sample 5 084 and
+        # 20 336 pixels
+        amps = np.random.default_rng(5).normal(1e-5, 2.5e-6, (8, 8))
+        surface = RbfSurface.flat(scene_zero.surface.patch, (8, 8)).with_amplitudes(amps)
+        scene = scene_zero.with_surface(surface)
+        peaks = {
+            stride: traced_peak(lambda: distortion_field(scene, 1.0, stride)) for stride in (40, 20)
+        }
+        assert peaks[20] < 1.5 * peaks[40]
+        fields = {stride: distortion_field(scene, 1.0, stride) for stride in (40, 20)}
+        assert fields[20].pixels.shape[0] == 4 * fields[40].pixels.shape[0]
+        peaks = {
+            stride: traced_peak(lambda: write_distortion_csv(field, tmp_path / "field.csv"))
+            for stride, field in fields.items()
+        }
+        assert peaks[20] < 1.5 * peaks[40]
+
+    def test_json_of_record_lists(self, tmp_path):
+        records = [{"i": k, "j": 2 * k, "px": 0.1 * k, "status": "ok"} for k in range(200)]
+        # documents shaped like corner_scatter.json: 20 and 80 images
+        docs = {
+            n: {"images": [{"index": k, "corners": records} for k in range(n)]} for n in (20, 80)
+        }
+        path = tmp_path / "out.json"
+        peaks = {n: traced_peak(lambda: write_json(path, doc)) for n, doc in docs.items()}
+        assert peaks[80] < 1.5 * peaks[20]

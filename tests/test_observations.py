@@ -174,13 +174,28 @@ class TestJsonFormat:
             ("image", "index", True, "image index must be an integer"),
             ("board", "corners_per_side", 7.9, "board.corners_per_side must be an integer"),
             ("board", "square_size_m", "0.03", "board.square_size_m must be a number"),
+            ("corner", "px", "820.4", "corner pixels must hold numbers, got str"),
+            ("corner", "py", True, "corner pixels must hold numbers, got bool"),
+            ("corner", "py", None, "corner pixels must hold numbers, got NoneType"),
+            (
+                "pose", "translation_m", ["0.0", False, 0.6],
+                "translation_m must hold numbers, got bool, str",
+            ),
+            ("pose", "rotation_rowmajor", [1, 0, 0, 0, True, 0, 0, 0, 1], "rotation_rowmajor must"),
         ],
-        ids=["fractional-index", "text-index", "bool-index", "fractional-corners", "text-square"],
+        ids=[
+            "fractional-index", "text-index", "bool-index", "fractional-corners", "text-square",
+            "text-px", "bool-py", "null-py", "text-and-bool-translation", "bool-rotation",
+        ],
     )
     def test_coerced_numbers_rejected(self, section, key, value, message):
-        # int() and float() would truncate or parse each of these
+        # int(), float() and np.array(..., dtype=float) would truncate or parse each of these
         doc = observations_to_json_dict(small_set(n_images=1))
-        target = doc["images"][0] if section == "image" else doc["board"]
+        image = doc["images"][0]
+        target = {
+            "image": image, "board": doc["board"], "corner": image["corners"][3],
+            "pose": image["initial_pose"],
+        }[section]
         target[key] = value
         with pytest.raises(DataError, match=f"malformed observations: {message}"):
             observations_from_json_dict(doc)
@@ -337,13 +352,23 @@ class TestWriteJson:
     @pytest.mark.parametrize(
         "obj",
         [np.int64(3), {"a": [np.int64(3)]}, {1, 2}, [{"v": {1}}], RECORDS + [{"i": np.bool_(True),
-         "j": 1, "px": 0.0, "status": "ok"}], {"k": object()}],
+         "j": 1, "px": 0.0, "status": "ok"}], {"k": object()},
+         {"a": [{"b": 1.5}, [2.5]], "images": [{"corners": RECORDS}, {"corners": [np.int64(1)]}]}],
     )
     def test_unencodable_values_raise_type_error(self, tmp_path, obj):
         with pytest.raises(TypeError):
             json.dumps(obj, indent=2, sort_keys=True)
+        # the text is streamed, so the error can come after some of it is written:
+        # no target is left behind, an old one is kept, and no partial file remains
+        path = tmp_path / "out.json"
         with pytest.raises(TypeError):
-            write_json(tmp_path / "out.json", obj)
+            write_json(path, obj)
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("previous\n")
+        with pytest.raises(TypeError):
+            write_json(path, obj)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "previous\n"
 
     @pytest.mark.parametrize("obj", [{1: "a"}, [{1: "a"}, {1: "b"}], {None: 1}])
     def test_non_str_keys_raise_type_error(self, tmp_path, obj):

@@ -146,6 +146,20 @@ class TestSceneParams:
             with pytest.raises(DataError):
                 trace_pixels(scene_zero, np.array(index), pixels)
 
+    def test_pose_arrays_gather_from_one_stack(self, scene_zero):
+        index = np.array([[2, 0, 1], [1, 1, 2]])
+        rotation, translation = scene_zero.pose_arrays(index)
+        for k, i in np.ndenumerate(index):
+            assert rotation[k].tobytes() == scene_zero.poses[i].rotation.tobytes()
+            assert translation[k].tobytes() == scene_zero.poses[i].translation.tobytes()
+        # stacked once, read-only, and kept by a fit's new surfaces
+        stack = scene_zero._pose_stack
+        assert not any(array.flags.writeable for array in stack)
+        moved = scene_zero.with_surface(scene_zero.surface.with_amplitudes(np.ones((4, 4))))
+        assert moved._pose_stack is stack
+        _, first = scene_zero.with_poses(scene_zero.poses[::-1]).pose_arrays(0)
+        assert first.tobytes() == scene_zero.poses[2].translation.tobytes()
+
     @pytest.mark.parametrize("index", [0.0, True], ids=["float", "bool"])
     def test_non_integer_scalar_index_rejected(self, scene_zero, index):
         pixels = np.array([[900.0, 700.0], [1200.0, 1100.0]])
