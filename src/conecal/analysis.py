@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
 from .camera import pinhole_project, pixel_to_ray
 from .errors import DataError
-from .observations import ObservationSet
+from .observations import ObservationSet, _replacing
 from .raytrace import (
     STAGE_NAMES,
     SceneParams,
@@ -44,9 +43,11 @@ def _frontal_deltas(params: SceneParams, pixels: np.ndarray, depth):
     """``(deltas, status)`` of pixels landed on the frontal planes ``z = depth``
     (one depth, or one per row): each landing's pinhole projection minus its
     pixel, NaN where the trace failed, and the trace status; a ray leaving
-    the cover away from its plane is a board-plane miss. The pixels are
-    traced ``_FIELD_BLOCK_ROWS`` at a time."""
+    the cover away from its plane is a board-plane miss; a depth that is not
+    positive and finite is a DataError. Traced ``_FIELD_BLOCK_ROWS`` at a time."""
     depth = np.broadcast_to(depth, pixels.shape[:1])
+    if not np.all((depth > 0.0) & (depth < np.inf)):
+        raise DataError("depth must be positive and finite")
     deltas = np.empty_like(pixels)
     status = np.empty(pixels.shape[0], dtype=np.int64)
     for start in range(0, pixels.shape[0], _FIELD_BLOCK_ROWS):
@@ -72,9 +73,10 @@ def _frontal_block(params: SceneParams, pixels: np.ndarray, depth: np.ndarray):
 
 def _write_csv(path, header: str, rows) -> None:
     """Write ``header`` and the row texts the iterable ``rows`` yields, one
-    line each, ``_CSV_BLOCK_ROWS`` rows per write."""
+    line each, ``_CSV_BLOCK_ROWS`` rows per write, into a file that replaces
+    ``path`` once complete, as :func:`~conecal.observations.write_json` does."""
     rows = iter(rows)
-    with Path(path).open("w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(header + "\n")
         while block := list(islice(rows, _CSV_BLOCK_ROWS)):
             fh.write("\n".join(block) + "\n")
@@ -87,8 +89,6 @@ def distortion_vector(params: SceneParams, pixel, depth: float) -> np.ndarray:
     pinhole projection of the point this pixel really sees, minus the
     pixel itself. Raises a stage-tagged error if the ray fails.
     """
-    if depth <= 0.0:
-        raise DataError("depth must be positive")
     pixel = np.asarray(pixel, dtype=np.float64)
     deltas, status = _frontal_deltas(params, pixel[None, :], float(depth))
     _raise_for_status(int(status[0]))
@@ -114,8 +114,6 @@ def distortion_field(params: SceneParams, depth: float, stride: int = 40) -> Dis
     """
     if stride < 1:
         raise DataError("stride must be a positive pixel count")
-    if depth <= 0.0:
-        raise DataError("depth must be positive")
     xs = np.arange(0.0, params.intrinsics.width, float(stride))
     ys = np.arange(0.0, params.intrinsics.height, float(stride))
     pixels = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -190,8 +188,8 @@ def distortion_vs_inverse_depth(
     that misses a depth plane raises :class:`DataError`.
     """
     lo, hi = float(inv_depth_range[0]), float(inv_depth_range[1])
-    if not 0.0 < lo < hi:
-        raise DataError("inverse depth range must be positive and increasing")
+    if not 0.0 < lo < hi < np.inf or 1.0 / lo == np.inf:
+        raise DataError("inverse depth range must be positive, finite and increasing")
     if n_samples < 2:
         raise DataError("need at least two depth samples")
     pixel = np.asarray(pixel, dtype=np.float64)
@@ -233,14 +231,9 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> d
     Every image's corners are traced in one batch, each row landing on
     its own image's pose.
     """
-    images = observations.images
-    counts = [im.n_corners for im in images]
-    index = np.repeat([im.image_index for im in images], counts)
-    pixels = np.concatenate([im.pixels for im in images])
-    grid_ij = np.concatenate([im.grid_ij for im in images])
-    targets = np.concatenate([im.board_local() for im in images])
-    batch = trace_pixels(params, index, pixels)
-    rho = batch.board_local - targets
+    corners = observations.stacked()
+    batch = trace_pixels(params, corners.image_index, corners.pixels)
+    rho = batch.board_local - corners.targets
     ok = batch.status == TraceStatus.OK
     count = int(np.count_nonzero(ok))
     if count == 0:
@@ -251,25 +244,25 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> d
     sq = np.float_power(rho[ok, 0], 2) + np.float_power(rho[ok, 1], 2)
     total = float(np.cumsum(sq)[-1])
 
-    corners = []
+    records = []
     for (i, j), (px, py), st, (dmx, dmy), err in zip(
-        grid_ij.tolist(),
-        pixels.tolist(),
+        corners.grid_ij.tolist(),
+        corners.pixels.tolist(),
         batch.status.tolist(),
         rho.tolist(),
         np.hypot(rho[:, 0], rho[:, 1]).tolist(),
     ):
         if st != TraceStatus.OK:
             dmx = dmy = err = None
-        corners.append(
+        records.append(
             {"i": i, "j": j, "px": px, "py": py, "status": _STATUS_NAMES[st],
              "dmx_m": dmx, "dmy_m": dmy, "err_m": err}
         )
-    ends = np.cumsum(counts).tolist()
+    offsets = corners.offsets.tolist()
     return {
         "images": [
-            {"index": im.image_index, "corners": corners[end - n : end]}
-            for im, n, end in zip(images, counts, ends)
+            {"index": index, "corners": records[start:stop]}
+            for index, (start, stop) in enumerate(zip(offsets, offsets[1:]))
         ],
         "rmse_cm": float(np.sqrt(total / count) * 100.0),
         "n_corners": count,

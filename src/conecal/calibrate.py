@@ -63,7 +63,6 @@ from .raytrace import (
     _rotvec_matrix,
     _trace_cover,
     _trace_exit,
-    pinhole_raycast,
     trace_pixels,  # unused here; perfbench/tracing.py wraps this name
 )
 
@@ -149,7 +148,7 @@ class RefineResult:
 class _FitBatch:
     """Every image's corners stacked in image order, traced through the cover once.
 
-    Holds per corner the image index, ``grid_ij`` and the board target,
+    Holds the rows of :meth:`ObservationSet.stacked` (minus the pixels),
     plus the pose- and amplitude-independent cover stage. The kernel
     matrix ``K`` at the outer hits is built on first use, image by image,
     and is the only kernel data kept: the field's slope and angular
@@ -158,14 +157,9 @@ class _FitBatch:
     """
 
     def __init__(self, params: SceneParams, observations: ObservationSet):
-        images = observations.images
-        counts = [im.n_corners for im in images]
-        self.n_images = len(images)
-        self.offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.image_index = np.repeat([im.image_index for im in images], counts)
-        self.grid_ij = np.concatenate([im.grid_ij for im in images])
-        self.target = np.concatenate([im.board_local() for im in images])
-        dirs = pixel_to_ray(params.intrinsics, np.concatenate([im.pixels for im in images]))
+        self.image_index, self.grid_ij, pixels, self.target, self.offsets = observations.stacked()
+        self.n_images = observations.n_images
+        dirs = pixel_to_ray(params.intrinsics, pixels)
         self.cover = _trace_cover(params.cone, np.zeros_like(dirs), dirs)
         self._kernel = None
 
@@ -542,26 +536,18 @@ def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineRes
     batch = _fit_batch(params, observations)
     n_outer, _ = _outer_normal_linearization(params.cone, batch.cover.s_outer)
     exit_rays = _trace_exit(params.cone, batch.cover, n_outer)
-    poses = []
-    reports = []
-    for im, start, stop in zip(observations.images, batch.offsets[:-1], batch.offsets[1:]):
+    poses, reports = [], []
+    for index, (start, stop) in enumerate(zip(batch.offsets[:-1], batch.offsets[1:])):
         rows = slice(start, stop)
         left = exit_rays.ok[rows]
         pose, cost0, cost1, n_valid = _refine_image_pose(
-            params.pose(im.image_index),
+            params.pose(index),
             exit_rays.x_outer[rows][left],
             exit_rays.dir_out[rows][left],
             batch.target[rows][left],
         )
         poses.append(pose)
-        reports.append(
-            ImageRefineReport(
-                image_index=im.image_index,
-                initial_cost=cost0,
-                final_cost=cost1,
-                n_valid=n_valid,
-            )
-        )
+        reports.append(ImageRefineReport(index, cost0, cost1, n_valid))
     return RefineResult(params=params.with_poses(poses), reports=tuple(reports))
 
 
@@ -577,13 +563,14 @@ def rmse_cm(params: SceneParams, observations: ObservationSet) -> float:
 
 def pinhole_rmse_cm(params: SceneParams, observations: ObservationSet) -> float:
     """Root-mean-square corner residual ignoring the cover, in cm."""
-    total = 0.0
-    n_active = 0
-    for im in observations.images:
-        local, hit = pinhole_raycast(params.intrinsics, params.pose(im.image_index), im.pixels)
-        rho = local - im.board_local()
-        total += float(np.sum(rho[hit] ** 2))
-        n_active += int(np.count_nonzero(hit))
+    corners = observations.stacked()
+    dirs = pixel_to_ray(params.intrinsics, corners.pixels)
+    _, _, local, hit = _land(*params.pose_arrays(corners.image_index), np.zeros_like(dirs), dirs)
+    sq = (local - corners.targets) ** 2
+    # per image, then over the images: the order that has always fixed the metric's bits
+    offsets = corners.offsets.tolist()
+    total = sum(float(np.sum(sq[a:b][hit[a:b]])) for a, b in zip(offsets, offsets[1:]))
+    n_active = int(np.count_nonzero(hit))
     if n_active == 0:
         raise DataError("no corner reaches the board under the pinhole model")
     return math.sqrt(total / n_active) * 100.0

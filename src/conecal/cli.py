@@ -87,12 +87,7 @@ def _apply_surface_overrides(config: dict, args) -> dict:
 
 
 def _scene_for_observations(config: dict, surface: RbfSurface, observations) -> SceneParams:
-    return SceneParams(
-        intrinsics=intrinsics_from_config(config),
-        cone=cone_from_config(config),
-        surface=surface,
-        poses=observations.initial_poses(),
-    )
+    return observations.scene(intrinsics_from_config(config), cone_from_config(config), surface)
 
 
 # ---------------------------------------------------------------------------

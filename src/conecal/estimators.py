@@ -15,7 +15,7 @@ from .camera import CameraIntrinsics
 from .errors import ConfigurationError, NotFittedError
 from .geometry import ConeGeometry, RbfSurface
 from .observations import ObservationSet
-from .raytrace import SceneParams, TraceStatus, raycast_pixels
+from .raytrace import TraceStatus, raycast_pixels
 
 
 class _ParamsMixin:
@@ -86,12 +86,7 @@ class ConeSurfaceCalibrator(_ParamsMixin):
     def fit(self, observations: ObservationSet) -> "ConeSurfaceCalibrator":
         if not isinstance(observations, ObservationSet):
             raise ConfigurationError("fit expects an ObservationSet")
-        params = SceneParams(
-            intrinsics=self.intrinsics,
-            cone=self.cone,
-            surface=self.surface,
-            poses=observations.initial_poses(),
-        )
+        params = observations.scene(self.intrinsics, self.cone, self.surface)
         result = optimize_amplitudes(params, observations, self._options())
         self.params_ = result.params
         self.surface_ = result.surface
@@ -127,12 +122,7 @@ class BoardPoseRefiner(_ParamsMixin):
     def fit(self, observations: ObservationSet) -> "BoardPoseRefiner":
         if not isinstance(observations, ObservationSet):
             raise ConfigurationError("fit expects an ObservationSet")
-        params = SceneParams(
-            intrinsics=self.intrinsics,
-            cone=self.cone,
-            surface=self.surface,
-            poses=observations.initial_poses(),
-        )
+        params = observations.scene(self.intrinsics, self.cone, self.surface)
         result = refine_poses(params, observations)
         self.params_ = result.params
         self.poses_ = result.params.poses

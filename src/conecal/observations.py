@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .raytrace import BoardPose, _rotvec_matrix
+from .raytrace import BoardPose, SceneParams, _corner_board_coords, _rotvec_matrix
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,9 @@ class ImageObservations:
         return self.initial_pose.corner_board_coords(self.grid_ij)
 
 
+StackedCorners = namedtuple("StackedCorners", "image_index grid_ij pixels targets offsets")
+
+
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
     """All images of one capture session, sharing one board, in index order.
@@ -106,6 +111,26 @@ class ObservationSet:
         """Poses ordered by image index, usable as SceneParams.poses."""
         return tuple(im.initial_pose for im in self.images)
 
+    def scene(self, intrinsics, cone, surface) -> SceneParams:
+        """The scene with every board at its image's initial pose."""
+        return SceneParams(intrinsics, cone, surface, self.initial_poses())
+
+    def stacked(self) -> StackedCorners:
+        """Every image's corners in image order, one row per corner: its image
+        index, 1-based ``grid_ij``, pixel and board-local target (from the
+        set's board), plus ``offsets``, so image ``k`` holds rows
+        ``offsets[k]:offsets[k + 1]``. Built anew on each call, so no arrays
+        stay on the set."""
+        counts = [im.n_corners for im in self.images]
+        grid_ij = np.concatenate([im.grid_ij for im in self.images])
+        return StackedCorners(
+            image_index=np.repeat(np.arange(self.n_images), counts),
+            grid_ij=grid_ij,
+            pixels=np.concatenate([im.pixels for im in self.images]),
+            targets=_corner_board_coords(grid_ij, self.square_size, self.corners_per_side),
+            offsets=np.concatenate([[0], np.cumsum(counts)]),
+        )
+
 
 def _pose_to_json(pose: BoardPose) -> dict:
     return {
@@ -130,11 +155,16 @@ def _pose_from_json(obj: dict, square_size: float, corners_per_side: int) -> Boa
     )
 
 
+def _number_kind(kind: type, number: type) -> bool:
+    """Whether ``kind`` is ``int``, ``number`` or a subclass (a JSON number), not ``bool``."""
+    return issubclass(kind, (int, number)) and not issubclass(kind, bool)
+
+
 def _json_number(value, name: str, kind: type):
     """``value`` as ``kind`` (``float`` or ``int``) if it is a JSON number, an
     integer for ``int``; a bool, a string or a fraction, which ``kind`` would
     accept, raises :class:`ConfigurationError`."""
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+    if not _number_kind(type(value), kind):
         raise ConfigurationError(
             f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
         )
@@ -142,34 +172,29 @@ def _json_number(value, name: str, kind: type):
 
 
 def _json_numbers(values: list, name: str) -> np.ndarray:
-    """A flat list of JSON numbers as float64; a bool, a string or a null,
-    which ``np.array`` would coerce, raises :class:`ConfigurationError`."""
-    kinds = set(map(type, values))
-    if not kinds <= {float, int}:
-        bad = sorted(kind.__name__ for kind in kinds - {float, int})
+    """A flat list of the numbers :func:`_json_number` reads as ``float``, as float64;
+    any other value, which ``np.array`` might coerce, raises :class:`ConfigurationError`."""
+    bad = sorted(kind.__name__ for kind in set(map(type, values)) if not _number_kind(kind, float))
+    if bad:
         raise ConfigurationError(f"{name} must hold numbers, got {', '.join(bad)}")
     return np.array(values, dtype=np.float64)
 
 
 def observations_to_json_dict(obs: ObservationSet) -> dict:
-    images = []
-    for im in obs.images:
-        corners = [
-            {"i": i, "j": j, "px": px, "py": py}
-            for i, j, px, py in zip(
-                im.grid_ij[:, 0].tolist(),
-                im.grid_ij[:, 1].tolist(),
-                im.pixels[:, 0].tolist(),
-                im.pixels[:, 1].tolist(),
-            )
-        ]
-        images.append(
-            {
-                "index": im.image_index,
-                "initial_pose": _pose_to_json(im.initial_pose),
-                "corners": corners,
-            }
-        )
+    corners = obs.stacked()
+    records = [
+        {"i": i, "j": j, "px": px, "py": py}
+        for (i, j), (px, py) in zip(corners.grid_ij.tolist(), corners.pixels.tolist())
+    ]
+    offsets = corners.offsets.tolist()
+    images = [
+        {
+            "index": im.image_index,
+            "initial_pose": _pose_to_json(im.initial_pose),
+            "corners": records[start:stop],
+        }
+        for im, start, stop in zip(obs.images, offsets, offsets[1:])
+    ]
     return {
         "board": {
             "square_size_m": obs.square_size,
@@ -325,18 +350,24 @@ def write_json(path, obj) -> None:
     time instead. The text is written as it is made, one list element or
     dict entry at a time (a list of scalars or of flat records is one
     piece), so its memory does not grow with the document. It goes to a
-    sibling ``<name>.tmp`` file that replaces ``path`` once complete; on an
-    error that file is removed and ``path`` is left as it was. Like
-    ``json``, it raises ``TypeError`` for values it
-    cannot encode (``np.int64``, sets, ...); unlike ``json``, also for
+    sibling ``<name>.tmp`` file that replaces ``path`` once complete
+    (:func:`_replacing`). Like ``json``, it raises ``TypeError`` for values
+    it cannot encode (``np.int64``, sets, ...); unlike ``json``, also for
     non-``str`` dict keys.
     """
-    path = Path(path)
-    partial = path.with_name(path.name + ".tmp")
+    with _replacing(path) as fh:
+        fh.writelines(_json_chunks(obj, ""))
+        fh.write("\n")
+
+
+@contextmanager
+def _replacing(path):
+    """A text file for ``path``'s new contents: a sibling ``<name>.tmp`` that
+    replaces ``path`` when the block completes, and is removed on an error."""
+    partial = Path(f"{path}.tmp")
     try:
-        with partial.open("w") as fh:
-            fh.writelines(_json_chunks(obj, ""))
-            fh.write("\n")
+        with partial.open("w", newline="") as fh:
+            yield fh
     except BaseException:
         partial.unlink(missing_ok=True)
         raise

@@ -143,11 +143,14 @@ class BoardPose:
 
     def corner_board_coords(self, ij=None) -> np.ndarray:
         """Board-local coordinates of corners; all of them when ij is None."""
-        if ij is None:
-            ij = self.corner_indices()
-        ij = np.asarray(ij, dtype=np.float64)
-        mid = (self.corners_per_side + 1) / 2.0
-        return (ij - mid) * self.square_size
+        ij = self.corner_indices() if ij is None else ij
+        return _corner_board_coords(ij, self.square_size, self.corners_per_side)
+
+
+def _corner_board_coords(ij, square_size: float, corners_per_side: int) -> np.ndarray:
+    """Board-local coordinates of 1-based corner indices, placed as :class:`BoardPose` says."""
+    mid = (corners_per_side + 1) / 2.0
+    return (np.asarray(ij, dtype=np.float64) - mid) * square_size
 
 
 _SMALL_ANGLE = 1e-3  # rad; below it the rotation-vector coefficients use their series

@@ -379,6 +379,8 @@ def generate_dataset(
     """
     if n_images < 1:
         raise ConfigurationError("n_images must be at least 1")
+    if seed < 0:
+        raise ConfigurationError("seed must be nonnegative")
     if noise_sigma_px < 0.0:
         raise ConfigurationError("noise_sigma_px must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -390,17 +392,16 @@ def generate_dataset(
     )
     params = SceneParams(intrinsics=intrinsics, cone=cone, surface=surface, poses=poses)
 
-    # every image's corners in one projection, split back per image
-    corner_ij = [pose.corner_indices() for pose in poses]
-    targets = np.concatenate([pose.corner_board_coords(ij) for pose, ij in zip(poses, corner_ij)])
-    counts = [len(ij) for ij in corner_ij]
-    pixels, converged = project_corners(params, np.repeat(np.arange(n_images), counts), targets)
+    # the one board's corners, tiled over the images: one projection, split per image
+    corner_ij = poses[0].corner_indices()
+    targets = np.tile(poses[0].corner_board_coords(corner_ij), (n_images, 1))
+    index = np.repeat(np.arange(n_images), len(corner_ij))
+    pixels, converged = project_corners(params, index, targets)
     inside = converged & _on_sensor(intrinsics, pixels)
-    splits = np.cumsum(counts)[:-1]
 
     images = []
-    for idx, (pose, ij, image_pixels, image_inside) in enumerate(
-        zip(poses, corner_ij, np.split(pixels, splits), np.split(inside, splits))
+    for idx, (pose, image_pixels, image_inside) in enumerate(
+        zip(poses, pixels.reshape(n_images, -1, 2), inside.reshape(n_images, -1))
     ):
         if not np.any(image_inside):
             raise DataError(f"image {idx}: no corner projects inside the sensor")
@@ -411,7 +412,7 @@ def generate_dataset(
             ImageObservations(
                 image_index=idx,
                 initial_pose=pose,
-                grid_ij=ij[image_inside],
+                grid_ij=corner_ij[image_inside],
                 pixels=kept_pixels,
             )
         )

@@ -64,6 +64,10 @@ class TestDistortionVector:
     def test_bad_depth_rejected(self, scene_zero):
         with pytest.raises(DataError):
             distortion_vector(scene_zero, [1640.0, 1232.0], depth=0.0)
+        # a plane at no finite depth: inf gave NaN deltas and nan a board miss
+        for depth in (np.inf, np.nan, -np.inf):
+            with pytest.raises(DataError, match="depth must be positive and finite"):
+                distortion_vector(scene_zero, [1640.0, 1232.0], depth=depth)
 
 
 class TestDistortionField:
@@ -90,6 +94,11 @@ class TestDistortionField:
                 np.testing.assert_allclose(
                     distortion_vector(scene_zero, pixel, 0.9), delta, atol=1e-12
                 )
+
+    @pytest.mark.parametrize("depth", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_depth_rejected(self, scene_zero, depth):
+        with pytest.raises(DataError, match="depth must be positive and finite"):
+            distortion_field(scene_zero, depth=depth, stride=700)
 
     def test_csv_round_trip_and_determinism(self, scene_zero, tmp_path):
         field = distortion_field(scene_zero, depth=1.0, stride=700)
@@ -180,6 +189,22 @@ class TestDepthCurve:
             distortion_vs_inverse_depth(scene_zero, [820.0, 1232.0], inv_depth_range=(2.0, 1.0))
         with pytest.raises(DataError):
             distortion_vs_inverse_depth(scene_zero, [820.0, 1232.0], n_samples=1)
+
+    @pytest.mark.parametrize(
+        "inv_range",
+        [(0.5, np.inf), (np.nan, 2.0), (0.5, np.nan), (np.inf, np.inf), (-np.inf, 2.0)],
+    )
+    def test_non_finite_range_rejected(self, scene_zero, inv_range):
+        # an infinite end once failed as a ray that misses a depth plane
+        with pytest.raises(DataError, match="inverse depth range must be positive, finite"):
+            distortion_vs_inverse_depth(scene_zero, [820.0, 1232.0], inv_depth_range=inv_range)
+
+    def test_depth_past_the_float_range_rejected(self, scene_zero):
+        # a positive, finite inverse depth whose depth overflows to inf
+        with pytest.raises(DataError, match="inverse depth range must be positive, finite"):
+            distortion_vs_inverse_depth(
+                scene_zero, [820.0, 1232.0], inv_depth_range=(1e-310, 1.0), n_samples=3
+            )
 
 
 class TestCornerErrorScatter:
@@ -278,6 +303,39 @@ class TestCornerErrorScatter:
         report = corner_error_scatter(params, single)
         assert report["n_corners"] == 1
         assert report["rmse_cm"].hex() == per_image_corner_scatter(params, single)["rmse_cm"].hex()
+
+
+class TestCsvReplacesItsTarget:
+    """A CSV is streamed into ``<name>.tmp`` and replaces its target only once complete."""
+
+    @staticmethod
+    def failing_rows(n):
+        for k in range(n):
+            yield f"{k},{k}"
+        raise RuntimeError("row source failed")
+
+    def test_failing_rows_leave_no_file(self, tmp_path):
+        # past the first block, so a direct writer would leave header + 4096 rows
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError, match="row source failed"):
+            conecal.analysis._write_csv(path, "a,b", self.failing_rows(5000))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_rows_keep_an_existing_target(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("a,b\nold,row\n")
+        for n in (0, 3, 5000):
+            with pytest.raises(RuntimeError):
+                conecal.analysis._write_csv(path, "a,b", self.failing_rows(n))
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_text() == "a,b\nold,row\n"
+
+    def test_complete_rows_replace_the_target(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("stale\n")
+        conecal.analysis._write_csv(path, "a,b", (f"{k},{k}" for k in range(3)))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"a,b\n0,0\n1,1\n2,2\n"
 
 
 class TestBlocks:

@@ -230,6 +230,13 @@ class TestExitCodes:
 
 
 class TestGenerate:
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "data"
+        assert run(["generate", "--config", config, "--out", out, "--seed", -1]) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert not (out / "observations.json").exists()
+
     def test_writes_observations_and_ground_truth(self, tmp_path, capsys):
         data = generate_small(tmp_path)
         obs = load_observations(data / "observations.json")
@@ -527,6 +534,22 @@ class TestAnalyze:
         _write_depth_curve_csv(tmp_path / "curves.csv", curves)
         depth_curve_csv_writer_form(tmp_path / "curves_ref.csv", curves)
         assert (tmp_path / "curves.csv").read_bytes() == (tmp_path / "curves_ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [("--depth", "inf"), ("--depth", "nan"),
+                                             ("--inv-depth-max", "inf")])
+    def test_non_finite_depth_exits_3(self, tmp_path, capsys, flag, value):
+        data = generate_small(tmp_path)
+        truth = json.loads((data / "ground_truth.json").read_text())
+        config = tmp_path / "truth_config.json"
+        config.write_text(json.dumps(truth["scene_config"]))
+        out = tmp_path / "an"
+        argv = ["analyze", "--config", config, "--observations", data / "observations.json"]
+        assert run(argv + ["--out", out, "--stride", 400, flag, value]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        if flag == "--depth":
+            # rejected before the field is traced or written
+            assert list(out.iterdir()) == []
 
     def test_surface_from_config_amplitudes(self, tmp_path):
         data = generate_small(tmp_path)

@@ -18,6 +18,7 @@ from conecal.observations import (
     save_observations,
     write_json,
 )
+from conecal.raytrace import SceneParams
 from conftest import make_pose
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -120,6 +121,70 @@ class TestContainers:
             ObservationSet(square_size=0.05, corners_per_side=5, images=obs.images)
 
 
+class TestStacked:
+    """The set stacks its own corners and derives their board targets."""
+
+    @staticmethod
+    def uneven_set():
+        # images of 10, 4 and 7 corners, given out of order
+        full = small_set(n_images=3)
+        keep = {0: slice(None), 1: slice(3, 7), 2: slice(1, 8)}
+        images = [
+            ImageObservations(idx, im.initial_pose, im.grid_ij[keep[idx]], im.pixels[keep[idx]])
+            for idx, im in enumerate(full.images)
+        ]
+        return ObservationSet(full.square_size, full.corners_per_side, images[::-1])
+
+    def test_rows_in_image_order(self):
+        obs = self.uneven_set()
+        corners = obs.stacked()
+        assert corners.offsets.tolist() == [0, 10, 14, 21]
+        assert corners.image_index.tolist() == [0] * 10 + [1] * 4 + [2] * 7
+        for name in ("grid_ij", "pixels"):
+            want = np.concatenate([getattr(im, name) for im in obs.images])
+            assert np.array_equal(getattr(corners, name), want)
+
+    def test_targets_are_each_images_board_local_bit_for_bit(self):
+        obs = self.uneven_set()
+        corners = obs.stacked()
+        want = np.concatenate([im.board_local() for im in obs.images])
+        assert corners.targets.dtype == np.float64
+        assert np.array_equal(corners.targets.view(np.int64), want.view(np.int64))
+
+    def test_offsets_split_the_rows_back_into_images(self):
+        obs = self.uneven_set()
+        corners = obs.stacked()
+        bounds = zip(corners.offsets[:-1], corners.offsets[1:])
+        for im, (start, stop) in zip(obs.images, bounds):
+            assert np.all(corners.image_index[start:stop] == im.image_index)
+            assert np.array_equal(corners.grid_ij[start:stop], im.grid_ij)
+            assert np.array_equal(corners.pixels[start:stop], im.pixels)
+            assert np.array_equal(corners.targets[start:stop], im.board_local())
+
+    def test_built_anew_and_not_kept(self):
+        obs = self.uneven_set()
+        before = dict(vars(obs))
+        first, second = obs.stacked(), obs.stacked()
+        assert vars(obs) == before
+        for a, b in zip(first, second):
+            assert a is not b and np.array_equal(a, b)
+
+    def test_scene_equals_a_hand_built_one(self, intrinsics, cone, flat_surface):
+        obs = self.uneven_set()
+        scene = obs.scene(intrinsics, cone, flat_surface)
+        hand = SceneParams(
+            intrinsics=intrinsics,
+            cone=cone,
+            surface=flat_surface,
+            poses=tuple(im.initial_pose for im in obs.images),
+        )
+        assert type(scene) is SceneParams
+        assert scene.intrinsics is hand.intrinsics and scene.cone is hand.cone
+        assert scene.surface is hand.surface
+        assert len(scene.poses) == len(hand.poses) == 3
+        assert all(a is b for a, b in zip(scene.poses, hand.poses))
+
+
 class TestJsonFormat:
     def test_round_trip_is_exact(self, tmp_path):
         obs = small_set()
@@ -199,6 +264,24 @@ class TestJsonFormat:
         target[key] = value
         with pytest.raises(DataError, match=f"malformed observations: {message}"):
             observations_from_json_dict(doc)
+
+    def test_numpy_floats_load_as_plain_floats(self):
+        # every number rule accepts float subclasses, as json would write them
+        plain = observations_to_json_dict(small_set(n_images=2))
+        doc = json.loads(json.dumps(plain))
+        doc["board"]["square_size_m"] = np.float64(doc["board"]["square_size_m"])
+        image = doc["images"][1]
+        image["corners"][3]["px"] = np.float64(image["corners"][3]["px"])
+        pose = image["initial_pose"]
+        pose["translation_m"] = [np.float64(v) for v in pose["translation_m"]]
+        pose["rotation_rowmajor"][4] = np.float64(pose["rotation_rowmajor"][4])
+        loaded = observations_from_json_dict(doc)
+        assert observations_to_json_dict(loaded) == plain
+        # a bool, a string or a null is still no number beside them
+        for bad, name in ((True, "bool"), ("0.5", "str"), (None, "NoneType")):
+            image["corners"][4]["py"] = bad
+            with pytest.raises(DataError, match=f"corner pixels must hold numbers, got {name}"):
+                observations_from_json_dict(doc)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

@@ -411,6 +411,12 @@ class TestGenerateDataset:
         with pytest.raises(ConfigurationError):
             generate_dataset(intrinsics, cone, template, n_images=1, noise_sigma_px=-0.1)
 
+    def test_negative_seed_rejected(self, intrinsics, cone, patch):
+        # numpy's generator would raise a bare ValueError
+        template = RbfSurface.flat(patch, (3, 3))
+        with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+            generate_dataset(intrinsics, cone, template, n_images=1, seed=-1)
+
     def test_one_projection_outside_the_sampler(self, intrinsics, cone, patch, monkeypatch):
         calls = []
         in_sampler = []
