@@ -63,6 +63,7 @@ from .raytrace import (
     _rotvec_matrix,
     _trace_cover,
     _trace_exit,
+    pinhole_raycast,
     trace_pixels,  # unused here; perfbench/tracing.py wraps this name
 )
 
@@ -564,8 +565,7 @@ def rmse_cm(params: SceneParams, observations: ObservationSet) -> float:
 def pinhole_rmse_cm(params: SceneParams, observations: ObservationSet) -> float:
     """Root-mean-square corner residual ignoring the cover, in cm."""
     corners = observations.stacked()
-    dirs = pixel_to_ray(params.intrinsics, corners.pixels)
-    _, _, local, hit = _land(*params.pose_arrays(corners.image_index), np.zeros_like(dirs), dirs)
+    local, hit = pinhole_raycast(params, corners.image_index, corners.pixels)
     sq = (local - corners.targets) ** 2
     # per image, then over the images: the order that has always fixed the metric's bits
     offsets = corners.offsets.tolist()

@@ -321,15 +321,17 @@ def cmd_analyze(args) -> None:
         )
     params = _scene_for_observations(config, surface, observations)
     out = _ensure_out(args)
-
-    field = distortion_field(params, depth=args.depth, stride=args.stride)
-    write_distortion_csv(field, out / "distortion_field.csv")
-
+    # the depth curves are cheap and check the inverse-depth range, and the
+    # field checks its depth and stride before it traces: no output file is
+    # replaced until every argument has passed
     inv_range = (args.inv_depth_min, args.inv_depth_max)
     curves = [
         distortion_vs_inverse_depth(params, pixel, inv_depth_range=inv_range)
         for pixel in DEFAULT_PROBE_PIXELS
     ]
+    field = distortion_field(params, depth=args.depth, stride=args.stride)
+    write_distortion_csv(field, out / "distortion_field.csv")
+
     _write_depth_curve_csv(out / "depth_curves.csv", curves)
     write_json(
         out / "depth_curves.json",

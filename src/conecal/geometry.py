@@ -238,12 +238,18 @@ class RbfSurface:
         return self.grid[0] * self.grid[1]
 
     @cached_property
+    def center_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized center coordinates along each grid axis, ``(c1, c2)``
+        of lengths ``grid``, read-only; the centers are their grid."""
+        axes = tuple(np.full(n, 0.5) if n == 1 else np.arange(n) / (n - 1) for n in self.grid)
+        for axis in axes:
+            axis.flags.writeable = False
+        return axes
+
+    @cached_property
     def centers(self) -> np.ndarray:
         """Normalized center positions, shape (n_centers, 2), row-major."""
-        rows, cols = self.grid
-        c1 = np.full(rows, 0.5) if rows == 1 else np.arange(rows) / (rows - 1)
-        c2 = np.full(cols, 0.5) if cols == 1 else np.arange(cols) / (cols - 1)
-        grid1, grid2 = np.meshgrid(c1, c2, indexing="ij")
+        grid1, grid2 = np.meshgrid(*self.center_axes, indexing="ij")
         centers = np.column_stack([grid1.ravel(), grid2.ravel()])
         centers.flags.writeable = False
         return centers
@@ -269,12 +275,21 @@ def denormalize_coords(patch: RbfPatch, s_norm) -> np.ndarray:
 def rbf_kernel_terms(surface: RbfSurface, s) -> np.ndarray:
     """Per-center kernel values ``K``, shape ``(..., n_centers)``: the only
     kernel matrix, since the field is ``K @ a`` for the flat amplitudes
-    ``a`` and its slopes follow from ``K`` alone (:func:`_field_values`)."""
+    ``a`` and its slopes follow from ``K`` alone (:func:`_field_values`).
+
+    The centers form a grid and the Gaussian is isotropic in normalized
+    coordinates, so ``K[(i, j)] = e1[i] * e2[j]`` with one exponential per
+    center row and one per center column: G1 + G2 exponentials per point
+    in place of G1 * G2. Each point's row depends only on that point.
+    """
     s_norm = normalize_coords(surface.patch, s)
-    centers = surface.centers
-    d1 = centers[:, 0] - s_norm[..., 0, None]
-    d2 = centers[:, 1] - s_norm[..., 1, None]
-    return np.exp(-(d1 * d1 + d2 * d2) / (2.0 * surface.beta))
+    c1, c2 = surface.center_axes
+    d1 = c1 - s_norm[..., 0, None]
+    d2 = c2 - s_norm[..., 1, None]
+    two_beta = 2.0 * surface.beta
+    e1 = np.exp(-(d1 * d1) / two_beta)
+    e2 = np.exp(-(d2 * d2) / two_beta)
+    return (e1[..., :, None] * e2[..., None, :]).reshape(s_norm.shape[:-1] + (surface.n_centers,))
 
 
 def _slope_scale(surface: RbfSurface) -> np.ndarray:

@@ -572,6 +572,14 @@ def trace_pixels(params: SceneParams, image_index, pixels) -> TraceBatch:
     :class:`TraceBatch` includes the board-plane hit. The calibration fit
     runs the same cover, exit and landing stages on all images at once.
     """
+    rotation, translation, dirs = _pixel_rays(params, image_index, pixels)
+    batch = _trace_batch(params.cone, params.surface, np.zeros_like(dirs), dirs)
+    return _land_on_board(batch, rotation, translation)
+
+
+def _pixel_rays(params: SceneParams, image_index, pixels):
+    """``(rotation, translation, dirs)``: the pose of each pixel row's image
+    and its camera ray, for ``image_index`` as in :func:`trace_pixels`."""
     rotation, translation = params.pose_arrays(image_index)
     pixels = np.asarray(pixels, dtype=np.float64)
     if np.ndim(image_index) and np.shape(image_index) != pixels.shape[:-1]:
@@ -579,10 +587,7 @@ def trace_pixels(params: SceneParams, image_index, pixels) -> TraceBatch:
             f"image indices of shape {np.shape(image_index)} do not match "
             f"pixels of shape {pixels.shape}"
         )
-    dirs = pixel_to_ray(params.intrinsics, pixels)
-    origins = np.zeros_like(dirs)
-    batch = _trace_batch(params.cone, params.surface, origins, dirs)
-    return _land_on_board(batch, rotation, translation)
+    return rotation, translation, pixel_to_ray(params.intrinsics, pixels)
 
 
 def raycast_pixels(params: SceneParams, image_index, pixels):
@@ -604,13 +609,12 @@ def raycast(params: SceneParams, image_index: int, pixel) -> np.ndarray:
     return local[0]
 
 
-def pinhole_raycast(intrinsics: CameraIntrinsics, pose: BoardPose, pixels):
+def pinhole_raycast(params: SceneParams, image_index, pixels):
     """Board-local landing points ignoring the cover (straight rays).
 
-    This is the no-distortion reference model; returns
-    ``(board_local, hit mask)``.
+    This is the no-distortion reference model; ``image_index`` is as for
+    :func:`trace_pixels`. Returns ``(board_local, hit mask)``.
     """
-    pixels = np.asarray(pixels, dtype=np.float64)
-    dirs = pixel_to_ray(intrinsics, pixels)
-    _, _, local, hit = _land(pose.rotation, pose.translation, np.zeros_like(dirs), dirs)
+    rotation, translation, dirs = _pixel_rays(params, image_index, pixels)
+    _, _, local, hit = _land(rotation, translation, np.zeros_like(dirs), dirs)
     return local, hit

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from conecal.geometry import cone_point
+from conecal.geometry import cone_point, normalize_coords
 
 
 # --------------------------------------------------------------------------
@@ -107,6 +107,21 @@ def board_solve_local(pose, origin, direction):
     if t <= 1e-12:
         return None
     return np.array([m1, m2])
+
+
+# --------------------------------------------------------------------------
+# Gaussian kernel from the full center differences
+
+
+def difference_kernel_oracle(surface, s):
+    """Kernel matrix ``K``, shape ``(..., n_centers)``, as one exponential
+    per center of the squared distance: ``exp(-(d1² + d2²) / (2 beta))``
+    with ``d`` the center minus the normalized point, not factored per axis."""
+    s_norm = normalize_coords(surface.patch, s)
+    centers = surface.centers
+    d1 = centers[:, 0] - s_norm[..., 0, None]
+    d2 = centers[:, 1] - s_norm[..., 1, None]
+    return np.exp(-(d1 * d1 + d2 * d2) / (2.0 * surface.beta))
 
 
 # --------------------------------------------------------------------------

@@ -551,6 +551,22 @@ class TestAnalyze:
             # rejected before the field is traced or written
             assert list(out.iterdir()) == []
 
+    def test_bad_inverse_depth_range_leaves_the_report_whole(self, tmp_path):
+        data = generate_small(tmp_path)
+        truth = json.loads((data / "ground_truth.json").read_text())
+        config = tmp_path / "truth_config.json"
+        config.write_text(json.dumps(truth["scene_config"]))
+        out = tmp_path / "an"
+        argv = ["analyze", "--config", config, "--observations", data / "observations.json",
+                "--out", out, "--stride", 400]
+        assert run(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 5
+        # another depth, so a field written before the range check would differ
+        for flag, value in (("--inv-depth-max", "inf"), ("--inv-depth-min", "0")):
+            assert run(argv + ["--depth", 0.7, flag, value]) == 3
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before, flag
+
     def test_surface_from_config_amplitudes(self, tmp_path):
         data = generate_small(tmp_path)
         truth = json.loads((data / "ground_truth.json").read_text())

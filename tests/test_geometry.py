@@ -35,6 +35,7 @@ from conecal.geometry import (
     rbf_offset,
 )
 from conftest import count_kernel_calls
+from oracles import difference_kernel_oracle
 
 # Independently computed: four unit-spaced corners at squared distance 0.5
 # from the patch center, so Phi = 4 * 1e-5 * exp(-0.5 / (2 * 0.125)).
@@ -212,18 +213,48 @@ class TestRbfOffset:
         assert rbf_offset(surface, np.array([0.01, 0.0])) == 0.0
 
 
+class TestRbfKernelTerms:
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 5), (5, 1), (4, 5), (10, 10)])
+    @pytest.mark.parametrize("beta", [None, 0.02, 0.3])
+    @pytest.mark.parametrize("shape", [(2,), (40, 2), (3, 5, 2), (0, 2)])
+    def test_matches_the_difference_oracle(self, patch, grid, beta, shape):
+        """The per-axis factored K equals one exponential per center within
+        1e-15 absolute (K <= 1), inside the patch and up to half a patch
+        beyond it, and each row equals the same point's K alone bit for bit."""
+        rng = np.random.default_rng(61)
+        surface = RbfSurface.flat(patch, grid, beta=beta)
+        n = int(np.prod(shape[:-1]))
+        s = denormalize_coords(patch, rng.uniform(-0.5, 1.5, (n, 2))).reshape(shape)
+        k = rbf_kernel_terms(surface, s)
+        want = difference_kernel_oracle(surface, s)
+        assert k.shape == shape[:-1] + (surface.n_centers,)
+        np.testing.assert_allclose(k, want, rtol=0.0, atol=1e-15)
+        rows = s.reshape(-1, 2)
+        for i in range(min(n, 5)):
+            assert np.array_equal(rbf_kernel_terms(surface, rows[i]), k.reshape(n, -1)[i])
+
+
 class TestFieldValuesFromKernel:
     def test_match_the_three_kernel_matrices(self, patch):
-        """K equals the (n, C, 2) difference-tensor formula bit for bit, and
-        the fields and their adjoint built from K alone, with and without a
+        """K equals the outer product of per-axis exponentials bit for bit
+        and the (n, C, 2) difference-tensor formula within 1e-15, and the
+        fields and their adjoint built from K alone, with and without a
         kernel callable, equal the contractions with K and the derivative
         matrices dK/ds_d = K (c_d - s_d) / (beta span_d)."""
         rng = np.random.default_rng(43)
         surface = RbfSurface.flat(patch, (4, 5)).with_amplitudes(rng.normal(0.0, 1e-5, (4, 5)))
         s = np.column_stack([rng.uniform(0.025, 0.055, 30), rng.uniform(-0.4, 0.4, 30)])
         k = rbf_kernel_terms(surface, s)
+        s_norm = normalize_coords(patch, s)
+        d1 = np.arange(4) / 3 - s_norm[:, 0, None]
+        d2 = np.arange(5) / 4 - s_norm[:, 1, None]
+        e1 = np.exp(-(d1 * d1) / (2.0 * surface.beta))
+        e2 = np.exp(-(d2 * d2) / (2.0 * surface.beta))
+        np.testing.assert_array_equal(k, np.einsum("ni,nj->nij", e1, e2).reshape(30, 20))
         diff = surface.centers - normalize_coords(patch, s)[:, None, :]
-        np.testing.assert_array_equal(k, np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * surface.beta)))
+        np.testing.assert_allclose(
+            k, np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * surface.beta)), rtol=0.0, atol=1e-15
+        )
         scale = surface.beta * patch.spans
         terms = [k, k * diff[..., 0] / scale[0], k * diff[..., 1] / scale[1]]
         fields = [np.sum(t * surface.flat_amplitudes, axis=-1) for t in terms]

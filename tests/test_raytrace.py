@@ -570,9 +570,23 @@ class TestRaycast:
     def test_pinhole_raycast_is_straight(self, scene_zero):
         rng = np.random.default_rng(53)
         pixels = self.sample_pixels(scene_zero.intrinsics, rng, 20)
-        local, hit = pinhole_raycast(scene_zero.intrinsics, scene_zero.poses[0], pixels)
+        local, hit = pinhole_raycast(scene_zero, 0, pixels)
         assert np.all(hit)
         dirs = pixel_to_ray(scene_zero.intrinsics, pixels)
         for d, row in zip(dirs, local):
             expected = board_solve_local(scene_zero.poses[0], np.zeros(3), d)
             np.testing.assert_allclose(row, expected, atol=1e-10)
+
+    def test_pinhole_raycast_index_per_row_matches_per_image_calls(self, scene_zero):
+        rng = np.random.default_rng(71)
+        pixels = self.sample_pixels(scene_zero.intrinsics, rng, 30)
+        image_index = rng.integers(0, len(scene_zero.poses), 30)
+        local, hit = pinhole_raycast(scene_zero, image_index, pixels)
+        assert np.all(hit)
+        for k in range(len(scene_zero.poses)):
+            rows = image_index == k
+            want_local, want_hit = pinhole_raycast(scene_zero, k, pixels[rows])
+            assert np.array_equal(local[rows], want_local)
+            assert np.array_equal(hit[rows], want_hit)
+        with pytest.raises(DataError):
+            pinhole_raycast(scene_zero, image_index[:-1], pixels)

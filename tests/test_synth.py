@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conecal import synth
+from conecal import geometry, synth
 from conecal.errors import ConfigurationError, DataError
 from conecal.geometry import RbfSurface
-from conecal.raytrace import BoardPose, SceneParams, TraceStatus, raycast_pixels
+from conecal.raytrace import BoardPose, SceneParams, TraceStatus, raycast_pixels, trace_pixels
 from conecal.synth import (
     AmplitudeDistribution,
     GeneratedDataset,
@@ -19,6 +19,7 @@ from conecal.synth import (
     sample_surface,
 )
 from oracles import (
+    difference_kernel_oracle,
     gauss_newton_project_every_row,
     grid_search_project,
     sample_pose_projecting_every_candidate,
@@ -276,6 +277,34 @@ class TestProjectCorners:
         local, status = raycast_pixels(scene_zero, 0, pixel[None, :])
         assert status[0] == TraceStatus.OK
         np.testing.assert_allclose(local[0], [0.03, -0.06], atol=1e-9)
+
+    def test_factored_kernel_moves_only_last_bits(self, scene_zero, monkeypatch):
+        """Traces and projections under a 10x10 field with the per-axis
+        factored kernel agree with those under one exponential per center:
+        landings within 1e-14 m (a few ulps of board coordinates) and
+        projected pixels within 1e-9 px, far inside the projection's 1e-9 m
+        tolerance (~4e-6 px at these depths); statuses agree exactly."""
+        rng = np.random.default_rng(67)
+        surface = RbfSurface.flat(scene_zero.surface.patch, (10, 10))
+        params = scene_zero.with_surface(surface.with_amplitudes(rng.normal(1e-5, 2.5e-6, (10, 10))))
+        width, height = params.intrinsics.width, params.intrinsics.height
+        pixels = rng.uniform(0.0, 1.0, (2000, 2)) * [width, height]
+        image_index = rng.integers(0, len(params.poses), 2000)
+        targets = np.concatenate([pose.corner_board_coords() for pose in params.poses])
+        target_index = np.repeat(np.arange(len(params.poses)), targets.shape[0] // len(params.poses))
+
+        def run():
+            return trace_pixels(params, image_index, pixels), project_corners(params, target_index, targets)
+
+        factored, (projected, converged) = run()
+        monkeypatch.setattr(geometry, "rbf_kernel_terms", difference_kernel_oracle)
+        oracle, (oracle_projected, oracle_converged) = run()
+        ok = factored.status == TraceStatus.OK
+        assert np.count_nonzero(ok) > 1000
+        assert np.array_equal(factored.status, oracle.status)
+        assert np.max(np.abs(factored.board_local[ok] - oracle.board_local[ok])) <= 1e-14
+        assert np.all(converged) and np.array_equal(converged, oracle_converged)
+        assert np.max(np.abs(projected - oracle_projected)) <= 1e-9
 
     def test_behind_camera_rejected(self, scene_zero, poses):
         import dataclasses
