@@ -85,15 +85,13 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.step_count < 1:
             raise ConfigurationError("step_count must be at least 1")
-        if self.learning_rate <= 0.0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.tolerance < 0.0:
-            raise ConfigurationError("tolerance must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigurationError("learning_rate must be positive and finite")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise ConfigurationError("tolerance must be nonnegative and finite")
 
     def rate_at(self, step_index: int) -> float:
         """Learning rate for 0-based step ``step_index``."""
-        if self.step_count <= 1:
-            return self.learning_rate
         frac = step_index / self.step_count
         return self.learning_rate * 0.5 * (1.0 + math.cos(math.pi * frac))
 

@@ -243,6 +243,7 @@ def _print_rmse_table(rmse_initial: float, rmse_final: float) -> None:
 
 def cmd_calibrate(args) -> None:
     config = _apply_surface_overrides(load_config(args.config), args)
+    options = OptimizerOptions(step_count=args.steps, learning_rate=args.rate)
     observations = load_observations(args.observations)
     start_surface = surface_from_config(config)
     params = _scene_for_observations(config, start_surface, observations)
@@ -253,7 +254,6 @@ def cmd_calibrate(args) -> None:
     zero = RbfSurface.flat(start_surface.patch, start_surface.grid, beta=start_surface.beta)
     rmse_initial = pinhole_rmse_cm(params, observations)
     rmse_cone_only = rmse_cm(params.with_surface(zero), observations)
-    options = OptimizerOptions(step_count=args.steps, learning_rate=args.rate)
 
     out = _ensure_out(args)
     try:

@@ -58,7 +58,7 @@ import numpy as np
 from .camera import CameraIntrinsics
 from .errors import ConfigurationError
 from .geometry import ConeGeometry, RbfPatch, RbfSurface
-from .observations import _json_number
+from .observations import _check_board, _json_number
 from .synth import AmplitudeDistribution, PoseSampler
 
 _DEFAULTS: dict = {
@@ -272,10 +272,7 @@ def board_from_config(config: dict) -> tuple[float, int]:
     section = config["board"]
     square = _number(section, "square_size_m", "board")
     corners = _integer(section, "corners_per_side", "board")
-    if square <= 0.0:
-        raise ConfigurationError("config key board.square_size_m must be positive")
-    if corners < 2:
-        raise ConfigurationError("config key board.corners_per_side must be at least 2")
+    _check_board(square, corners)
     return square, corners
 
 

@@ -2,10 +2,11 @@
 
 An observation set couples the board dimensions with, per image, an
 initial pose estimate and the detected corner pixels keyed by 1-based
-grid indices ``(i, j)``. Corner pixel positions may fall outside the
-sensor bounds (detection noise); grid indices must be unique and in
-range. Image indices must form a dense ``0..n-1`` sequence so they can
-double as pose indices.
+grid indices ``(i, j)``. The set alone holds the board: a pose is only a
+rigid transform, and the set checks every image's grid indices against
+its board, unique and in range. Corner pixel positions may fall outside
+the sensor bounds (detection noise). Image indices must form a dense
+``0..n-1`` sequence so they can double as pose indices.
 """
 
 from __future__ import annotations
@@ -21,7 +22,39 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .raytrace import BoardPose, SceneParams, _corner_board_coords, _rotvec_matrix
+from .raytrace import BoardPose, SceneParams, _rotvec_matrix
+
+
+def _check_board(square_size: float, corners_per_side: int) -> None:
+    """Raise :class:`ConfigurationError` unless the board has a positive,
+    finite square size and at least 2 corners per side."""
+    if not (np.isfinite(square_size) and square_size > 0.0):
+        raise ConfigurationError(
+            f"board.square_size_m must be positive and finite, got {square_size!r}"
+        )
+    if corners_per_side < 2:
+        raise ConfigurationError(
+            f"board.corners_per_side must be at least 2, got {corners_per_side!r}"
+        )
+
+
+def _board_corners(square_size: float, corners_per_side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every corner of the board, after :func:`_check_board`: the 1-based
+    ``(i, j)`` indices, row-major, shape (n^2, 2), and their board-local
+    coordinates."""
+    _check_board(square_size, corners_per_side)
+    n = corners_per_side
+    i, j = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
+    ij = np.column_stack([i.ravel(), j.ravel()])
+    return ij, _corner_board_coords(ij, square_size, n)
+
+
+def _corner_board_coords(ij, square_size: float, corners_per_side: int) -> np.ndarray:
+    """Board-local coordinates of 1-based corner indices: corner ``(i, j)`` of
+    an ``n``-per-side grid sits at ``((i - (n+1)/2) * square_size,
+    (j - (n+1)/2) * square_size)``, so the board's center is its origin."""
+    mid = (corners_per_side + 1) / 2.0
+    return (np.asarray(ij, dtype=np.float64) - mid) * square_size
 
 
 @dataclass(frozen=True)
@@ -45,11 +78,6 @@ class ImageObservations:
         ):
             raise DataError(f"image {self.image_index} has non-integer corner indices")
         ij = ij.astype(np.int64)
-        n = self.initial_pose.corners_per_side
-        if np.any(ij < 1) or np.any(ij > n):
-            raise DataError(f"corner indices must lie in [1, {n}]")
-        if np.unique(ij[:, 0] * (n + 1) + ij[:, 1]).size != ij.shape[0]:
-            raise DataError(f"image {self.image_index} has duplicate corner indices")
         if not np.all(np.isfinite(px)):
             raise DataError(f"image {self.image_index} has non-finite pixel positions")
         ij.flags.writeable = False
@@ -62,10 +90,6 @@ class ImageObservations:
     def n_corners(self) -> int:
         return self.grid_ij.shape[0]
 
-    def board_local(self) -> np.ndarray:
-        """Board-frame planar coordinates of the observed corners, (M, 2)."""
-        return self.initial_pose.corner_board_coords(self.grid_ij)
-
 
 StackedCorners = namedtuple("StackedCorners", "image_index grid_ij pixels targets offsets")
 
@@ -73,7 +97,8 @@ StackedCorners = namedtuple("StackedCorners", "image_index grid_ij pixels target
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
     """All images of one capture session, sharing one board, in index order.
-    Compared and hashed by identity, so the fit can key its batch on a set."""
+    The set checks the board once and every image's grid indices against
+    it. Compared and hashed by identity, so the fit can key its batch on a set."""
 
     square_size: float
     corners_per_side: int
@@ -87,12 +112,14 @@ class ObservationSet:
             raise DataError("observation set has no images")
         if [im.image_index for im in images] != list(range(len(images))):
             raise DataError("image indices must be unique and dense from 0")
+        n = self.corners_per_side
+        _check_board(self.square_size, n)
         for im in images:
-            if (
-                im.initial_pose.square_size != self.square_size
-                or im.initial_pose.corners_per_side != self.corners_per_side
-            ):
-                raise DataError("image pose board dimensions disagree with the set")
+            ij = im.grid_ij
+            if np.any(ij < 1) or np.any(ij > n):
+                raise DataError(f"corner indices must lie in [1, {n}]")
+            if np.unique(ij[:, 0] * (n + 1) + ij[:, 1]).size != ij.shape[0]:
+                raise DataError(f"image {im.image_index} has duplicate corner indices")
 
     @property
     def n_images(self) -> int:
@@ -139,7 +166,7 @@ def _pose_to_json(pose: BoardPose) -> dict:
     }
 
 
-def _pose_from_json(obj: dict, square_size: float, corners_per_side: int) -> BoardPose:
+def _pose_from_json(obj: dict) -> BoardPose:
     if "rotation_rowmajor" in obj:
         rot = _json_numbers(obj["rotation_rowmajor"], "rotation_rowmajor").reshape(3, 3)
     elif "rotation_axis_angle_rad" in obj:
@@ -147,12 +174,7 @@ def _pose_from_json(obj: dict, square_size: float, corners_per_side: int) -> Boa
         rot = _rotvec_matrix(rotvec)
     else:
         raise DataError("pose needs rotation_rowmajor or rotation_axis_angle_rad")
-    return BoardPose(
-        rotation=rot,
-        translation=_json_numbers(obj["translation_m"], "translation_m"),
-        square_size=square_size,
-        corners_per_side=corners_per_side,
-    )
+    return BoardPose(rotation=rot, translation=_json_numbers(obj["translation_m"], "translation_m"))
 
 
 def _number_kind(kind: type, number: type) -> bool:
@@ -161,23 +183,31 @@ def _number_kind(kind: type, number: type) -> bool:
 
 
 def _json_number(value, name: str, kind: type):
-    """``value`` as ``kind`` (``float`` or ``int``) if it is a JSON number, an
-    integer for ``int``; a bool, a string or a fraction, which ``kind`` would
-    accept, raises :class:`ConfigurationError`."""
+    """``value`` as ``kind`` (``float`` or ``int``) if it is a finite JSON
+    number, an integer for ``int``; a bool, a string or a fraction, which
+    ``kind`` would accept, and NaN or an infinity, which ``json`` parses,
+    raise :class:`ConfigurationError`."""
     if not _number_kind(type(value), kind):
         raise ConfigurationError(
             f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
         )
-    return kind(value)
+    value = kind(value)
+    if kind is float and not np.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _json_numbers(values: list, name: str) -> np.ndarray:
     """A flat list of the numbers :func:`_json_number` reads as ``float``, as float64;
-    any other value, which ``np.array`` might coerce, raises :class:`ConfigurationError`."""
+    any other value, which ``np.array`` might coerce, and NaN or an infinity
+    raise :class:`ConfigurationError`."""
     bad = sorted(kind.__name__ for kind in set(map(type, values)) if not _number_kind(kind, float))
     if bad:
         raise ConfigurationError(f"{name} must hold numbers, got {', '.join(bad)}")
-    return np.array(values, dtype=np.float64)
+    array = np.array(values, dtype=np.float64)
+    if not np.all(np.isfinite(array)):
+        raise ConfigurationError(f"{name} must hold finite numbers")
+    return array
 
 
 def observations_to_json_dict(obs: ObservationSet) -> dict:
@@ -211,17 +241,17 @@ def observations_from_json_dict(data: dict) -> ObservationSet:
         corners_per_side = _json_number(board["corners_per_side"], "board.corners_per_side", int)
         images = []
         for im in data["images"]:
-            pose = _pose_from_json(im["initial_pose"], square, corners_per_side)
+            pose = _pose_from_json(im["initial_pose"])
             corners = im["corners"]
             ij = np.array([[c["i"], c["j"]] for c in corners])
             px = _json_numbers([v for c in corners for v in (c["px"], c["py"])], "corner pixels")
             px = px.reshape(-1, 2)
             index = _json_number(im["index"], "image index", int)
             images.append(ImageObservations(index, pose, ij, px))
+        return ObservationSet(square, corners_per_side, tuple(images))
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-        # a pose or board that BoardPose rejects is bad data in this file
+        # a pose or board that BoardPose or the set rejects is bad data in this file
         raise DataError(f"malformed observations: {exc}") from exc
-    return ObservationSet(square_size=square, corners_per_side=corners_per_side, images=tuple(images))
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -101,14 +101,12 @@ class BoardPose:
 
     Columns of ``rotation`` are the board's x-axis, y-axis and plane
     normal expressed in camera coordinates; ``translation`` is the board
-    center. Corner ``(i, j)`` (1-based) sits at board-local
-    ``((i - (n+1)/2) * square_size, (j - (n+1)/2) * square_size)``.
+    center. The board itself, its square size and corner grid, belongs to
+    the observation set (:mod:`conecal.observations`).
     """
 
     rotation: np.ndarray
     translation: np.ndarray
-    square_size: float
-    corners_per_side: int
 
     def __post_init__(self):
         rot = np.array(self.rotation, dtype=np.float64)
@@ -117,15 +115,10 @@ class BoardPose:
             raise ConfigurationError("pose needs a 3x3 rotation and a 3-vector translation")
         if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9) or np.linalg.det(rot) < 0.0:
             raise ConfigurationError("rotation must be orthonormal with determinant +1")
-        if self.square_size <= 0.0:
-            raise ConfigurationError("square_size must be positive")
-        if self.corners_per_side < 2:
-            raise ConfigurationError("corners_per_side must be at least 2")
         rot.flags.writeable = False
         trans.flags.writeable = False
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
-        object.__setattr__(self, "corners_per_side", int(self.corners_per_side))
 
     @property
     def normal(self) -> np.ndarray:
@@ -134,23 +127,6 @@ class BoardPose:
     def board_to_world(self, xy) -> np.ndarray:
         """Camera-frame position of board-local planar coordinates."""
         return _board_to_world(self.rotation, self.translation, xy)
-
-    def corner_indices(self) -> np.ndarray:
-        """All (i, j) corner indices, 1-based, row-major, shape (n^2, 2)."""
-        n = self.corners_per_side
-        i, j = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
-        return np.column_stack([i.ravel(), j.ravel()])
-
-    def corner_board_coords(self, ij=None) -> np.ndarray:
-        """Board-local coordinates of corners; all of them when ij is None."""
-        ij = self.corner_indices() if ij is None else ij
-        return _corner_board_coords(ij, self.square_size, self.corners_per_side)
-
-
-def _corner_board_coords(ij, square_size: float, corners_per_side: int) -> np.ndarray:
-    """Board-local coordinates of 1-based corner indices, placed as :class:`BoardPose` says."""
-    mid = (corners_per_side + 1) / 2.0
-    return (np.asarray(ij, dtype=np.float64) - mid) * square_size
 
 
 _SMALL_ANGLE = 1e-3  # rad; below it the rotation-vector coefficients use their series

@@ -21,7 +21,7 @@ import numpy as np
 from .camera import CameraIntrinsics, pinhole_project, pixel_to_ray
 from .errors import ConfigurationError, DataError
 from .geometry import ConeGeometry, RbfSurface
-from .observations import ImageObservations, ObservationSet
+from .observations import ImageObservations, ObservationSet, _board_corners
 from .raytrace import (
     _OK,
     BoardPose,
@@ -94,6 +94,8 @@ class PoseSampler:
         square_size: float,
         corners_per_side: int,
     ) -> BoardPose:
+        _, targets = _board_corners(square_size, corners_per_side)
+        half = 0.5 * (corners_per_side - 1) * square_size
         zero = RbfSurface.flat(surface.patch, surface.grid, beta=surface.beta)
         half_fov_x = (intrinsics.width / 2.0) / intrinsics.fx
         half_fov_y = (intrinsics.height / 2.0) / intrinsics.fy
@@ -104,17 +106,12 @@ class PoseSampler:
             rot = _rotation_zyx(angles)
             dx = rng.uniform(-1.0, 1.0) * self.lateral_margin * depth * half_fov_x
             dy = rng.uniform(-1.0, 1.0) * self.lateral_margin * depth * half_fov_y
-            pose = BoardPose(
-                rotation=rot,
-                translation=np.array([dx, dy, depth]),
-                square_size=square_size,
-                corners_per_side=corners_per_side,
-            )
-            if outline is not None and _outline_rejects(outline, pose):
+            pose = BoardPose(rotation=rot, translation=np.array([dx, dy, depth]))
+            if outline is not None and _outline_rejects(outline, pose, half):
                 continue
             params = SceneParams(intrinsics=intrinsics, cone=cone, surface=zero, poses=(pose,))
             try:
-                pixels, converged = project_corners(params, 0, pose.corner_board_coords())
+                pixels, converged = project_corners(params, 0, targets)
             except DataError:
                 continue
             if not np.all(converged):
@@ -179,9 +176,10 @@ def _landed_outline(outline, pose: BoardPose):
     return local if np.all(hit) else None
 
 
-def _outline_rejects(outline, pose: BoardPose) -> bool:
-    """Whether one of the grid's four extreme corners lies farther than the
-    margin outside the sensor outline landed on the pose's board plane.
+def _outline_rejects(outline, pose: BoardPose, half: float) -> bool:
+    """Whether one of the grid's four extreme corners, ``half`` (meters) from
+    the board's center along each axis, lies farther than the margin outside
+    the sensor outline landed on the pose's board plane.
 
     False when an outline ray misses the plane: only the projection decides
     then.
@@ -189,7 +187,6 @@ def _outline_rejects(outline, pose: BoardPose) -> bool:
     polygon = _landed_outline(outline, pose)
     if polygon is None:
         return False
-    half = 0.5 * (pose.corners_per_side - 1) * pose.square_size
     extremes = half * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     margin = _OUTLINE_MARGIN_PER_DEPTH * pose.translation[2]
     return bool(np.any(_distance_outside(polygon, extremes) > margin))
@@ -393,8 +390,8 @@ def generate_dataset(
     params = SceneParams(intrinsics=intrinsics, cone=cone, surface=surface, poses=poses)
 
     # the one board's corners, tiled over the images: one projection, split per image
-    corner_ij = poses[0].corner_indices()
-    targets = np.tile(poses[0].corner_board_coords(corner_ij), (n_images, 1))
+    corner_ij, targets = _board_corners(square_size, corners_per_side)
+    targets = np.tile(targets, (n_images, 1))
     index = np.repeat(np.arange(n_images), len(corner_ij))
     pixels, converged = project_corners(params, index, targets)
     inside = converged & _on_sensor(intrinsics, pixels)

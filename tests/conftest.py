@@ -44,8 +44,6 @@ def make_pose(
     dx: float = 0.0,
     dy: float = 0.0,
     rot_deg: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    square_size: float = 0.03,
-    corners_per_side: int = 7,
 ) -> BoardPose:
     """Board pose helper: translation plus per-axis rotation in degrees."""
     rx, ry, rz = np.radians(rot_deg)
@@ -55,12 +53,7 @@ def make_pose(
     mx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
     my = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
     mz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-    return BoardPose(
-        rotation=mz @ my @ mx,
-        translation=np.array([dx, dy, depth]),
-        square_size=square_size,
-        corners_per_side=corners_per_side,
-    )
+    return BoardPose(rotation=mz @ my @ mx, translation=np.array([dx, dy, depth]))
 
 
 def count_kernel_calls(monkeypatch):

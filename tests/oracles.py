@@ -15,6 +15,25 @@ from conecal.geometry import cone_point, normalize_coords
 
 
 # --------------------------------------------------------------------------
+# board-local corner targets
+
+
+def board_targets(ij, square_size, corners_per_side):
+    """Board-local coordinates of 1-based corner indices ``ij`` (..., 2): the
+    grid's middle corner (or the midpoint between the two middle ones) is the
+    origin, and neighbours are ``square_size`` apart along each axis."""
+    ij = np.asarray(ij, dtype=np.float64)
+    return (ij - (corners_per_side + 1) / 2.0) * square_size
+
+
+def board_grid_targets(square_size, corners_per_side):
+    """:func:`board_targets` of every corner, row-major: (1, 1), (1, 2), ..."""
+    n = corners_per_side
+    ij = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return board_targets(ij, square_size, corners_per_side)
+
+
+# --------------------------------------------------------------------------
 # Snell refraction via explicit angles
 
 
@@ -335,7 +354,8 @@ def per_image_corner_scatter(params, observations):
     count = 0
     for im in observations.images:
         batch = trace_pixels(params, im.image_index, im.pixels)
-        rho = batch.board_local - im.board_local()
+        targets = board_targets(im.grid_ij, observations.square_size, observations.corners_per_side)
+        rho = batch.board_local - targets
         corners = []
         for k in range(im.n_corners):
             st = TraceStatus(batch.status[k])
@@ -393,7 +413,8 @@ def refine_poses_finite_difference(params, observations):
     for im in observations.images:
         batch = trace_pixels(zero, im.image_index, im.pixels)
         left = (batch.status == TraceStatus.OK) | (batch.status == TraceStatus.MISS_BOARD)
-        x_o, r_o, x_cb = batch.x_outer[left], batch.dir_out[left], im.board_local()[left]
+        targets = board_targets(im.grid_ij, observations.square_size, observations.corners_per_side)
+        x_o, r_o, x_cb = batch.x_outer[left], batch.dir_out[left], targets[left]
         pose0 = params.pose(im.image_index)
         if not np.any(left):
             results.append((pose0, 0.0, 0.0, 0))
@@ -477,6 +498,7 @@ def sample_pose_projecting_every_candidate(
     zero = RbfSurface.flat(surface.patch, surface.grid, beta=surface.beta)
     half_fov_x = (intrinsics.width / 2.0) / intrinsics.fx
     half_fov_y = (intrinsics.height / 2.0) / intrinsics.fy
+    targets = board_grid_targets(square_size, corners_per_side)
     for _ in range(sampler.max_attempts):
         depth = rng.uniform(*sampler.depth_range)
         angles = np.radians(
@@ -484,15 +506,10 @@ def sample_pose_projecting_every_candidate(
         )
         dx = rng.uniform(-1.0, 1.0) * sampler.lateral_margin * depth * half_fov_x
         dy = rng.uniform(-1.0, 1.0) * sampler.lateral_margin * depth * half_fov_y
-        pose = BoardPose(
-            rotation=_rotation_zyx(angles),
-            translation=np.array([dx, dy, depth]),
-            square_size=square_size,
-            corners_per_side=corners_per_side,
-        )
+        pose = BoardPose(rotation=_rotation_zyx(angles), translation=np.array([dx, dy, depth]))
         params = SceneParams(intrinsics=intrinsics, cone=cone, surface=zero, poses=(pose,))
         try:
-            pixels, converged = project_corners(params, 0, pose.corner_board_coords())
+            pixels, converged = project_corners(params, 0, targets)
         except DataError:
             continue
         if np.all(converged) and np.all(_on_sensor(intrinsics, pixels)):

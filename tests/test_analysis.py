@@ -25,7 +25,7 @@ from conecal.geometry import RbfSurface
 from conecal.observations import write_json
 from conecal.raytrace import STAGE_NAMES, TraceStatus
 from conftest import count_cover_traces
-from oracles import per_image_corner_scatter
+from oracles import board_targets, per_image_corner_scatter
 
 
 def consistent_obs(scene):
@@ -277,13 +277,13 @@ class TestCornerErrorScatter:
         from test_calibrate import scene_with_failures
 
         params, obs = scene_with_failures(np.random.default_rng(150))
-        pose = obs.images[0].initial_pose
         gx, gy = np.meshgrid(np.arange(700.0, 2600.0, 50.0), np.arange(600.0, 1900.0, 50.0))
         pixels = np.column_stack([gx.ravel(), gy.ravel()])
         batch = trace_pixels(params, 0, pixels)
         pixels = pixels[batch.ok]
         ij = np.array([(i, j) for i in range(1, 10) for j in range(1, 10)])
-        rho = batch.board_local[batch.ok][:, None, :] - pose.corner_board_coords(ij)[None]
+        targets = board_targets(ij, obs.square_size, obs.corners_per_side)
+        rho = batch.board_local[batch.ok][:, None, :] - targets[None]
         by_pow = np.float_power(rho[..., 0], 2) + np.float_power(rho[..., 1], 2)
         by_product = rho[..., 0] * rho[..., 0] + rho[..., 1] * rho[..., 1]
         k, t = np.argwhere(np.sqrt(by_pow) * 100.0 != np.sqrt(by_product) * 100.0)[0]

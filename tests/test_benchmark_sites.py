@@ -7,6 +7,7 @@ is parsed here, not imported or executed.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import json
@@ -29,15 +30,40 @@ KNOWN_DEAD = {
 }
 
 
-def wrapped_sites():
-    """``(module, attribute path)`` of every entry of ``tracing.WRAPPED``."""
+def wrapped_entries():
+    """The parsed ``tracing.py`` and the entries of its ``WRAPPED``, as ast tuples."""
     tree = ast.parse(TRACING.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "WRAPPED" for target in node.targets
         ):
-            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+            return tree, node.value.elts
     raise AssertionError("perfbench/tracing.py defines no WRAPPED")
+
+
+def wrapped_sites():
+    """``(module, attribute path)`` of every entry of ``tracing.WRAPPED``."""
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in wrapped_entries()[1]]
+
+
+def positional_reads(tree, hook):
+    """``(index, name)`` of every argument a ``WRAPPED`` pre hook reads with
+    ``_arg(args, kwargs, index, name)``: the hook is a function of
+    ``tracing.py`` named by ``hook``, a ``_pre_path(index, name)`` call, or None."""
+    if isinstance(hook, ast.Call):
+        assert isinstance(hook.func, ast.Name) and hook.func.id == "_pre_path", ast.dump(hook)
+        return [tuple(arg.value for arg in hook.args)]
+    if isinstance(hook, ast.Name):
+        (body,) = [
+            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == hook.id
+        ]
+        return [
+            tuple(arg.value for arg in call.args[2:])
+            for call in ast.walk(body)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_arg"
+        ]
+    assert isinstance(hook, ast.Constant) and hook.value is None, ast.dump(hook)
+    return []
 
 
 def resolve(module_name, path):
@@ -58,6 +84,28 @@ def test_every_wrapped_site_resolves():
         owner, attr = resolve(module_name, path)
         # the tracer reads the attribute from the owner's own namespace
         assert attr in vars(owner), f"{module_name}.{path}"
+
+
+@pytest.mark.skipif(not TRACING.is_file(), reason="perfbench/ is not in this checkout")
+def test_every_positional_hook_read_names_the_parameter_at_that_position():
+    # a hook falls back to the keyword only when the call passed fewer
+    # positional arguments, so a renamed or reordered parameter would make it
+    # count the wrong argument, or raise, only when the benchmark runs
+    tree, entries = wrapped_entries()
+    hooked = 0
+    for entry in entries:
+        module_name, path, hook = entry.elts[0].value, entry.elts[1].value, entry.elts[3]
+        owner, attr = resolve(module_name, path)
+        parameters = list(inspect.signature(vars(owner)[attr]).parameters)
+        reads = positional_reads(tree, hook)
+        # each hook reads its arguments through _arg, so none reads nothing
+        assert bool(reads) == (not isinstance(hook, ast.Constant)), f"{module_name}.{path}"
+        for index, name in reads:
+            assert parameters[index : index + 1] == [name], (
+                f"{module_name}.{path} parameter {index} is not {name!r}: {parameters}"
+            )
+        hooked += bool(reads)
+    assert hooked > 0
 
 
 def counted(calls, site, original):

@@ -39,6 +39,7 @@ from conecal.synth import AmplitudeDistribution, generate_dataset
 from conftest import count_cover_traces, count_kernel_calls, make_pose
 from oracles import (
     amplitude_gradient_cotangents,
+    board_targets,
     project_consistent,
     refine_poses_finite_difference,
 )
@@ -72,8 +73,6 @@ def small_scene(rng, grid=(3, 3), corners_per_side=5, n_images=2):
             dx=rng.uniform(-0.05, 0.05),
             dy=rng.uniform(-0.05, 0.05),
             rot_deg=rng.uniform(-10, 10, size=3),
-            square_size=0.03,
-            corners_per_side=corners_per_side,
         )
         poses.append(pose)
         n = corners_per_side * corners_per_side
@@ -88,26 +87,23 @@ def small_scene(rng, grid=(3, 3), corners_per_side=5, n_images=2):
     return params, obs
 
 
-def consistent_observations(params, subsample=2, rng=None, noise_px=0.0):
-    """Observations whose pixels raycast exactly onto the corner lattice."""
+def consistent_observations(params, subsample=2, rng=None, noise_px=0.0, corners_per_side=7):
+    """Observations of a board of 3 cm squares whose pixels raycast exactly
+    onto the corner lattice."""
     images = []
     for idx, pose in enumerate(params.poses):
-        n = pose.corners_per_side
+        n = corners_per_side
         sel = np.arange(1, n + 1, subsample)
         gi, gj = np.meshgrid(sel, sel, indexing="ij")
         ij = np.column_stack([gi.ravel(), gj.ravel()])
-        x_cb = pose.corner_board_coords(ij)
+        x_cb = board_targets(ij, 0.03, n)
         pixels = np.array([project_consistent(params, idx, xy) for xy in x_cb])
         if noise_px > 0.0:
             pixels = pixels + rng.normal(0.0, noise_px, size=pixels.shape)
         images.append(
             ImageObservations(image_index=idx, initial_pose=pose, grid_ij=ij, pixels=pixels)
         )
-    return ObservationSet(
-        square_size=params.poses[0].square_size,
-        corners_per_side=params.poses[0].corners_per_side,
-        images=tuple(images),
-    )
+    return ObservationSet(square_size=0.03, corners_per_side=n, images=tuple(images))
 
 
 def scene_with_failures(rng):
@@ -122,9 +118,9 @@ def scene_with_failures(rng):
         beta=0.02,
     )
     poses = (
-        make_pose(0.6, corners_per_side=9),
-        make_pose(0.3, dx=0.05, rot_deg=(0.0, 80.0, 0.0), corners_per_side=9),
-        make_pose(0.9, dx=-0.05, rot_deg=(10.0, -10.0, 5.0), corners_per_side=9),
+        make_pose(0.6),
+        make_pose(0.3, dx=0.05, rot_deg=(0.0, 80.0, 0.0)),
+        make_pose(0.9, dx=-0.05, rot_deg=(10.0, -10.0, 5.0)),
     )
     gx, gy = np.meshgrid(np.arange(100.0, 3200.0, 400.0), np.arange(100.0, 2400.0, 300.0))
     pixels = np.column_stack([gx.ravel(), gy.ravel()])
@@ -148,7 +144,8 @@ def per_image_reference(params, obs):
         pose = params.pose(im.image_index)
         batch = trace_pixels(params, im.image_index, im.pixels)
         ok = batch.ok
-        rho = (batch.board_local - im.board_local())[ok]
+        targets = board_targets(im.grid_ij, obs.square_size, obs.corners_per_side)
+        rho = (batch.board_local - targets)[ok]
         total += float(np.sum(rho**2))
         n_active += int(np.count_nonzero(ok))
         for r in np.flatnonzero(~ok):
@@ -228,6 +225,24 @@ class TestOptimizerOptions:
             OptimizerOptions(learning_rate=0.0)
         with pytest.raises(ConfigurationError):
             OptimizerOptions(tolerance=-1.0)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+        ],
+        ids=["nan-rate", "infinite-rate", "nan-tolerance", "infinite-tolerance"],
+    )
+    def test_non_finite_rejected(self, options):
+        with pytest.raises(ConfigurationError, match="finite"):
+            OptimizerOptions(**options)
+
+    def test_single_step_runs_at_the_full_rate(self):
+        # 0.5 * (1 + cos 0) is exactly 1
+        assert OptimizerOptions(step_count=1, learning_rate=3e-6).rate_at(0) == 3e-6
 
 
 class TestLoss:
@@ -487,8 +502,8 @@ class TestLossGradient:
 
 class TestOptimizeAmplitudes:
     def make_recovery_problem(self, rng, grid=(3, 3)):
-        params, _ = small_scene(rng, grid=grid)
-        obs = consistent_observations(params, subsample=2)
+        params, small = small_scene(rng, grid=grid)
+        obs = consistent_observations(params, subsample=2, corners_per_side=small.corners_per_side)
         start = params.with_surface(RbfSurface.flat(params.surface.patch, grid))
         return params, start, obs
 
@@ -605,7 +620,8 @@ class TestPoseLinearization:
         im = obs.images[1]
         batch = trace_pixels(params, 1, im.pixels)
         ok = batch.ok
-        x_o, r_o, x_cb = batch.x_outer[ok], batch.dir_out[ok], im.board_local()[ok]
+        x_cb = board_targets(im.grid_ij, obs.square_size, obs.corners_per_side)[ok]
+        x_o, r_o = batch.x_outer[ok], batch.dir_out[ok]
         # one more ray, leaving away from the board, misses its plane
         x_o = np.vstack([x_o, x_o[:1]])
         r_o = np.vstack([r_o, -r_o[:1]])
@@ -715,7 +731,7 @@ class TestRmse:
     def test_rmse_matches_manual_computation(self, scene_zero):
         obs = consistent_observations(scene_zero, subsample=3)
         im = obs.images[0]
-        x_cb = im.board_local()
+        x_cb = board_targets(im.grid_ij, obs.square_size, obs.corners_per_side)
         total = 0.0
         for pixel, target in zip(im.pixels, x_cb):
             m = raycast(scene_zero, 0, pixel)

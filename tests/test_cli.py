@@ -223,6 +223,84 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "document, flags, key",
+        [
+            ('{"generate": {"noise_sigma_px": NaN}}', [], "generate.noise_sigma_px"),
+            ("{}", ["--noise", "nan"], "generate.noise_sigma_px"),
+            ('{"cone": {"height_m": NaN}}', [], "cone.height_m"),
+            ('{"intrinsics": {"cx_px": Infinity}}', [], "intrinsics.cx_px"),
+            ('{"board": {"square_size_m": -Infinity}}', [], "board.square_size_m"),
+        ],
+        ids=["nan-noise", "nan-noise-flag", "nan-cone-height", "infinite-cx", "infinite-square"],
+    )
+    def test_non_finite_config_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, document, flags, key
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        out = tmp_path / "data"
+        assert run(["generate", "--config", path, "--out", out, *flags]) == 2
+        assert f"config key {key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("board", "square_size_m", 0.0, "board.square_size_m must be positive and finite"),
+            ("board", "square_size_m", -0.03, "board.square_size_m must be positive and finite"),
+            ("board", "square_size_m", float("nan"), "board.square_size_m must be finite"),
+            ("board", "square_size_m", float("inf"), "board.square_size_m must be finite"),
+            ("board", "corners_per_side", 1, "board.corners_per_side must be at least 2"),
+            ("corner", "px", float("nan"), "corner pixels must hold finite numbers"),
+            ("pose", "translation_m", [0.0, float("-inf"), 0.6], "translation_m must hold finite"),
+        ],
+        ids=[
+            "zero-square", "negative-square", "nan-square", "infinite-square", "one-corner",
+            "nan-px", "infinite-translation",
+        ],
+    )
+    def test_bad_observations_file_exits_3_and_writes_nothing(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        data = generate_small(tmp_path)
+        doc = json.loads((data / "observations.json").read_text())
+        image = doc["images"][1]
+        target = {"board": doc["board"], "corner": image["corners"][3], "pose": image["initial_pose"]}
+        target[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "ref"
+        capsys.readouterr()
+        code = run(
+            [
+                "refine-poses", "--config", tmp_path / "config.json",
+                "--observations", bad, "--out", out,
+            ]
+        )
+        assert code == 3
+        assert f"malformed observations: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rate", "nan"], ["--rate", "inf"], ["--rate", "0"], ["--steps", "0"]],
+        ids=["nan-rate", "infinite-rate", "zero-rate", "zero-steps"],
+    )
+    def test_bad_optimizer_flags_exit_2_before_any_work(self, tmp_path, monkeypatch, flags):
+        data = generate_small(tmp_path)
+        traces = count_cover_traces(monkeypatch)
+        out = tmp_path / "fit"
+        code = run(
+            [
+                "calibrate", "--config", tmp_path / "config.json", "--refine-poses",
+                "--observations", data / "observations.json", "--out", out, *flags,
+            ]
+        )
+        assert code == 2
+        assert traces == []
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from conecal.errors import DataError
+from conecal.errors import ConfigurationError, DataError
 from conecal.observations import (
     ImageObservations,
     ObservationSet,
+    _board_corners,
+    _corner_board_coords,
     load_observations,
     observations_from_json_dict,
     observations_to_json_dict,
@@ -20,6 +22,7 @@ from conecal.observations import (
 )
 from conecal.raytrace import SceneParams
 from conftest import make_pose
+from oracles import board_targets
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,7 +36,6 @@ def small_set(n_images=2, corners_per_side=5):
             dx=0.02 * idx,
             dy=-0.01 * idx,
             rot_deg=(5.0 * idx, -3.0 * idx, 2.0 * idx),
-            corners_per_side=corners_per_side,
         )
         ij = np.array([(i, j) for i in range(1, corners_per_side + 1) for j in (1, 3)])
         images.append(
@@ -51,30 +53,32 @@ class TestContainers:
     def test_board_local_lattice(self):
         obs = small_set(n_images=1)
         im = obs.image(0)
-        local = im.board_local()
+        local = board_targets(im.grid_ij, obs.square_size, obs.corners_per_side)
         # 5 corners per side, squares of 3 cm: corner (1, 1) sits at -6 cm
         first = local[np.all(im.grid_ij == 1, axis=1)][0]
         np.testing.assert_allclose(first, [-0.06, -0.06])
 
     def test_duplicate_corner_rejected(self):
         pose = make_pose(depth=0.5, dx=0.0, dy=0.0, rot_deg=(0, 0, 0))
+        image = ImageObservations(
+            image_index=0,
+            initial_pose=pose,
+            grid_ij=np.array([[1, 1], [1, 1]]),
+            pixels=np.zeros((2, 2)),
+        )
         with pytest.raises(DataError, match="duplicate"):
-            ImageObservations(
-                image_index=0,
-                initial_pose=pose,
-                grid_ij=np.array([[1, 1], [1, 1]]),
-                pixels=np.zeros((2, 2)),
-            )
+            ObservationSet(square_size=0.03, corners_per_side=7, images=(image,))
 
     def test_out_of_range_corner_rejected(self):
-        pose = make_pose(depth=0.5, dx=0.0, dy=0.0, rot_deg=(0, 0, 0), corners_per_side=7)
+        pose = make_pose(depth=0.5, dx=0.0, dy=0.0, rot_deg=(0, 0, 0))
+        image = ImageObservations(
+            image_index=0,
+            initial_pose=pose,
+            grid_ij=np.array([[0, 3]]),
+            pixels=np.zeros((1, 2)),
+        )
         with pytest.raises(DataError, match=r"\[1, 7\]"):
-            ImageObservations(
-                image_index=0,
-                initial_pose=pose,
-                grid_ij=np.array([[0, 3]]),
-                pixels=np.zeros((1, 2)),
-            )
+            ObservationSet(square_size=0.03, corners_per_side=7, images=(image,))
 
     def test_sparse_image_indices_rejected(self):
         obs = small_set(n_images=2)
@@ -115,10 +119,41 @@ class TestContainers:
         assert hash(first) == hash(first)
         assert {first: 1, second: 2}[first] == 1
 
-    def test_board_mismatch_rejected(self):
-        obs = small_set(n_images=1)
-        with pytest.raises(DataError, match="board dimensions"):
-            ObservationSet(square_size=0.05, corners_per_side=5, images=obs.images)
+
+class TestBoard:
+    """The set owns the board: its size, its corner grid and their targets."""
+
+    def test_corner_coords_centered(self):
+        ij, _ = _board_corners(0.03, 7)
+        # 7 corners per side: index (4, 4) is the center of the grid
+        assert np.allclose(_corner_board_coords([[4, 4]], 0.03, 7), [[0.0, 0.0]])
+        assert np.allclose(_corner_board_coords([[1, 1]], 0.03, 7), [[-0.09, -0.09]])
+        assert np.allclose(_corner_board_coords([[7, 1]], 0.03, 7), [[0.09, -0.09]])
+        assert ij.shape == (49, 2)
+
+    def test_every_corner_and_its_target_in_row_major_order(self):
+        ij, targets = _board_corners(0.015, 4)
+        want = [[i, j] for i in range(1, 5) for j in range(1, 5)]
+        assert ij.tolist() == want
+        assert np.array_equal(targets.view(np.int64), board_targets(want, 0.015, 4).view(np.int64))
+
+    @pytest.mark.parametrize(
+        "square_size, corners_per_side, message",
+        [
+            (0.0, 5, "board.square_size_m must be positive and finite"),
+            (-0.03, 5, "board.square_size_m must be positive and finite"),
+            (float("nan"), 5, "board.square_size_m must be positive and finite"),
+            (float("inf"), 5, "board.square_size_m must be positive and finite"),
+            (0.03, 1, "board.corners_per_side must be at least 2"),
+        ],
+        ids=["zero-square", "negative-square", "nan-square", "infinite-square", "one-corner"],
+    )
+    def test_bad_board_rejected(self, square_size, corners_per_side, message):
+        images = small_set(n_images=1).images
+        with pytest.raises(ConfigurationError, match=message):
+            ObservationSet(square_size, corners_per_side, images)
+        with pytest.raises(ConfigurationError, match=message):
+            _board_corners(square_size, corners_per_side)
 
 
 class TestStacked:
@@ -147,7 +182,9 @@ class TestStacked:
     def test_targets_are_each_images_board_local_bit_for_bit(self):
         obs = self.uneven_set()
         corners = obs.stacked()
-        want = np.concatenate([im.board_local() for im in obs.images])
+        want = board_targets(
+            np.concatenate([im.grid_ij for im in obs.images]), obs.square_size, obs.corners_per_side
+        )
         assert corners.targets.dtype == np.float64
         assert np.array_equal(corners.targets.view(np.int64), want.view(np.int64))
 
@@ -159,7 +196,8 @@ class TestStacked:
             assert np.all(corners.image_index[start:stop] == im.image_index)
             assert np.array_equal(corners.grid_ij[start:stop], im.grid_ij)
             assert np.array_equal(corners.pixels[start:stop], im.pixels)
-            assert np.array_equal(corners.targets[start:stop], im.board_local())
+            want = board_targets(im.grid_ij, obs.square_size, obs.corners_per_side)
+            assert np.array_equal(corners.targets[start:stop], want)
 
     def test_built_anew_and_not_kept(self):
         obs = self.uneven_set()

@@ -80,25 +80,12 @@ class TestRay:
 class TestBoardPose:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ConfigurationError):
-            BoardPose(
-                rotation=np.eye(3) * 1.01,
-                translation=np.zeros(3),
-                square_size=0.03,
-                corners_per_side=7,
-            )
+            BoardPose(rotation=np.eye(3) * 1.01, translation=np.zeros(3))
 
     def test_rejects_reflection(self):
         rot = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ConfigurationError):
-            BoardPose(rotation=rot, translation=np.zeros(3), square_size=0.03, corners_per_side=7)
-
-    def test_corner_coords_centered(self, poses):
-        pose = poses[0]
-        # 7 corners per side: index (4, 4) is the center of the grid
-        assert np.allclose(pose.corner_board_coords([[4, 4]]), [[0.0, 0.0]])
-        assert np.allclose(pose.corner_board_coords([[1, 1]]), [[-0.09, -0.09]])
-        assert np.allclose(pose.corner_board_coords([[7, 1]]), [[0.09, -0.09]])
-        assert pose.corner_indices().shape == (49, 2)
+            BoardPose(rotation=rot, translation=np.zeros(3))
 
     def test_board_world_round_trip(self, poses):
         rng = np.random.default_rng(7)

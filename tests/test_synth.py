@@ -19,6 +19,8 @@ from conecal.synth import (
     sample_surface,
 )
 from oracles import (
+    board_grid_targets,
+    board_targets,
     difference_kernel_oracle,
     gauss_newton_project_every_row,
     grid_search_project,
@@ -55,7 +57,7 @@ class TestPoseSampler:
         pose = sampler.sample_pose(rng, intrinsics, cone, flat_surface, 0.03, 7)
         assert 0.3 <= pose.translation[2] <= 1.5
         params = SceneParams(intrinsics=intrinsics, cone=cone, surface=flat_surface, poses=(pose,))
-        pixels, converged = project_corners(params, 0, pose.corner_board_coords())
+        pixels, converged = project_corners(params, 0, board_grid_targets(0.03, 7))
         assert np.all(converged)
         assert np.all((pixels >= 0.0) & (pixels < [intrinsics.width, intrinsics.height]))
 
@@ -161,7 +163,7 @@ class TestOutlinePrefilter:
         assert np.allclose(got, [0.5, 0.0, 0.0], atol=1e-15)
 
 
-def candidate_poses(rng, intrinsics, n, square_size, corners_per_side, lateral_margin):
+def candidate_poses(rng, intrinsics, n, lateral_margin):
     """Board poses drawn as the sampler draws its candidates."""
     half_fov = np.array([intrinsics.width / intrinsics.fx, intrinsics.height / intrinsics.fy]) / 2
     poses = []
@@ -169,7 +171,7 @@ def candidate_poses(rng, intrinsics, n, square_size, corners_per_side, lateral_m
         depth = rng.uniform(0.3, 1.5)
         rot = synth._rotation_zyx(np.radians(rng.uniform(-25.0, 25.0, 3)))
         lateral = rng.uniform(-1.0, 1.0, 2) * lateral_margin * depth * half_fov
-        poses.append(BoardPose(rot, np.append(lateral, depth), square_size, corners_per_side))
+        poses.append(BoardPose(rot, np.append(lateral, depth)))
     return poses
 
 
@@ -194,13 +196,14 @@ def test_outline_rejects_only_invisible_poses(board, intrinsics, cone, flat_surf
     rng = np.random.default_rng([n, 29])
     poses = []
     for margin in (0.5, 0.85, 1.0):
-        poses += candidate_poses(rng, intrinsics, 350, square, n, margin)
+        poses += candidate_poses(rng, intrinsics, 350, margin)
     outline = synth._sensor_outline(intrinsics, cone)
-    verdicts = np.array([synth._outline_rejects(outline, pose) for pose in poses])
+    half = 0.5 * (n - 1) * square
+    verdicts = np.array([synth._outline_rejects(outline, pose, half) for pose in poses])
 
     # the exact rule, by one stacked zero-field projection of every candidate
     params = SceneParams(intrinsics, cone, flat_surface, tuple(poses))
-    targets = np.concatenate([pose.corner_board_coords() for pose in poses])
+    targets = np.tile(board_grid_targets(square, n), (len(poses), 1))
     index = np.repeat(np.arange(len(poses)), n * n)
     pixels, converged = project_corners(params, index, targets)
     visible = converged & synth._on_sensor(intrinsics, pixels)
@@ -239,8 +242,8 @@ def test_outline_rejects_only_invisible_poses(board, intrinsics, cone, flat_surf
 
 class TestProjectCorners:
     def test_round_trip_through_raycast(self, scene_zero):
-        for idx, pose in enumerate(scene_zero.poses):
-            targets = pose.corner_board_coords()
+        for idx in range(len(scene_zero.poses)):
+            targets = board_grid_targets(0.03, 7)
             pixels, converged = project_corners(scene_zero, idx, targets)
             assert np.all(converged)
             local, status = raycast_pixels(scene_zero, idx, pixels)
@@ -251,7 +254,7 @@ class TestProjectCorners:
         rng = np.random.default_rng(23)
         amps = rng.normal(1e-5, 2.5e-6, size=scene_zero.surface.grid)
         params = scene_zero.with_surface(scene_zero.surface.with_amplitudes(amps))
-        targets = params.poses[0].corner_board_coords()
+        targets = board_grid_targets(0.03, 7)
         pixels, converged = project_corners(params, 0, targets)
         assert np.all(converged)
         local, status = raycast_pixels(params, 0, pixels)
@@ -290,7 +293,7 @@ class TestProjectCorners:
         width, height = params.intrinsics.width, params.intrinsics.height
         pixels = rng.uniform(0.0, 1.0, (2000, 2)) * [width, height]
         image_index = rng.integers(0, len(params.poses), 2000)
-        targets = np.concatenate([pose.corner_board_coords() for pose in params.poses])
+        targets = np.tile(board_grid_targets(0.03, 7), (len(params.poses), 1))
         target_index = np.repeat(np.arange(len(params.poses)), targets.shape[0] // len(params.poses))
 
         def run():
@@ -314,7 +317,7 @@ class TestProjectCorners:
         )
         params = scene_zero.with_poses((flipped,))
         with pytest.raises(DataError):
-            project_corners(params, 0, flipped.corner_board_coords())
+            project_corners(params, 0, board_grid_targets(0.03, 7))
 
 
 def steep_scene(scene_zero):
@@ -328,8 +331,8 @@ class TestStackedProjection:
     @pytest.mark.parametrize("max_iters", [50, 2])
     def test_settled_rows_match_the_every_row_rule(self, scene_zero, max_iters):
         params = steep_scene(scene_zero)
-        for idx, pose in enumerate(params.poses):
-            targets = pose.corner_board_coords()
+        for idx in range(len(params.poses)):
+            targets = board_grid_targets(0.03, 7)
             got = project_corners(params, idx, targets, max_iters=max_iters)
             want = gauss_newton_project_every_row(params, idx, targets, max_iters=max_iters)
             assert np.array_equal(got[0], want[0])
@@ -338,7 +341,7 @@ class TestStackedProjection:
     @pytest.mark.parametrize("max_iters", [50, 2])
     def test_index_array_matches_per_image_calls(self, scene_zero, max_iters):
         params = steep_scene(scene_zero)
-        targets = [pose.corner_board_coords() for pose in params.poses]
+        targets = [board_grid_targets(0.03, 7) for _ in params.poses]
         per_image = [
             project_corners(params, idx, t, max_iters=max_iters) for idx, t in enumerate(targets)
         ]
@@ -351,7 +354,7 @@ class TestStackedProjection:
         assert np.any(converged) and not np.all(converged)
 
     def test_bad_index_arrays_rejected(self, scene_zero):
-        targets = scene_zero.poses[0].corner_board_coords()[:4]
+        targets = board_grid_targets(0.03, 7)[:4]
         for index in ([0, 1, 2], [0, 1, 2, 3], [0, -1, 1, 2], [0.0, 1.0, 1.0, 2.0]):
             with pytest.raises(DataError):
                 project_corners(scene_zero, np.array(index), targets)
@@ -360,7 +363,7 @@ class TestStackedProjection:
 
     def test_max_iters_validated(self, scene_zero):
         with pytest.raises(ConfigurationError):
-            project_corners(scene_zero, 0, scene_zero.poses[0].corner_board_coords(), max_iters=0)
+            project_corners(scene_zero, 0, board_grid_targets(0.03, 7), max_iters=0)
 
 
 class TestGenerateDataset:
@@ -391,10 +394,12 @@ class TestGenerateDataset:
 
     def test_pixels_raycast_back_to_corners(self, intrinsics, cone, patch):
         data = self.make(intrinsics, cone, patch)
-        for im in data.observations.images:
+        obs = data.observations
+        for im in obs.images:
             local, status = raycast_pixels(data.params, im.image_index, im.pixels)
             assert np.all(status == TraceStatus.OK)
-            err = np.linalg.norm(local - im.board_local(), axis=-1)
+            targets = board_targets(im.grid_ij, obs.square_size, obs.corners_per_side)
+            err = np.linalg.norm(local - targets, axis=-1)
             assert np.max(err) <= 1e-9
 
     def test_noise_statistics(self, intrinsics, cone, patch):
@@ -440,6 +445,24 @@ class TestGenerateDataset:
         with pytest.raises(ConfigurationError):
             generate_dataset(intrinsics, cone, template, n_images=1, noise_sigma_px=-0.1)
 
+    @pytest.mark.parametrize(
+        "square_size, corners_per_side",
+        [(0.0, 7), (-0.03, 7), (float("nan"), 7), (0.03, 1)],
+        ids=["zero-square", "negative-square", "nan-square", "one-corner"],
+    )
+    def test_bad_board_rejected_before_any_pose(
+        self, intrinsics, cone, patch, monkeypatch, square_size, corners_per_side
+    ):
+        built = []
+        monkeypatch.setattr(synth, "BoardPose", lambda *args, **kwargs: built.append(args))
+        template = RbfSurface.flat(patch, (3, 3))
+        with pytest.raises(ConfigurationError, match="board"):
+            generate_dataset(
+                intrinsics, cone, template, n_images=1,
+                square_size=square_size, corners_per_side=corners_per_side,
+            )
+        assert built == []
+
     def test_negative_seed_rejected(self, intrinsics, cone, patch):
         # numpy's generator would raise a bare ValueError
         template = RbfSurface.flat(patch, (3, 3))
@@ -467,4 +490,4 @@ class TestGenerateDataset:
         monkeypatch.setattr(synth, "project_corners", counting_project)
         monkeypatch.setattr(PoseSampler, "sample_pose", flagged_sample_pose)
         data = self.make(intrinsics, cone, patch)
-        assert calls == [(sum(pose.corners_per_side**2 for pose in data.params.poses),)]
+        assert calls == [(len(data.params.poses) * data.observations.corners_per_side**2,)]
