@@ -13,7 +13,6 @@ divergence (argument parsing failures also exit 2, via argparse).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -51,13 +50,12 @@ from .observations import (
     _pose_to_json,
     load_observations,
     observations_to_json_dict,
+    read_json,
     save_observations,
     write_json,
 )
 from .raytrace import SceneParams
 from .synth import generate_dataset
-
-DEFAULT_PROBE_PIXELS = ((820.0, 1232.0), (410.0, 1232.0))
 
 
 def _ensure_out(args) -> Path:
@@ -221,16 +219,13 @@ def _fitted_surface_json(
 def load_fitted_surface(path) -> RbfSurface:
     """Rebuild the irregularity field written by the calibrate subcommand from
     its surface keys, read as a config ``surface`` section that stores amplitudes."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"fitted surface file not found: {path}")
+    data = read_json(path, DataError, "fitted surface file")
     try:
-        data = json.loads(path.read_text())
         section = {key: data[key] for key in default_config()["surface"]}
         if section["amplitudes_m"] is None:
             raise ConfigurationError("key amplitudes_m must hold the fitted amplitudes")
         return surface_from_config({"surface": section})
-    except (json.JSONDecodeError, KeyError, TypeError, ConfigurationError) as exc:
+    except (KeyError, TypeError, ConfigurationError) as exc:
         # a surface the config reader rejects is bad data in this file
         raise DataError(f"malformed fitted surface file {path}: {exc}") from exc
 
@@ -325,9 +320,10 @@ def cmd_analyze(args) -> None:
     # field checks its depth and stride before it traces: no output file is
     # replaced until every argument has passed
     inv_range = (args.inv_depth_min, args.inv_depth_max)
+    width, height = params.intrinsics.width, params.intrinsics.height
     curves = [
         distortion_vs_inverse_depth(params, pixel, inv_depth_range=inv_range)
-        for pixel in DEFAULT_PROBE_PIXELS
+        for pixel in ((width / 4, height / 2), (width / 8, height / 2))
     ]
     field = distortion_field(params, depth=args.depth, stride=args.stride)
     write_distortion_csv(field, out / "distortion_field.csv")

@@ -49,7 +49,6 @@ Schema (defaults shown)::
 from __future__ import annotations
 
 import copy
-import json
 import math
 import os
 
@@ -58,7 +57,7 @@ import numpy as np
 from .camera import CameraIntrinsics
 from .errors import ConfigurationError
 from .geometry import ConeGeometry, RbfPatch, RbfSurface
-from .observations import _check_board, _json_number
+from .observations import _check_board, _json_number, read_json
 from .synth import AmplitudeDistribution, PoseSampler
 
 _DEFAULTS: dict = {
@@ -123,7 +122,7 @@ def merge_config(base: dict, override: dict, _path: str = "") -> dict:
         where = f"{_path}.{key}" if _path else key
         if key not in base:
             raise ConfigurationError(f"unknown config key {where}")
-        if isinstance(base[key], dict) and not isinstance(value, dict) and value is not None:
+        if isinstance(base[key], dict) and not isinstance(value, dict):
             raise ConfigurationError(f"config key {where} must be an object")
         if isinstance(base[key], dict) and isinstance(value, dict):
             merged[key] = merge_config(base[key], value, where)
@@ -140,13 +139,7 @@ def load_config(path: str | os.PathLike | None) -> dict:
     """
     if path is None:
         return default_config()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    user = read_json(path, ConfigurationError, "config file")
     if not isinstance(user, dict):
         raise ConfigurationError(f"config file {path!r} must contain a JSON object")
     return merge_config(default_config(), user)

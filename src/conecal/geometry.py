@@ -300,7 +300,9 @@ def _slope_scale(surface: RbfSurface) -> np.ndarray:
 
 def rbf_offset(surface: RbfSurface, s):
     """Radial irregularity offset at cone coordinates ``s``, in meters."""
-    out = rbf_kernel_terms(surface, s) @ surface.flat_amplitudes
+    s = _as_coords(s)
+    fields = _field_values(surface, s)
+    out = np.zeros(s.shape[:-1]) if fields is None else fields[0]
     return float(out) if out.ndim == 0 else out
 
 

@@ -185,28 +185,40 @@ def _number_kind(kind: type, number: type) -> bool:
 def _json_number(value, name: str, kind: type):
     """``value`` as ``kind`` (``float`` or ``int``) if it is a finite JSON
     number, an integer for ``int``; a bool, a string or a fraction, which
-    ``kind`` would accept, and NaN or an infinity, which ``json`` parses,
-    raise :class:`ConfigurationError`."""
+    ``kind`` would accept, NaN or an infinity, which ``json`` parses, and an
+    integer that no float64 (for ``float``: it reads as an infinity) or
+    int64 (for ``int``) holds raise :class:`ConfigurationError`."""
     if not _number_kind(type(value), kind):
         raise ConfigurationError(
             f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
         )
-    value = kind(value)
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ConfigurationError(f"{name} must fit a 64-bit integer")
+    try:
+        value = kind(value)
+    except OverflowError:
+        value = np.inf if value > 0 else -np.inf
     if kind is float and not np.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def _json_numbers(values: list, name: str) -> np.ndarray:
-    """A flat list of the numbers :func:`_json_number` reads as ``float``, as float64;
-    any other value, which ``np.array`` might coerce, and NaN or an infinity
-    raise :class:`ConfigurationError`."""
-    bad = sorted(kind.__name__ for kind in set(map(type, values)) if not _number_kind(kind, float))
+def _json_numbers(values: list, name: str, kind: type = float) -> np.ndarray:
+    """A flat list of the numbers :func:`_json_number` reads as ``kind``, as
+    float64 or int64; any other value, which ``np.array`` might coerce, and a
+    number that :func:`_json_number` rejects raise :class:`ConfigurationError`."""
+    bad = sorted(k.__name__ for k in set(map(type, values)) if not _number_kind(k, kind))
     if bad:
-        raise ConfigurationError(f"{name} must hold numbers, got {', '.join(bad)}")
-    array = np.array(values, dtype=np.float64)
-    if not np.all(np.isfinite(array)):
-        raise ConfigurationError(f"{name} must hold finite numbers")
+        wanted = "integers, got non-integer" if kind is int else "numbers, got"
+        raise ConfigurationError(f"{name} must hold {wanted} {', '.join(bad)}")
+    try:
+        array = np.array(values, dtype=np.int64 if kind is int else np.float64)
+        finite = np.all(np.isfinite(array))
+    except OverflowError:
+        finite = False
+    if not finite:
+        wanted = "64-bit integers" if kind is int else "finite numbers"
+        raise ConfigurationError(f"{name} must hold {wanted}")
     return array
 
 
@@ -243,9 +255,10 @@ def observations_from_json_dict(data: dict) -> ObservationSet:
         for im in data["images"]:
             pose = _pose_from_json(im["initial_pose"])
             corners = im["corners"]
-            ij = np.array([[c["i"], c["j"]] for c in corners])
-            px = _json_numbers([v for c in corners for v in (c["px"], c["py"])], "corner pixels")
-            px = px.reshape(-1, 2)
+            ij = [v for c in corners for v in (c["i"], c["j"])]
+            ij = _json_numbers(ij, "corner indices", int).reshape(-1, 2)
+            px = [v for c in corners for v in (c["px"], c["py"])]
+            px = _json_numbers(px, "corner pixels").reshape(-1, 2)
             index = _json_number(im["index"], "image index", int)
             images.append(ImageObservations(index, pose, ij, px))
         return ObservationSet(square, corners_per_side, tuple(images))
@@ -404,16 +417,24 @@ def _replacing(path):
     os.replace(partial, path)
 
 
+def read_json(path, error: type, what: str):
+    """The JSON document in ``path``, read as UTF-8; a missing or unreadable file,
+    bad UTF-8, bad JSON, an integer past Python's digit limit and nesting
+    past the recursion limit raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise error(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def save_observations(obs: ObservationSet, path) -> None:
     write_json(path, observations_to_json_dict(obs))
 
 
 def load_observations(path) -> ObservationSet:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"observations file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"observations file is not valid JSON: {exc}") from exc
-    return observations_from_json_dict(data)
+    return observations_from_json_dict(read_json(path, DataError, "observations file"))

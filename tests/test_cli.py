@@ -33,6 +33,9 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+# an integer literal beyond the float range: it reads as an infinity
+HUGE = "1" + "0" * 400
+
 # config documents `generate` must reject with exit 2, and the text its error
 # must contain: a bad number's key is spelled as a config file spells it
 BAD_CONFIGS = {
@@ -59,6 +62,12 @@ BAD_CONFIGS = {
         '{"generate": {"noise_sigma_px": "0.5"}}',
         "config key generate.noise_sigma_px must",
     ),
+    "huge-n-images": (
+        '{"generate": {"n_images": 1%s}}' % ("0" * 30),
+        "config key generate.n_images must fit a 64-bit integer",
+    ),
+    "null-surface": ('{"surface": null}', "config key surface must be an object"),
+    "null-patch": ('{"surface": {"patch": null}}', "config key surface.patch must be an object"),
 }
 
 
@@ -231,8 +240,13 @@ class TestExitCodes:
             ('{"cone": {"height_m": NaN}}', [], "cone.height_m"),
             ('{"intrinsics": {"cx_px": Infinity}}', [], "intrinsics.cx_px"),
             ('{"board": {"square_size_m": -Infinity}}', [], "board.square_size_m"),
+            ('{"generate": {"noise_sigma_px": %s}}' % HUGE, [], "generate.noise_sigma_px"),
+            ('{"cone": {"apex_m": [0, -%s, 0]}}' % HUGE, [], "cone.apex_m[1]"),
         ],
-        ids=["nan-noise", "nan-noise-flag", "nan-cone-height", "infinite-cx", "infinite-square"],
+        ids=[
+            "nan-noise", "nan-noise-flag", "nan-cone-height", "infinite-cx", "infinite-square",
+            "huge-noise", "huge-negative-apex",
+        ],
     )
     def test_non_finite_config_exits_2_and_writes_nothing(
         self, tmp_path, capsys, document, flags, key
@@ -254,10 +268,19 @@ class TestExitCodes:
             ("board", "corners_per_side", 1, "board.corners_per_side must be at least 2"),
             ("corner", "px", float("nan"), "corner pixels must hold finite numbers"),
             ("pose", "translation_m", [0.0, float("-inf"), 0.6], "translation_m must hold finite"),
+            ("board", "square_size_m", int(HUGE), "board.square_size_m must be finite, got inf"),
+            ("board", "corners_per_side", 10**30, "board.corners_per_side must fit a 64-bit"),
+            ("corner", "j", 10**30, "corner indices must hold 64-bit integers"),
+            ("corner", "px", -int(HUGE), "corner pixels must hold finite numbers"),
+            ("pose", "translation_m", [0, 0, int(HUGE)], "translation_m must hold finite"),
+            # corner (1, 4): true and 1.0 would load as index 1
+            ("corner", "i", True, "corner indices must hold integers, got non-integer bool"),
+            ("corner", "i", 1.0, "corner indices must hold integers, got non-integer float"),
         ],
         ids=[
             "zero-square", "negative-square", "nan-square", "infinite-square", "one-corner",
-            "nan-px", "infinite-translation",
+            "nan-px", "infinite-translation", "huge-square", "huge-corners", "huge-index",
+            "huge-negative-px", "huge-translation", "bool-index", "integral-float-index",
         ],
     )
     def test_bad_observations_file_exits_3_and_writes_nothing(
@@ -299,6 +322,52 @@ class TestExitCodes:
         )
         assert code == 2
         assert traces == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing", "directory", "non-utf-8", "truncated", "5000-digit", "deeply-nested",
+         "401-digit"],
+    )
+    @pytest.mark.parametrize("reader", ["config", "observations", "fitted"])
+    def test_unreadable_input_file_exits_typed_and_writes_nothing(
+        self, tmp_path, capsys, reader, case
+    ):
+        # every input file goes through one reader; a config fails with 2, data with 3
+        huge = {
+            "config": '{"generate": {"noise_sigma_px": %s}}' % HUGE,
+            "observations": '{"board": {"square_size_m": %s, "corners_per_side": 7}}' % HUGE,
+            "fitted": fitted_surface_text(amplitudes_m=with_amplitude(int(HUGE))),
+        }[reader]
+        bad = tmp_path / "bad.json"
+        if case == "directory":
+            bad.mkdir()
+        elif case != "missing":
+            bad.write_bytes(
+                {
+                    "non-utf-8": b'{"generate": {"\xff": 1}}',
+                    "truncated": b'{"board": {',
+                    "5000-digit": b"[" + b"9" * 5000 + b"]",
+                    "deeply-nested": b"[" * 200_000,
+                    "401-digit": huge.encode(),
+                }[case]
+            )
+        argv = {
+            "config": ["generate", "--config", bad],
+            "observations": ["refine-poses", "--observations", bad],
+            "fitted": ["analyze", "--fitted", bad,
+                       "--observations", generate_small(tmp_path) / "observations.json"],
+        }[reader]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([*argv, "--out", out]) == (2 if reader == "config" else 3)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert "Traceback" not in err
+        if case == "non-utf-8":
+            assert "utf-8" in err
+        if case == "401-digit":
+            assert "must be finite" in err
         assert not out.exists()
 
     def test_unknown_subcommand_exits_2(self):
@@ -644,6 +713,21 @@ class TestAnalyze:
         for flag, value in (("--inv-depth-max", "inf"), ("--inv-depth-min", "0")):
             assert run(argv + ["--depth", 0.7, flag, value]) == 3
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before, flag
+
+    def test_depth_curve_pixels_lie_on_a_small_sensor(self, tmp_path):
+        data = generate_small(tmp_path)
+        config = json.loads((data / "ground_truth.json").read_text())["scene_config"]
+        config["intrinsics"] = {
+            "fx_px": 639.59, "fy_px": 639.59, "cx_px": 416.5, "cy_px": 318.4,
+            "width_px": 820, "height_px": 616,
+        }
+        path = tmp_path / "small_camera.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "an"
+        argv = ["analyze", "--config", path, "--observations", data / "observations.json"]
+        assert run([*argv, "--out", out, "--stride", 200]) == 0
+        curves = json.loads((out / "depth_curves.json").read_text())["curves"]
+        assert [c["pixel_px"] for c in curves] == [[205.0, 308.0], [102.5, 308.0]]
 
     def test_surface_from_config_amplitudes(self, tmp_path):
         data = generate_small(tmp_path)

@@ -212,6 +212,22 @@ class TestRbfOffset:
         surface = RbfSurface.flat(unit_patch, (6, 6))
         assert rbf_offset(surface, np.array([0.01, 0.0])) == 0.0
 
+    def test_is_the_field_value_bit_for_bit(self, unit_patch):
+        # one product with K: the offset is _field_values' phi, whatever its batch
+        rng = np.random.default_rng(23)
+        surface = RbfSurface.flat(unit_patch, (8, 8)).with_amplitudes(
+            rng.normal(1e-5, 2.5e-6, (8, 8))
+        )
+        s = np.column_stack([rng.uniform(-0.01, 0.03, 2000), rng.uniform(-0.6, 0.6, 2000)])
+        got = rbf_offset(surface, s)
+        assert np.array_equal(got, _field_values(surface, s)[0])
+        assert np.array_equal(rbf_offset(surface, s.reshape(40, 50, 2)), got.reshape(40, 50))
+        singles = [rbf_offset(surface, point) for point in s[:200]]
+        assert all(isinstance(v, float) for v in singles)
+        assert np.array_equal(singles, got[:200])
+        flat = rbf_offset(surface.with_amplitudes(np.zeros((8, 8))), s.reshape(40, 50, 2))
+        assert np.array_equal(flat, np.zeros((40, 50)))
+
 
 class TestRbfKernelTerms:
     @pytest.mark.parametrize("grid", [(1, 1), (1, 5), (5, 1), (4, 5), (10, 10)])

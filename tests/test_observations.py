@@ -1,5 +1,6 @@
 """Tests for corner observation containers and their JSON format."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -25,6 +26,7 @@ from conftest import make_pose
 from oracles import board_targets
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "conecal"
 
 
 def small_set(n_images=2, corners_per_side=5):
@@ -495,3 +497,42 @@ class TestWriteJson:
     def test_non_str_keys_raise_type_error(self, tmp_path, obj):
         with pytest.raises(TypeError):
             write_json(tmp_path / "out.json", obj)
+
+
+def json_parse_sites(tree: ast.AST) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every ``json.load``/``json.loads``
+    reference and every ``from json import load``/``loads`` in ``tree``."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in ("load", "loads")
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "json"
+            ) or (
+                isinstance(child, ast.ImportFrom)
+                and child.module == "json"
+                and any(alias.name in ("load", "loads") for alias in child.names)
+            ):
+                sites.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return sites
+
+
+def test_json_is_parsed_only_in_read_json():
+    # one reader opens, decodes and parses every input file
+    sites = {
+        path.relative_to(PACKAGE).as_posix(): json_parse_sites(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    found = [(name, function) for name, hits in sites.items() for function, _ in hits]
+    assert found == [("observations.py", "read_json")]
