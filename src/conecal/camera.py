@@ -21,6 +21,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ConfigurationError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:

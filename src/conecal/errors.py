@@ -63,7 +63,3 @@ class SingularSurfaceError(ConecalError):
 
 class OutOfRangeError(ConecalError):
     """A point lies outside the coordinate domain of the cone slice."""
-
-
-class NotFittedError(ConecalError, RuntimeError):
-    """An estimator method that requires ``fit`` was called before it."""

@@ -105,6 +105,9 @@ class ConeGeometry:
         object.__setattr__(self, "apex", tuple(float(c) for c in self.apex))
         if len(self.apex) != 3:
             raise ConfigurationError("apex must be a 3-vector")
+        for name in ("apex", "height", "radial_thickness", "eta_inside", "eta_outside"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 < self.half_angle < np.pi / 2:
             raise ConfigurationError("half_angle must lie strictly between 0 and pi/2")
         if self.height <= 0.0:

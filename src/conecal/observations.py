@@ -118,7 +118,7 @@ class ObservationSet:
             ij = im.grid_ij
             if np.any(ij < 1) or np.any(ij > n):
                 raise DataError(f"corner indices must lie in [1, {n}]")
-            if np.unique(ij[:, 0] * (n + 1) + ij[:, 1]).size != ij.shape[0]:
+            if np.unique(ij, axis=0).shape[0] != ij.shape[0]:
                 raise DataError(f"image {im.image_index} has duplicate corner indices")
 
     @property

@@ -33,6 +33,15 @@ from .raytrace import (
 )
 
 
+def _check_count(name: str, value) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an integer (not a
+    bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigurationError(f"{name} must be at least 1")
+
+
 @dataclass(frozen=True)
 class AmplitudeDistribution:
     """Gaussian over the per-center amplitudes, in meters."""
@@ -82,8 +91,7 @@ class PoseSampler:
             raise ConfigurationError("rotation_range_deg must lie in [0, 90)")
         if not 0.0 < self.lateral_margin <= 1.0:
             raise ConfigurationError("lateral_margin must lie in (0, 1]")
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be at least 1")
+        _check_count("max_attempts", self.max_attempts)
 
     def sample_pose(
         self,
@@ -248,8 +256,7 @@ def project_corners(
     ``(pixels, converged)``; rows that fail to trace or to converge to
     ``tol`` (meters in the board plane) are flagged False.
     """
-    if max_iters < 1:
-        raise ConfigurationError("max_iters must be at least 1")
+    _check_count("max_iters", max_iters)
     targets = np.asarray(board_xy, dtype=np.float64).reshape(-1, 2)
     n = targets.shape[0]
     if np.ndim(image_index):

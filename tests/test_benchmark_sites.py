@@ -7,6 +7,7 @@ is parsed here, not imported or executed.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -17,7 +18,8 @@ import pytest
 from conecal import synth
 from conecal.cli import main
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 # sites that the pipeline never reaches through the wrapped name
 KNOWN_DEAD = {
@@ -106,6 +108,38 @@ def test_every_positional_hook_read_names_the_parameter_at_that_position():
             )
         hooked += bool(reads)
     assert hooked > 0
+
+
+def importable(module_name, name):
+    """Whether ``from module_name import name`` would succeed."""
+    module = importlib.import_module(module_name)
+    if hasattr(module, name):
+        return True
+    # from a package, the name may be a submodule not yet imported
+    submodule = f"{module_name}.{name}"
+    return hasattr(module, "__path__") and importlib.util.find_spec(submodule) is not None
+
+
+@pytest.mark.skipif(not PERFBENCH.is_dir(), reason="perfbench/ is not in this checkout")
+def test_every_benchmark_import_from_conecal_resolves():
+    # deleting or renaming a public name in src would otherwise break the
+    # benchmark, or its own tests, only when they run
+    imports = []  # (file, module, name or None for a plain import)
+    for source in sorted(PERFBENCH.rglob("*.py")):
+        where = str(source.relative_to(PERFBENCH.parent))
+        for node in ast.walk(ast.parse(source.read_text(), filename=where)):
+            if isinstance(node, ast.Import):
+                imports += [(where, alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports += [(where, node.module, alias.name) for alias in node.names]
+    imports = [entry for entry in imports if entry[1].split(".")[0] == "conecal"]
+    assert imports
+    unresolved = [
+        entry
+        for entry in imports
+        if not (importlib.util.find_spec(entry[1]) if entry[2] is None else importable(*entry[1:]))
+    ]
+    assert unresolved == []
 
 
 def counted(calls, site, original):

@@ -71,6 +71,20 @@ class TestContainers:
         with pytest.raises(DataError, match="duplicate"):
             ObservationSet(square_size=0.03, corners_per_side=7, images=(image,))
 
+    def test_duplicate_check_compares_whole_rows(self):
+        # an encoding i*(n+1)+j wraps int64 at n = 2**62, where (4, 5) and
+        # (8, 1) would collide
+        pose = make_pose(depth=0.5, dx=0.0, dy=0.0, rot_deg=(0, 0, 0))
+
+        def one_image(corners_per_side, ij):
+            image = ImageObservations(0, pose, np.array(ij), np.zeros((len(ij), 2)))
+            return ObservationSet(0.03, corners_per_side, (image,))
+
+        assert one_image(2**62, [[4, 5], [8, 1]]).n_corners == 2
+        for corners_per_side in (7, 2**62):
+            with pytest.raises(DataError, match="image 0 has duplicate corner indices"):
+                one_image(corners_per_side, [[4, 5], [1, 1], [4, 5]])
+
     def test_out_of_range_corner_rejected(self):
         pose = make_pose(depth=0.5, dx=0.0, dy=0.0, rot_deg=(0, 0, 0))
         image = ImageObservations(

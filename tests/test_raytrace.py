@@ -6,6 +6,7 @@ linear solve for the plane hit, and a scalar re-trace with
 finite-difference normals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -146,6 +147,27 @@ class TestSceneParams:
         assert moved._pose_stack is stack
         _, first = scene_zero.with_poses(scene_zero.poses[::-1]).pose_arrays(0)
         assert first.tobytes() == scene_zero.poses[2].translation.tobytes()
+
+    @pytest.mark.parametrize(
+        "part, field, value",
+        [
+            ("intrinsics", "fx", math.nan),
+            ("intrinsics", "fy", math.inf),
+            ("intrinsics", "cx", math.nan),
+            ("intrinsics", "cy", -math.inf),
+            ("cone", "apex", (0.0, math.nan, -0.0015)),
+            ("cone", "height", math.inf),
+            ("cone", "radial_thickness", math.nan),
+            ("cone", "eta_inside", math.nan),
+            ("cone", "eta_outside", math.inf),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_non_finite_camera_or_cone_value_rejected(self, scene_zero, part, field, value):
+        # unchecked, a NaN eta_inside traced as inner-refraction failures
+        # and a NaN cx raised MissError at inner-intersection
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            dataclasses.replace(getattr(scene_zero, part), **{field: value})
 
     @pytest.mark.parametrize("index", [0.0, True], ids=["float", "bool"])
     def test_non_integer_scalar_index_rejected(self, scene_zero, index):

@@ -99,6 +99,11 @@ class TestPoseSampler:
         with pytest.raises(ConfigurationError):
             PoseSampler(max_attempts=0)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_max_attempts_must_be_an_integer(self, value):
+        with pytest.raises(ConfigurationError, match="max_attempts must be an integer"):
+            PoseSampler(max_attempts=value)
+
 
 # (sampler, square size, corners per side) for the sampler's byte identity
 SAMPLER_SETTINGS = {
@@ -364,6 +369,11 @@ class TestStackedProjection:
     def test_max_iters_validated(self, scene_zero):
         with pytest.raises(ConfigurationError):
             project_corners(scene_zero, 0, board_grid_targets(0.03, 7), max_iters=0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_max_iters_must_be_an_integer(self, scene_zero, value):
+        with pytest.raises(ConfigurationError, match="max_iters must be an integer"):
+            project_corners(scene_zero, 0, board_grid_targets(0.03, 7), max_iters=value)
 
 
 class TestGenerateDataset:
