@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -125,7 +126,7 @@ class FitResult:
     @property
     def rmse_cm(self) -> float:
         """Root-mean-square corner residual of the final evaluation, in cm."""
-        return math.sqrt(self.final_loss / self.n_active) * 100.0
+        return _rmse_cm(self.final_loss, self.n_active)
 
 
 @dataclass(frozen=True)
@@ -148,30 +149,31 @@ class _FitBatch:
     """Every image's corners stacked in image order, traced through the cover once.
 
     Holds the rows of :meth:`ObservationSet.stacked` (minus the pixels),
-    plus the pose- and amplitude-independent cover stage. The kernel
-    matrix ``K`` at the outer hits is built on first use, image by image,
-    and is the only kernel data kept: the field's slope and angular
-    derivative, and their amplitude gradient, follow from it exactly
-    (:func:`~conecal.geometry._field_values` and its adjoint).
+    plus the pose- and amplitude-independent cover stage, built for the
+    camera, cone and center layout in ``key``. The kernel matrix ``K`` at
+    the outer hits is built on first use and is the only kernel data kept:
+    the field's slope and angular derivative, and their amplitude gradient,
+    follow from it exactly (:func:`~conecal.geometry._field_values` and its
+    adjoint).
     """
 
     def __init__(self, params: SceneParams, observations: ObservationSet):
+        self.key = _batch_key(params)
         self.image_index, self.grid_ij, pixels, self.target, self.offsets = observations.stacked()
         self.n_images = observations.n_images
         dirs = pixel_to_ray(params.intrinsics, pixels)
         self.cover = _trace_cover(params.cone, np.zeros_like(dirs), dirs)
-        self._kernel = None
 
-    def kernel(self, surface: RbfSurface) -> np.ndarray:
-        """``K`` at every outer hit for the centers of ``surface``, shape
-        (n_corners, n_centers); built image by image to bound the
-        temporaries of the kernel evaluation."""
-        if self._kernel is None:
-            self._kernel = np.empty((self.target.shape[0], surface.n_centers))
-            for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
-                s_outer = self.cover.s_outer[start:stop]
-                self._kernel[start:stop] = rbf_kernel_terms(surface, s_outer)
-        return self._kernel
+    @cached_property
+    def K(self) -> np.ndarray:
+        """``K`` at every outer hit, shape (n_corners, n_centers); built
+        image by image to bound the temporaries of the kernel evaluation."""
+        _, _, patch, grid, beta = self.key
+        centers = RbfSurface.flat(patch, grid, beta=beta)
+        K = np.empty((self.target.shape[0], centers.n_centers))
+        for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
+            K[start:stop] = rbf_kernel_terms(centers, self.cover.s_outer[start:stop])
+        return K
 
     def errored(self, status: np.ndarray) -> tuple:
         """Sorted ``(image_index, i, j, stage)`` of every failed corner."""
@@ -192,8 +194,7 @@ class _FitBatch:
         the outer normal's field derivatives when ``derivatives`` is set
         (else None) and each corner's board rotation. Each row has the bits
         that :func:`~conecal.raytrace.trace_pixels` gives its pixel."""
-        surface = params.surface
-        fields = _field_values(surface, self.cover.s_outer, lambda: self.kernel(surface))
+        fields = _field_values(params.surface, self.cover.s_outer, lambda: self.K)
         n_outer, dn = _outer_normal_linearization(
             params.cone, self.cover.s_outer, fields, derivatives
         )
@@ -250,8 +251,7 @@ class _FitBatch:
         # angular derivative, then through K
         g = np.zeros((self.target.shape[0], 3))
         g[ok] = _stack_last(*(_dot(dl_dnhat, _components(dn[..., j])) for j in range(3)))
-        surface = params.surface
-        return _field_values_adjoint(surface, self.cover.s_outer, self.kernel(surface), g)
+        return _field_values_adjoint(params.surface, self.cover.s_outer, self.K, g)
 
     def _pose_gradient(self, rotation, batch, ok, rho):
         """One [rotation-increment, translation] block of 6 per image: the
@@ -292,20 +292,25 @@ def _pose_rows(rotation, local, dir_out) -> np.ndarray:
     return rows
 
 
-# (key, batch) per live observation set: an entry goes with its set
-_FIT_BATCHES: "weakref.WeakKeyDictionary[ObservationSet, tuple]" = weakref.WeakKeyDictionary()
+def _batch_key(params: SceneParams) -> tuple:
+    """The camera, cone and center layout (patch, grid, beta) of ``params``:
+    what a :class:`_FitBatch` depends on besides its observation set."""
+    surface = params.surface
+    return (params.intrinsics, params.cone, surface.patch, surface.grid, surface.beta)
+
+
+# one batch per live observation set: an entry goes with its set
+_FIT_BATCHES: "weakref.WeakKeyDictionary[ObservationSet, _FitBatch]" = weakref.WeakKeyDictionary()
 
 
 def _fit_batch(params: SceneParams, observations: ObservationSet) -> _FitBatch:
     """The stacked batch of ``observations`` under the camera, cone and
     centers of ``params``, rebuilt when one of them differs from the last
     call's on this set; the poses and amplitudes are read per evaluation."""
-    surface = params.surface
-    key = (params.intrinsics, params.cone, surface.patch, surface.grid, surface.beta)
-    entry = _FIT_BATCHES.get(observations)
-    if entry is None or entry[0] != key:
-        entry = _FIT_BATCHES[observations] = (key, _FitBatch(params, observations))
-    return entry[1]
+    batch = _FIT_BATCHES.get(observations)
+    if batch is None or batch.key != _batch_key(params):
+        batch = _FIT_BATCHES[observations] = _FitBatch(params, observations)
+    return batch
 
 
 def loss(params: SceneParams, observations: ObservationSet) -> LossResult:
@@ -344,20 +349,15 @@ class _AdamState:
         return rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-def _is_stable(value: float, grad: np.ndarray | None) -> bool:
-    """A finite loss no larger than 1e6 m^2 and, when given, a finite gradient."""
-    return bool(
-        np.isfinite(value) and value <= 1e6 and (grad is None or np.all(np.isfinite(grad)))
-    )
-
-
 def _check_divergence(
     value: float,
     grad: np.ndarray | None,
     iteration: int,
     last_stable: "FitResult | None",
 ) -> None:
-    if not _is_stable(value, grad):
+    """Raise :class:`DivergenceError` unless the loss is finite and no larger
+    than 1e6 m^2 and, when given, the gradient is finite."""
+    if not (np.isfinite(value) and value <= 1e6 and (grad is None or np.all(np.isfinite(grad)))):
         raise DivergenceError(
             f"optimization diverged at iteration {iteration} (loss {value!r})",
             iteration=iteration,
@@ -398,20 +398,19 @@ def optimize_amplitudes(
                 last_stable=last_stable,
             ) from None
         history.append(result.value)
-        if _is_stable(result.value, grad):
-            last_stable = FitResult(
-                params=current,
-                loss_history=np.array(history),
-                errored=result.errored,
-                n_active=result.n_active,
-            )
         _check_divergence(result.value, grad, it, last_stable)
+        last_stable = FitResult(
+            params=current,
+            loss_history=np.array(history),
+            errored=result.errored,
+            n_active=result.n_active,
+        )
         if (
             options.tolerance > 0.0
             and len(history) >= 2
             and abs(history[-2] - history[-1]) <= options.tolerance
         ):
-            return last_stable  # set just above: the check passed at this iterate
+            return last_stable
         x = x - adam.step(grad, options.rate_at(it))
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1.0:
             raise DivergenceError(
@@ -554,10 +553,16 @@ def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineRes
 # summary metrics
 
 
+def _rmse_cm(total: float, n_active: int) -> float:
+    """Root-mean-square corner residual, in cm, of a loss ``total`` (m^2)
+    over ``n_active`` corners."""
+    return math.sqrt(total / n_active) * 100.0
+
+
 def rmse_cm(params: SceneParams, observations: ObservationSet) -> float:
     """Root-mean-square corner residual under the full model, in cm."""
     result = loss(params, observations)
-    return math.sqrt(result.value / result.n_active) * 100.0
+    return _rmse_cm(result.value, result.n_active)
 
 
 def pinhole_rmse_cm(params: SceneParams, observations: ObservationSet) -> float:
@@ -571,4 +576,4 @@ def pinhole_rmse_cm(params: SceneParams, observations: ObservationSet) -> float:
     n_active = int(np.count_nonzero(hit))
     if n_active == 0:
         raise DataError("no corner reaches the board under the pinhole model")
-    return math.sqrt(total / n_active) * 100.0
+    return _rmse_cm(total, n_active)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, _check_count
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ class CameraIntrinsics:
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ConfigurationError("focal lengths must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigurationError("sensor size must be positive")
+        _check_count("width", self.width, 1)
+        _check_count("height", self.height, 1)
 
 
 def pixel_to_ray(intrinsics: CameraIntrinsics, pixels) -> np.ndarray:

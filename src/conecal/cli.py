@@ -13,6 +13,7 @@ divergence (argument parsing failures also exit 2, via argparse).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -43,6 +44,7 @@ from .config import (
     load_config,
     pose_sampler_from_config,
     surface_from_config,
+    surface_to_config,
 )
 from .errors import ConfigurationError, DataError, DivergenceError
 from .geometry import RbfSurface
@@ -177,6 +179,10 @@ def cmd_refine_poses(args) -> None:
 # calibrate
 
 
+def _relative_improvement_pct(rmse_initial: float, rmse_final: float) -> float:
+    return 100.0 * (1.0 - rmse_final / rmse_initial)
+
+
 def _fitted_surface_json(
     fit: FitResult,
     rmse_initial: float,
@@ -184,34 +190,19 @@ def _fitted_surface_json(
     options: OptimizerOptions,
     diverged_at: int | None,
 ) -> dict:
-    surface = fit.surface
-    patch = surface.patch
     return {
-        "grid_rows": surface.grid[0],
-        "grid_cols": surface.grid[1],
-        "amplitudes_m": [[float(v) for v in row] for row in surface.amplitudes],
-        "beta_norm_sq": surface.beta,
-        "patch": {
-            "s1_min_m": patch.s1_range[0],
-            "s1_max_m": patch.s1_range[1],
-            "s2_min_rad": patch.s2_range[0],
-            "s2_max_rad": patch.s2_range[1],
-        },
+        **surface_to_config(fit.surface),
         "rmse_initial_cm": rmse_initial,
         "rmse_cone_only_cm": rmse_cone_only,
         "rmse_final_cm": fit.rmse_cm,
-        "relative_improvement_pct": 100.0 * (1.0 - fit.rmse_cm / rmse_initial),
+        "relative_improvement_pct": _relative_improvement_pct(rmse_initial, fit.rmse_cm),
         "loss_history_m2": [float(v) for v in fit.loss_history],
         "errored_rays": [
             {"image": image, "i": int(i), "j": int(j), "stage": stage}
             for image, i, j, stage in fit.errored
         ],
         "n_active_corners": fit.n_active,
-        "options": {
-            "step_count": options.step_count,
-            "learning_rate": options.learning_rate,
-            "tolerance": options.tolerance,
-        },
+        "options": dataclasses.asdict(options),
         "diverged_at_iteration": diverged_at,
     }
 
@@ -231,7 +222,7 @@ def load_fitted_surface(path) -> RbfSurface:
 
 
 def _print_rmse_table(rmse_initial: float, rmse_final: float) -> None:
-    improvement = 100.0 * (1.0 - rmse_final / rmse_initial)
+    improvement = _relative_improvement_pct(rmse_initial, rmse_final)
     print("set  RMSE initial (cm)  RMSE final (cm)  rel. improvement")
     print(f"1    {rmse_initial:<18.6f}{rmse_final:<17.6f}{improvement:.2f}%")
 

@@ -269,11 +269,35 @@ def board_from_config(config: dict) -> tuple[float, int]:
     return square, corners
 
 
+def _grid_keys(amplitudes) -> dict:
+    """The ``grid_rows``, ``grid_cols`` and ``amplitudes_m`` keys of a
+    ``surface`` section holding ``amplitudes``."""
+    amps = np.asarray(amplitudes, dtype=np.float64)
+    return {
+        "grid_rows": int(amps.shape[0]),
+        "grid_cols": int(amps.shape[1]),
+        "amplitudes_m": amps.tolist(),
+    }
+
+
+def surface_to_config(surface: RbfSurface) -> dict:
+    """The config ``surface`` section that :func:`surface_from_config` reads
+    back as ``surface``: its patch, grid, kernel width and amplitudes."""
+    patch = surface.patch
+    return {
+        "patch": {
+            "s1_min_m": patch.s1_range[0],
+            "s1_max_m": patch.s1_range[1],
+            "s2_min_rad": patch.s2_range[0],
+            "s2_max_rad": patch.s2_range[1],
+        },
+        "beta_norm_sq": surface.beta,
+        **_grid_keys(surface.amplitudes),
+    }
+
+
 def config_with_amplitudes(config: dict, amplitudes: np.ndarray) -> dict:
     """Copy of ``config`` with the surface amplitudes (and grid) filled in."""
     updated = copy.deepcopy(config)
-    amps = np.asarray(amplitudes, dtype=np.float64)
-    updated["surface"]["grid_rows"] = int(amps.shape[0])
-    updated["surface"]["grid_cols"] = int(amps.shape[1])
-    updated["surface"]["amplitudes_m"] = [[float(v) for v in row] for row in amps]
+    updated["surface"].update(_grid_keys(amplitudes))
     return updated

@@ -7,6 +7,8 @@ apart so batch drivers can react differently to each.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ConecalError(Exception):
     """Base class for every error raised by this package."""
@@ -18,6 +20,16 @@ class ConfigurationError(ConecalError):
 
 class DataError(ConecalError):
     """Input data is missing, malformed, or unusable for the requested op."""
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise :class:`ConfigurationError` naming ``name`` unless ``value`` is
+    an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ConfigurationError(f"{name} must be {bound}")
 
 
 class DivergenceError(ConecalError):

@@ -196,11 +196,7 @@ class SceneParams:
             )
 
     def with_surface(self, surface: RbfSurface) -> "SceneParams":
-        params = SceneParams(self.intrinsics, self.cone, surface, self.poses)
-        if "_pose_stack" in self.__dict__:
-            # the same poses: a fit's every step gathers from one stack
-            params.__dict__["_pose_stack"] = self._pose_stack
-        return params
+        return SceneParams(self.intrinsics, self.cone, surface, self.poses)
 
     def with_poses(self, poses) -> "SceneParams":
         return SceneParams(self.intrinsics, self.cone, self.surface, tuple(poses))

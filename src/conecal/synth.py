@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, pinhole_project, pixel_to_ray
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, _check_count
 from .geometry import ConeGeometry, RbfSurface
 from .observations import ImageObservations, ObservationSet, _board_corners
 from .raytrace import (
@@ -31,15 +31,6 @@ from .raytrace import (
     _trace_batch,
     raycast_pixels,
 )
-
-
-def _check_count(name: str, value) -> None:
-    """Raise :class:`ConfigurationError` unless ``value`` is an integer (not a
-    bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigurationError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -55,13 +46,6 @@ class AmplitudeDistribution:
 
     def sample(self, rng: np.random.Generator, grid: tuple[int, int]) -> np.ndarray:
         return rng.normal(self.mean, self.sigma, size=grid)
-
-
-def sample_surface(
-    rng: np.random.Generator, template: RbfSurface, dist: AmplitudeDistribution
-) -> RbfSurface:
-    """Template surface with freshly drawn amplitudes."""
-    return template.with_amplitudes(dist.sample(rng, template.grid))
 
 
 @dataclass(frozen=True)
@@ -91,7 +75,7 @@ class PoseSampler:
             raise ConfigurationError("rotation_range_deg must lie in [0, 90)")
         if not 0.0 < self.lateral_margin <= 1.0:
             raise ConfigurationError("lateral_margin must lie in (0, 1]")
-        _check_count("max_attempts", self.max_attempts)
+        _check_count("max_attempts", self.max_attempts, 1)
 
     def sample_pose(
         self,
@@ -129,12 +113,6 @@ class PoseSampler:
         raise ConfigurationError(
             f"no fully visible pose found in {self.max_attempts} attempts; "
             "loosen the sampler ranges or shrink the board"
-        )
-
-    def sample_poses(self, rng, intrinsics, cone, surface, square_size, corners_per_side, n):
-        return tuple(
-            self.sample_pose(rng, intrinsics, cone, surface, square_size, corners_per_side)
-            for _ in range(n)
         )
 
 
@@ -256,7 +234,7 @@ def project_corners(
     ``(pixels, converged)``; rows that fail to trace or to converge to
     ``tol`` (meters in the board plane) are flagged False.
     """
-    _check_count("max_iters", max_iters)
+    _check_count("max_iters", max_iters, 1)
     targets = np.asarray(board_xy, dtype=np.float64).reshape(-1, 2)
     n = targets.shape[0]
     if np.ndim(image_index):
@@ -340,16 +318,6 @@ def project_corners(
     return pixels, converged
 
 
-def project_corner(params: SceneParams, image_index: int, board_xy) -> np.ndarray:
-    """Single-point version of :func:`project_corners`; raises on failure."""
-    pixels, converged = project_corners(
-        params, image_index, np.asarray(board_xy, dtype=np.float64)[None, :]
-    )
-    if not converged[0]:
-        raise DataError(f"projection of board point {board_xy} did not converge")
-    return pixels[0]
-
-
 @dataclass(frozen=True)
 class GeneratedDataset:
     """Synthetic observations plus the ground truth that produced them."""
@@ -381,18 +349,17 @@ def generate_dataset(
     sensor are dropped before noise is added, so noisy detections may
     lie outside the sensor bounds.
     """
-    if n_images < 1:
-        raise ConfigurationError("n_images must be at least 1")
-    if seed < 0:
-        raise ConfigurationError("seed must be nonnegative")
+    _check_count("n_images", n_images, 1)
+    _check_count("seed", seed, 0)
     if noise_sigma_px < 0.0:
         raise ConfigurationError("noise_sigma_px must be nonnegative")
     rng = np.random.default_rng(seed)
     if amplitude_dist is not None:
-        surface = sample_surface(rng, surface, amplitude_dist)
+        surface = surface.with_amplitudes(amplitude_dist.sample(rng, surface.grid))
     sampler = pose_sampler or PoseSampler()
-    poses = sampler.sample_poses(
-        rng, intrinsics, cone, surface, square_size, corners_per_side, n_images
+    poses = tuple(
+        sampler.sample_pose(rng, intrinsics, cone, surface, square_size, corners_per_side)
+        for _ in range(n_images)
     )
     params = SceneParams(intrinsics=intrinsics, cone=cone, surface=surface, poses=poses)
 

@@ -726,6 +726,16 @@ class TestRefinePoses:
         refined = refine_poses(scene, obs)
         assert np.array_equal(refined.params.surface.amplitudes, amps)
 
+    def test_evaluates_no_kernel(self, scene_zero, monkeypatch):
+        # the refinement runs under the zero field, whatever the amplitudes,
+        # so the batch it shares with the fit builds no K
+        amps = np.random.default_rng(505).normal(1e-5, 2e-6, size=scene_zero.surface.grid)
+        scene = scene_zero.with_surface(scene_zero.surface.with_amplitudes(amps))
+        obs = consistent_observations(scene_zero, subsample=3)
+        calls = count_kernel_calls(monkeypatch)
+        refine_poses(scene, obs)
+        assert calls == []
+
 
 class TestRmse:
     def test_rmse_matches_manual_computation(self, scene_zero):

@@ -7,9 +7,16 @@ import re
 import numpy as np
 import pytest
 
+from conecal import cli
 from conecal.analysis import corner_error_scatter, distortion_vs_inverse_depth
 from conecal.cli import _write_depth_curve_csv, _write_scatter_csv, load_fitted_surface, main
-from conecal.config import default_config, load_config, merge_config
+from conecal.config import (
+    default_config,
+    load_config,
+    merge_config,
+    surface_from_config,
+    surface_to_config,
+)
 from conecal.errors import ConfigurationError, DataError
 from conecal.observations import load_observations
 from conftest import count_cover_traces, count_kernel_calls
@@ -586,6 +593,53 @@ class TestCalibrate:
                 load_fitted_surface(path)
         path.write_text(fitted_surface_text())
         assert load_fitted_surface(path).grid == (10, 10)
+
+
+# a non-default surface section: its own patch, a 2x4 grid, an explicit beta
+# and amplitudes of both signs
+FITTED_SECTION = {
+    "patch": {"s1_min_m": 0.032, "s1_max_m": 0.047, "s2_min_rad": -0.21, "s2_max_rad": 0.19},
+    "grid_rows": 2,
+    "grid_cols": 4,
+    "beta_norm_sq": 0.0731,
+    "amplitudes_m": [[1.5e-6, -2.25e-6, 0.0, 3.1e-7], [-1.1e-6, 4.5e-6, -3.5e-7, 2.0e-6]],
+}
+
+
+def assert_same_surface(got, expected):
+    assert got.grid == expected.grid
+    assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
+    assert float(got.beta).hex() == float(expected.beta).hex()
+    assert got.patch == expected.patch
+
+
+class TestFittedSurfaceFile:
+    def test_config_section_round_trips(self):
+        surface = surface_from_config({"surface": FITTED_SECTION})
+        assert np.any(surface.amplitudes < 0.0) and np.any(surface.amplitudes > 0.0)
+        back = surface_from_config({"surface": surface_to_config(surface)})
+        assert_same_surface(back, surface)
+
+    def test_calibrate_writes_a_config_surface_section(self, tmp_path, monkeypatch):
+        data = generate_small(tmp_path)
+        config = write_config(tmp_path, {**SMALL, "surface": FITTED_SECTION}, name="fit.json")
+        fits = []
+        optimize = cli.optimize_amplitudes
+
+        def recording(*args):
+            fits.append(optimize(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(cli, "optimize_amplitudes", recording)
+        out = tmp_path / "fit"
+        argv = ["calibrate", "--config", config, "--observations", data / "observations.json"]
+        assert run([*argv, "--out", out, "--steps", 3]) == 0
+        path = out / "fitted_surface.json"
+        assert_same_surface(load_fitted_surface(path), fits[0].surface)
+        document = json.loads(path.read_text())
+        section = surface_to_config(fits[0].surface)
+        assert section.keys() == default_config()["surface"].keys()
+        assert {key: document[key] for key in section} == section
 
 
 def scatter_csv_writer_form(path, scatter):

@@ -1,6 +1,7 @@
 """Tests for synthetic data generation and the raycast inversion."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +15,7 @@ from conecal.synth import (
     GeneratedDataset,
     PoseSampler,
     generate_dataset,
-    project_corner,
     project_corners,
-    sample_surface,
 )
 from oracles import (
     board_grid_targets,
@@ -40,14 +39,6 @@ class TestAmplitudeDistribution:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigurationError):
             AmplitudeDistribution(sigma=-1e-6)
-
-    def test_sample_surface_keeps_structure(self, patch):
-        rng = np.random.default_rng(5)
-        template = RbfSurface.flat(patch, (4, 4))
-        drawn = sample_surface(rng, template, AmplitudeDistribution())
-        assert drawn.grid == template.grid
-        assert drawn.beta == template.beta
-        assert not np.all(drawn.amplitudes == 0.0)
 
 
 class TestPoseSampler:
@@ -124,8 +115,8 @@ class TestOutlinePrefilter:
         for seed in range(5):
             rng = np.random.default_rng([seed, 71])
             oracle_rng = np.random.default_rng([seed, 71])
-            poses = sampler.sample_poses(rng, intrinsics, cone, flat_surface, square, n, 3)
-            for pose in poses:
+            for _ in range(3):
+                pose = sampler.sample_pose(rng, intrinsics, cone, flat_surface, square, n)
                 expected = sample_pose_projecting_every_candidate(
                     sampler, oracle_rng, intrinsics, cone, flat_surface, square, n
                 )
@@ -279,12 +270,6 @@ class TestProjectCorners:
             reference = grid_search_project(scene_zero, 1, target, seed_px, half_width=60.0)
             assert reference is not None
             assert np.max(np.abs(pixel - reference)) < 1e-3
-
-    def test_single_corner_helper(self, scene_zero):
-        pixel = project_corner(scene_zero, 0, np.array([0.03, -0.06]))
-        local, status = raycast_pixels(scene_zero, 0, pixel[None, :])
-        assert status[0] == TraceStatus.OK
-        np.testing.assert_allclose(local[0], [0.03, -0.06], atol=1e-9)
 
     def test_factored_kernel_moves_only_last_bits(self, scene_zero, monkeypatch):
         """Traces and projections under a 10x10 field with the per-axis
@@ -472,6 +457,21 @@ class TestGenerateDataset:
                 square_size=square_size, corners_per_side=corners_per_side,
             )
         assert built == []
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("width", "height", "n_images") for v in (math.nan, 2.5, True, 0)]
+        + [("seed", v) for v in (math.nan, 2.5, True)],
+    )
+    def test_counts_must_be_integers(self, intrinsics, cone, patch, field, value):
+        # a count that is not an integer would otherwise surface as a bare
+        # TypeError, a misleading sampler failure or a "seed": true file
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            if field in ("width", "height"):
+                dataclasses.replace(intrinsics, **{field: value})
+            else:
+                template = RbfSurface.flat(patch, (3, 3))
+                generate_dataset(intrinsics, cone, template, **{"n_images": 1, field: value})
 
     def test_negative_seed_rejected(self, intrinsics, cone, patch):
         # numpy's generator would raise a bare ValueError
