@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigurationError, DataError, DivergenceError
 from .camera import pixel_to_ray
@@ -436,6 +435,20 @@ def optimize_amplitudes(
 
 # ---------------------------------------------------------------------------
 # pose refinement
+
+
+def least_squares(fun, x0, **kwargs):
+    """``scipy.optimize.least_squares``, imported on its first call.
+
+    The pose solve is the only user of scipy. Importing
+    ``scipy.optimize`` takes about 0.4 s and 48 MB of resident memory,
+    which ``generate``, ``analyze`` and a ``calibrate`` that refines no
+    pose never pay. The solver stays a name of this module, so that it
+    can be wrapped or replaced here.
+    """
+    from scipy.optimize import least_squares as solve
+
+    return solve(fun, x0, **kwargs)
 
 
 def _pose_landing(p, rotation0, x_o, r_o):

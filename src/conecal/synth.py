@@ -41,8 +41,12 @@ class AmplitudeDistribution:
     sigma: float = 2.5e-6
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ConfigurationError("amplitude sigma must be nonnegative")
+        if not np.isfinite(self.mean):
+            raise ConfigurationError(f"amplitude mean must be finite, got {self.mean!r}")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ConfigurationError(
+                f"amplitude sigma must be finite and nonnegative, got {self.sigma!r}"
+            )
 
     def sample(self, rng: np.random.Generator, grid: tuple[int, int]) -> np.ndarray:
         return rng.normal(self.mean, self.sigma, size=grid)
@@ -351,8 +355,10 @@ def generate_dataset(
     """
     _check_count("n_images", n_images, 1)
     _check_count("seed", seed, 0)
-    if noise_sigma_px < 0.0:
-        raise ConfigurationError("noise_sigma_px must be nonnegative")
+    if not 0.0 <= noise_sigma_px < np.inf:
+        raise ConfigurationError(
+            f"noise_sigma_px must be finite and nonnegative, got {noise_sigma_px!r}"
+        )
     rng = np.random.default_rng(seed)
     if amplitude_dist is not None:
         surface = surface.with_amplitudes(amplitude_dist.sample(rng, surface.grid))

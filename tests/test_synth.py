@@ -40,6 +40,13 @@ class TestAmplitudeDistribution:
         with pytest.raises(ConfigurationError):
             AmplitudeDistribution(sigma=-1e-6)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["mean", "sigma"])
+    def test_non_finite_rejected_at_construction(self, field, value):
+        # accepted, these would fail only inside generate_dataset
+        with pytest.raises(ConfigurationError, match=f"amplitude {field} must be finite"):
+            AmplitudeDistribution(**{field: value})
+
 
 class TestPoseSampler:
     def test_sampled_pose_is_fully_visible(self, intrinsics, cone, flat_surface):
@@ -439,6 +446,14 @@ class TestGenerateDataset:
             generate_dataset(intrinsics, cone, template, n_images=0)
         with pytest.raises(ConfigurationError):
             generate_dataset(intrinsics, cone, template, n_images=1, noise_sigma_px=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, intrinsics, cone, patch, value):
+        # NaN would skip the noise and record nan; inf would fail late on
+        # the pixels
+        template = RbfSurface.flat(patch, (3, 3))
+        with pytest.raises(ConfigurationError, match="^noise_sigma_px must be finite"):
+            generate_dataset(intrinsics, cone, template, n_images=1, noise_sigma_px=value)
 
     @pytest.mark.parametrize(
         "square_size, corners_per_side",
