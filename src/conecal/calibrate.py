@@ -21,8 +21,8 @@ evaluation reads from its parameters, so one batch also serves the pose
 refinement (its zero-field exit rays), the RMSEs and the fit.
 
 Pose refinement and the pose gradient share one linearization of the
-board landing, :func:`_pose_rows`: the refinement hands it to
-``least_squares`` as the Jacobian, the gradient contracts it with the
+board landing, :func:`_pose_rows`: the refinement's Gauss-Newton steps
+solve with it as the Jacobian, the gradient contracts it with the
 residuals.
 
 Accumulations (``np.sum``, per-image ``np.bincount`` and the products
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -437,68 +438,63 @@ def optimize_amplitudes(
 # pose refinement
 
 
-def least_squares(fun, x0, **kwargs):
-    """``scipy.optimize.least_squares``, imported on its first call.
+PoseSolve = namedtuple("PoseSolve", "x initial_cost cost nfev")
 
-    The pose solve is the only user of scipy. Importing
-    ``scipy.optimize`` takes about 0.4 s and 48 MB of resident memory,
-    which ``generate``, ``analyze`` and a ``calibrate`` that refines no
-    pose never pay. The solver stays a name of this module, so that it
-    can be wrapped or replaced here.
+
+def _pose_system(p, rotation0, x_o, r_o, x_cb) -> tuple:
+    """Board residuals of one image at the pose ``p = [omega, t]``, whose
+    rotation is ``exp(omega) rotation0``, flattened, and their Jacobian
+    over ``p``, from one landing of the fixed exit rays.
+
+    The Jacobian rows are those of :func:`_pose_rows`, with the rotation
+    columns taken through the left Jacobian of ``omega``. A ray that
+    misses the plane contributes the constant residual 1e3 and zero rows.
     """
-    from scipy.optimize import least_squares as solve
-
-    return solve(fun, x0, **kwargs)
-
-
-def _pose_landing(p, rotation0, x_o, r_o):
-    """Rotation, board coordinates of the landings and hit mask of the fixed
-    exit rays for the pose ``p = [omega, t]``, whose rotation is
-    ``exp(omega) rotation0``."""
     rot = _rotvec_matrix(p[:3]) @ rotation0
     _, _, local, hit = _land(rot, p[3:], x_o, r_o)
-    return rot, local, hit
-
-
-def _last_pose_landing():
-    """A :func:`_pose_landing` for one image's solve that keeps its latest
-    result: ``least_squares`` asks for the Jacobian at the point whose
-    residual it has just evaluated, so that landing is computed once."""
-    last_p, last = None, None
-
-    def landing(p, rotation0, x_o, r_o):
-        nonlocal last_p, last
-        key = p.tobytes()
-        if key != last_p:
-            last_p, last = key, _pose_landing(p, rotation0, x_o, r_o)
-        return last
-
-    return landing
-
-
-def _pose_residual(p, rotation0, x_o, r_o, x_cb, landing=_pose_landing) -> np.ndarray:
-    """Board residuals of one image at ``p``, flattened; a ray that misses
-    the plane contributes the constant 1e3. ``landing`` computes the
-    landing, as :func:`_pose_landing` does."""
-    _, local, hit = landing(p, rotation0, x_o, r_o)
-    return np.where(hit[:, None], local - x_cb, 1e3).ravel()
-
-
-def _pose_jacobian(p, rotation0, x_o, r_o, x_cb, landing=_pose_landing) -> np.ndarray:
-    """Jacobian of :func:`_pose_residual` over ``p``: the rows of
-    :func:`_pose_rows`, with the rotation columns taken through the left
-    Jacobian of ``omega``; a ray that misses the plane has zero rows.
-    ``landing`` is as for :func:`_pose_residual`."""
-    rot, local, hit = landing(p, rotation0, x_o, r_o)
+    residual = np.where(hit[:, None], local - x_cb, 1e3).ravel()
     rows = np.zeros((x_o.shape[0], 2, 6))
     rows[hit] = _pose_rows(rot, local[hit], r_o[hit])
     rows[..., :3] = rows[..., :3] @ _rotvec_left_jacobian(p[:3])
-    return rows.reshape(-1, 6)
+    return residual, rows.reshape(-1, 6)
+
+
+def least_squares(p0, args) -> PoseSolve:
+    """Gauss-Newton on :func:`_pose_system` ``(p, *args)`` from ``p0``.
+
+    Each step solves the linearized problem; a step that does not lower
+    the cost (the sum of squared residuals) is halved. The solve ends
+    when a step's predicted decrease ``|J delta|^2`` is at most 1e-14 of
+    the cost, when a trial fails although that decrease is at most 1e-6
+    of the cost (a rounding-level gain) or after 50 steps. ``nfev``
+    counts the evaluations, each one landing.
+    """
+    residual, jac = _pose_system(p0, *args)
+    x, nfev = p0, 1
+    initial_cost = cost = float(np.sum(residual**2))
+    for _ in range(50):
+        delta = np.linalg.lstsq(jac, -residual, rcond=None)[0]
+        predicted = float(np.sum((jac @ delta) ** 2))
+        if predicted <= 1e-14 * cost:
+            break
+        # predicted <= cost, so at most ten halvings reach the 1e-6 stop
+        while True:
+            trial = _pose_system(x + delta, *args)
+            nfev += 1
+            trial_cost = float(np.sum(trial[0] ** 2))
+            if trial_cost < cost or predicted <= 1e-6 * cost:
+                break
+            delta, predicted = 0.5 * delta, 0.25 * predicted
+        if trial_cost >= cost:
+            break
+        x, cost = x + delta, trial_cost
+        residual, jac = trial
+    return PoseSolve(x, initial_cost, cost, nfev)
 
 
 def _refine_image_pose(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
-    """One image's pose from its fixed exit rays, by one ``least_squares``
-    (``trf``) solve over ``[omega, t]`` with the analytic Jacobian.
+    """One image's pose from its fixed exit rays, by one :func:`least_squares`
+    solve over ``[omega, t]``.
 
     ``x_o`` and ``r_o`` are the outer hits and exit directions of the
     corners that leave the cover, ``x_cb`` their board targets. The rays
@@ -509,26 +505,14 @@ def _refine_image_pose(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
     n_valid = x_o.shape[0]
     if n_valid == 0:
         return pose0, 0.0, 0.0, 0
-    args = (pose0.rotation, x_o, r_o, x_cb, _last_pose_landing())
-    p0 = np.concatenate([np.zeros(3), pose0.translation])
-    initial_cost = float(np.sum(_pose_residual(p0, *args) ** 2))
     sol = least_squares(
-        _pose_residual,
-        p0,
-        jac=_pose_jacobian,
-        method="trf",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-        args=args,
+        np.concatenate([np.zeros(3), pose0.translation]), (pose0.rotation, x_o, r_o, x_cb)
     )
-    # the residual at sol.x, as least_squares evaluated it last
-    final_cost = float(np.sum(sol.fun**2))
-    if final_cost >= initial_cost:
-        return pose0, initial_cost, initial_cost, n_valid
+    if sol.cost >= sol.initial_cost:
+        return pose0, sol.initial_cost, sol.initial_cost, n_valid
     rotation = _rotvec_matrix(sol.x[:3]) @ pose0.rotation
     pose = replace(pose0, rotation=rotation, translation=sol.x[3:])
-    return pose, initial_cost, final_cost, n_valid
+    return pose, sol.initial_cost, sol.cost, n_valid
 
 
 def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineResult:

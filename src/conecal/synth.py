@@ -14,6 +14,7 @@ seed pins the entire dataset bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,8 @@ class PoseSampler:
 
     def __post_init__(self):
         lo, hi = self.depth_range
-        if not 0.0 < lo <= hi:
-            raise ConfigurationError("depth_range must be positive and increasing")
+        if not 0.0 < lo <= hi < math.inf:
+            raise ConfigurationError("depth_range must be positive, finite and increasing")
         if not 0.0 <= self.rotation_range_deg < 90.0:
             raise ConfigurationError("rotation_range_deg must lie in [0, 90)")
         if not 0.0 < self.lateral_margin <= 1.0:
@@ -239,6 +240,8 @@ def project_corners(
     ``tol`` (meters in the board plane) are flagged False.
     """
     _check_count("max_iters", max_iters, 1)
+    if not 0.0 < tol < math.inf:
+        raise ConfigurationError(f"tol must be positive and finite, got {tol!r}")
     targets = np.asarray(board_xy, dtype=np.float64).reshape(-1, 2)
     n = targets.shape[0]
     if np.ndim(image_index):

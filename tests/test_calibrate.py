@@ -20,8 +20,7 @@ from conecal import calibrate, cli
 from conecal.calibrate import (
     FitResult,
     OptimizerOptions,
-    _pose_jacobian,
-    _pose_residual,
+    _pose_system,
     loss,
     loss_gradient,
     optimize_amplitudes,
@@ -104,6 +103,20 @@ def consistent_observations(params, subsample=2, rng=None, noise_px=0.0, corners
             ImageObservations(image_index=idx, initial_pose=pose, grid_ij=ij, pixels=pixels)
         )
     return ObservationSet(square_size=0.03, corners_per_side=n, images=tuple(images))
+
+
+def record_pose_solves(monkeypatch):
+    """The list that every later ``calibrate.least_squares`` result is
+    appended to, in call order."""
+    solves = []
+    solve = calibrate.least_squares
+
+    def recording(*args):
+        solves.append(solve(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(calibrate, "least_squares", recording)
+    return solves
 
 
 def scene_with_failures(rng):
@@ -631,14 +644,14 @@ class TestPoseLinearization:
         p = np.concatenate([[0.03, -0.02, 0.05], pose.translation + [0.002, -0.001, 0.003]])
         args = (pose.rotation, x_o, r_o, x_cb)
 
-        jac = _pose_jacobian(p, *args)
+        residual, jac = _pose_system(p, *args)
         h = 1e-6
         fd = np.empty_like(jac)
         for c in range(6):
             step = np.zeros(6)
             step[c] = h
-            fd[:, c] = (_pose_residual(p + step, *args) - _pose_residual(p - step, *args)) / (2 * h)
-        assert np.all(_pose_residual(p, *args)[-2:] == 1e3)
+            fd[:, c] = (_pose_system(p + step, *args)[0] - _pose_system(p - step, *args)[0]) / (2 * h)
+        assert np.all(residual[-2:] == 1e3)
         assert np.all(jac[-2:] == 0.0) and np.all(fd[-2:] == 0.0)
         assert_close_rel(jac, fd, rel=1e-6, floor=1e-9 * np.max(np.abs(fd)))
 
@@ -689,34 +702,49 @@ class TestRefinePoses:
         rng = np.random.default_rng(504)
         obs = consistent_observations(scene_zero, subsample=2, rng=rng, noise_px=0.5)
         start = self.perturbed(scene_zero, rng)
-        uncached = calibrate._pose_landing
+        land = calibrate._land
         landings = []
 
         def counting(*args):
-            landings.append(args[0].copy())
-            return uncached(*args)
+            landings.append(None)
+            return land(*args)
 
-        solves = []
-        solve = calibrate.least_squares
-
-        def recording(*args, **kwargs):
-            solves.append(solve(*args, **kwargs))
-            return solves[-1]
-
-        monkeypatch.setattr(calibrate, "_pose_landing", counting)
-        monkeypatch.setattr(calibrate, "least_squares", recording)
-        cached = refine_poses(start, obs)
-        # one landing per residual evaluation: the initial cost shares the
-        # solver's first, each Jacobian the residual's, the final cost sol.fun
+        monkeypatch.setattr(calibrate, "_land", counting)
+        solves = record_pose_solves(monkeypatch)
+        refine_poses(start, obs)
+        # the residual and the Jacobian share one landing, and the initial
+        # cost is the solve's first evaluation
+        assert len(solves) == obs.n_images
         assert len(landings) == sum(sol.nfev for sol in solves)
-        assert sum(sol.njev for sol in solves) > 0
+        assert all(sol.nfev > 1 for sol in solves)
 
-        monkeypatch.setattr(calibrate, "_last_pose_landing", lambda: uncached)
-        plain = refine_poses(start, obs)
-        assert cached.reports == plain.reports
-        for got, expected in zip(cached.params.poses, plain.params.poses):
-            assert got.rotation.tobytes() == expected.rotation.tobytes()
-            assert got.translation.tobytes() == expected.translation.tobytes()
+    # starts this far from the truth, in random directions; on the last,
+    # one image's full Gauss-Newton step overshoots and must be halved
+    @pytest.mark.parametrize(
+        "seed, angle, offset", [(610, 0.2, 0.08), (611, 0.2, 0.08), (612, 0.2, 0.08), (612, 1.0, 0.3)]
+    )
+    def test_matches_the_reference_from_far_off(self, scene_zero, seed, angle, offset):
+        rng = np.random.default_rng(seed)
+        obs = consistent_observations(scene_zero, subsample=2, rng=rng, noise_px=0.5)
+        poses = []
+        for pose in scene_zero.poses:
+            axis, shift = rng.normal(size=(2, 3))
+            rot = _rotvec_matrix(angle * axis / np.linalg.norm(axis)) @ pose.rotation
+            trans = pose.translation + offset * shift / np.linalg.norm(shift)
+            poses.append(dataclasses.replace(pose, rotation=rot, translation=trans))
+        start = scene_zero.with_poses(poses)
+        refined = refine_poses(start, obs)
+        expected = refine_poses_finite_difference(start, obs)
+        for report, (_, cost0, cost1, _) in zip(refined.reports, expected):
+            assert report.final_cost < 1e-3 * cost0
+            assert report.final_cost == pytest.approx(cost1, rel=1e-10)
+
+    def test_a_solve_at_the_true_pose_ends_within_five_evaluations(self, scene_zero, monkeypatch):
+        obs = consistent_observations(scene_zero, subsample=2)
+        solves = record_pose_solves(monkeypatch)
+        refine_poses(scene_zero, obs)
+        assert len(solves) == obs.n_images
+        assert all(sol.nfev <= 5 for sol in solves)
 
     def test_preserves_surface(self, scene_zero):
         rng = np.random.default_rng(502)

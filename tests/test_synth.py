@@ -97,6 +97,11 @@ class TestPoseSampler:
         with pytest.raises(ConfigurationError):
             PoseSampler(max_attempts=0)
 
+    @pytest.mark.parametrize("depth_range", [(0.3, math.inf), (math.inf, math.inf)])
+    def test_depth_range_must_be_finite(self, depth_range):
+        with pytest.raises(ConfigurationError, match="depth_range"):
+            PoseSampler(depth_range=depth_range)
+
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
     def test_max_attempts_must_be_an_integer(self, value):
         with pytest.raises(ConfigurationError, match="max_attempts must be an integer"):
@@ -361,6 +366,11 @@ class TestStackedProjection:
     def test_max_iters_validated(self, scene_zero):
         with pytest.raises(ConfigurationError):
             project_corners(scene_zero, 0, board_grid_targets(0.03, 7), max_iters=0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, scene_zero, tol):
+        with pytest.raises(ConfigurationError, match="^tol must be positive and finite"):
+            project_corners(scene_zero, 0, board_grid_targets(0.03, 7), tol=tol)
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
     def test_max_iters_must_be_an_integer(self, scene_zero, value):
