@@ -14,28 +14,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .camera import pinhole_project, pixel_to_ray
 from .errors import DataError
-from .observations import ObservationSet, _replacing
+from .observations import ObservationSet, Records, _json_spelling, _replacing, write_json
 from .raytrace import (
     STAGE_NAMES,
     SceneParams,
     TraceStatus,
     _land_on_board,
     _raise_for_status,
+    _row_blocks,
     _trace_batch,
     trace_pixels,
 )
 
 _STATUS_NAMES = {int(st): "ok" if st == TraceStatus.OK else STAGE_NAMES[st] for st in TraceStatus}
 
-# Rows traced at a time and rows formatted per CSV write: the diagnostics'
-# working set stays a block, however many samples or rows an output holds.
-# Every step is row-wise, so the block size does not change a bit.
-_FIELD_BLOCK_ROWS = 4096
+# Rows formatted per CSV write: with the traces' row blocks
+# (:func:`~conecal.raytrace._row_blocks`), the diagnostics' working set stays
+# a block, however many samples or rows an output holds.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -44,14 +45,13 @@ def _frontal_deltas(params: SceneParams, pixels: np.ndarray, depth):
     (one depth, or one per row): each landing's pinhole projection minus its
     pixel, NaN where the trace failed, and the trace status; a ray leaving
     the cover away from its plane is a board-plane miss; a depth that is not
-    positive and finite is a DataError. Traced ``_FIELD_BLOCK_ROWS`` at a time."""
+    positive and finite is a DataError. Traced :func:`_row_blocks` at a time."""
     depth = np.broadcast_to(depth, pixels.shape[:1])
     if not np.all((depth > 0.0) & (depth < np.inf)):
         raise DataError("depth must be positive and finite")
     deltas = np.empty_like(pixels)
     status = np.empty(pixels.shape[0], dtype=np.int64)
-    for start in range(0, pixels.shape[0], _FIELD_BLOCK_ROWS):
-        block = slice(start, start + _FIELD_BLOCK_ROWS)
+    for block in _row_blocks(pixels.shape[0]):
         deltas[block], status[block] = _frontal_block(params, pixels[block], depth[block])
     return deltas, status
 
@@ -222,14 +222,27 @@ def distortion_vs_inverse_depth(
     )
 
 
-def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> dict:
+@dataclass(frozen=True)
+class CornerScatter:
+    """Per-corner residuals under the full model, by column: one row per
+    corner in image order, image ``k`` holding rows ``offsets[k]:offsets[k + 1]``."""
+
+    offsets: np.ndarray  # (n_images + 1,)
+    grid_ij: np.ndarray  # (N, 2) int, 1-based corner indices
+    pixels: np.ndarray  # (N, 2)
+    status: np.ndarray  # (N,) TraceStatus values
+    residuals: np.ndarray  # (N, 2) board-plane residual (m), NaN where the trace failed
+    errors: np.ndarray  # (N,) residual norm (m), NaN where the trace failed
+    rmse_cm: float  # pooled over the traced corners
+    n_corners: int  # corners that completed the trace
+
+
+def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> CornerScatter:
     """Per-corner residuals under the full model, grouped by image.
 
-    Returns a JSON-ready dict: for every corner its pixel, grid index,
-    board-plane residual (meters) and trace status; failed corners have
-    null residuals. Includes the pooled RMSE over traced corners (cm).
     Every image's corners are traced in one batch, each row landing on
-    its own image's pose.
+    its own image's pose; failed corners have NaN residuals and no part in
+    the pooled RMSE.
     """
     corners = observations.stacked()
     batch = trace_pixels(params, corners.image_index, corners.pixels)
@@ -243,27 +256,71 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> d
     # summed left to right, so the RMSE equals a corner-by-corner running sum
     sq = np.float_power(rho[ok, 0], 2) + np.float_power(rho[ok, 1], 2)
     total = float(np.cumsum(sq)[-1])
+    rho[~ok] = np.nan
+    return CornerScatter(
+        offsets=corners.offsets,
+        grid_ij=corners.grid_ij,
+        pixels=corners.pixels,
+        status=batch.status,
+        residuals=rho,
+        errors=np.hypot(rho[:, 0], rho[:, 1]),
+        rmse_cm=float(np.sqrt(total / count) * 100.0),
+        n_corners=count,
+    )
 
-    records = []
-    for (i, j), (px, py), st, (dmx, dmy), err in zip(
-        corners.grid_ij.tolist(),
-        corners.pixels.tolist(),
-        batch.status.tolist(),
-        rho.tolist(),
-        np.hypot(rho[:, 0], rho[:, 1]).tolist(),
-    ):
-        if st != TraceStatus.OK:
-            dmx = dmy = err = None
-        records.append(
-            {"i": i, "j": j, "px": px, "py": py, "status": _STATUS_NAMES[st],
-             "dmx_m": dmx, "dmy_m": dmy, "err_m": err}
+
+_SCATTER_KEYS = ("i", "j", "px", "py", "status", "dmx_m", "dmy_m", "err_m")
+_JSON_STATUS = {st: encode_basestring_ascii(name) for st, name in _STATUS_NAMES.items()}
+
+
+def write_corner_scatter(scatter: CornerScatter, json_path, csv_path) -> None:
+    """Write the scatter as JSON and as CSV, in one pass over the images.
+
+    The JSON is ``{"images": [{"index", "corners": [{"i", "j", "px", "py",
+    "status", "dmx_m", "dmy_m", "err_m"}, ...]}, ...], "n_corners",
+    "rmse_cm"}``, as :func:`~conecal.observations.write_json` writes it;
+    the CSV has one row per corner, ``image,i,j,px,py,status,dmx_m,dmy_m,err_m``.
+    A failed corner's residuals are null in the JSON and empty in the CSV.
+    Each image's numbers are formatted once, floats by ``float.__repr__``,
+    and both files are written from those texts, so the working set is one
+    image's rows. Each file replaces its target once complete.
+    """
+    offsets = scatter.offsets.tolist()
+
+    def images(csv):
+        for index, (start, stop) in enumerate(zip(offsets, offsets[1:])):
+            rows = slice(start, stop)
+            i, j = (list(map(int.__repr__, c)) for c in scatter.grid_ij[rows].T.tolist())
+            px, py = (list(map(float.__repr__, c)) for c in scatter.pixels[rows].T.tolist())
+            residuals = np.column_stack([scatter.residuals[rows], scatter.errors[rows]])
+            status = scatter.status[rows].tolist()
+            failed = [k for k, st in enumerate(status) if st != TraceStatus.OK]
+            csv_texts, json_texts = [], []
+            for column in residuals.T.tolist():
+                texts = list(map(float.__repr__, column))
+                csv_texts.append(_blanked(texts, failed, ""))
+                json_texts.append(_json_spelling(_blanked(texts, failed, "null")))
+            row = f"{index}" + ",{}" * len(_SCATTER_KEYS) + "\n"
+            status_names = [_STATUS_NAMES[st] for st in status]
+            csv.write("".join(map(row.format, i, j, px, py, status_names, *csv_texts)))
+            statuses = [_JSON_STATUS[st] for st in status]
+            columns = [i, j, _json_spelling(px), _json_spelling(py), statuses, *json_texts]
+            corners = Records(dict(zip(_SCATTER_KEYS, columns)), rendered=True)
+            yield {"index": index, "corners": corners}
+
+    with _replacing(csv_path) as csv:
+        csv.write(",".join(("image", *_SCATTER_KEYS)) + "\n")
+        write_json(
+            json_path,
+            {"images": images(csv), "n_corners": scatter.n_corners, "rmse_cm": scatter.rmse_cm},
         )
-    offsets = corners.offsets.tolist()
-    return {
-        "images": [
-            {"index": index, "corners": records[start:stop]}
-            for index, (start, stop) in enumerate(zip(offsets, offsets[1:]))
-        ],
-        "rmse_cm": float(np.sqrt(total / count) * 100.0),
-        "n_corners": count,
-    }
+
+
+def _blanked(texts: list[str], rows: list[int], blank: str) -> list[str]:
+    """``texts`` with ``blank`` at ``rows`` (the same list when there are none)."""
+    if not rows:
+        return texts
+    texts = texts.copy()
+    for k in rows:
+        texts[k] = blank
+    return texts

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import re
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from .analysis import (
     corner_error_scatter,
     distortion_field,
     distortion_vs_inverse_depth,
+    write_corner_scatter,
     write_distortion_csv,
 )
 from .calibrate import (
@@ -60,9 +62,25 @@ from .raytrace import SceneParams
 from .synth import generate_dataset
 
 
-def _ensure_out(args) -> Path:
+def _out_dir(args) -> Path:
+    """``--out``, checked before a command does its work: the path, or its
+    nearest existing ancestor, must be a directory this process can write,
+    else a ConfigurationError. Nothing is created until :func:`_ensure_out`."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(path for path in (out, *out.parents) if path.exists() or path.is_symlink())
+    if not existing.is_dir():
+        raise ConfigurationError(f"--out {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigurationError(f"--out {out}: {existing} is not writable")
+    return out
+
+
+def _ensure_out(out: Path) -> Path:
+    """Create the checked output directory ``out`` and its missing parents."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from exc
     return out
 
 
@@ -108,6 +126,7 @@ def cmd_generate(args) -> None:
     dist = None
     if config["surface"]["amplitudes_m"] is None:
         dist = amplitude_distribution_from_config(config)
+    out = _out_dir(args)
     dataset = generate_dataset(
         intrinsics_from_config(config),
         cone_from_config(config),
@@ -121,7 +140,7 @@ def cmd_generate(args) -> None:
         seed=args.seed,
     )
 
-    out = _ensure_out(args)
+    _ensure_out(out)
     save_observations(dataset.observations, out / "observations.json")
     truth_config = config_with_amplitudes(config, dataset.params.surface.amplitudes)
     write_json(
@@ -150,6 +169,7 @@ def cmd_refine_poses(args) -> None:
     config = load_config(args.config)
     observations = load_observations(args.observations)
     params = _scene_for_observations(config, surface_from_config(config), observations)
+    out = _out_dir(args)
     result = refine_poses(params, observations)
 
     refined = observations_to_json_dict(observations)
@@ -166,7 +186,7 @@ def cmd_refine_poses(args) -> None:
             for report in result.reports
         ],
     }
-    out = _ensure_out(args)
+    _ensure_out(out)
     write_json(out / "refined_poses.json", refined)
     for report in result.reports:
         print(
@@ -233,6 +253,7 @@ def cmd_calibrate(args) -> None:
     observations = load_observations(args.observations)
     start_surface = surface_from_config(config)
     params = _scene_for_observations(config, start_surface, observations)
+    out = _out_dir(args)
     # the refinement, the cone-only RMSE and the fit share the set's one cover trace
     if args.refine_poses:
         params = refine_poses(params, observations).params
@@ -241,7 +262,7 @@ def cmd_calibrate(args) -> None:
     rmse_initial = pinhole_rmse_cm(params, observations)
     rmse_cone_only = rmse_cm(params.with_surface(zero), observations)
 
-    out = _ensure_out(args)
+    _ensure_out(out)
     try:
         result = optimize_amplitudes(params, observations, options)
     except DivergenceError as exc:
@@ -277,23 +298,6 @@ def _write_depth_curve_csv(path: Path, curves) -> None:
     _write_csv(path, "px,py,inv_depth_per_m,dpx,dpy", rows())
 
 
-def _write_scatter_csv(path: Path, scatter: dict) -> None:
-    """One row per corner; a failed corner's residual fields are empty."""
-
-    def rows():
-        for image in scatter["images"]:
-            index = image["index"]
-            for c in image["corners"]:
-                dmx, dmy, err = c["dmx_m"], c["dmy_m"], c["err_m"]
-                yield (
-                    f"{index},{c['i']},{c['j']},{c['px']!r},{c['py']!r},{c['status']},"
-                    f"{'' if dmx is None else repr(dmx)},{'' if dmy is None else repr(dmy)},"
-                    f"{'' if err is None else repr(err)}"
-                )
-
-    _write_csv(path, "image,i,j,px,py,status,dmx_m,dmy_m,err_m", rows())
-
-
 def cmd_analyze(args) -> None:
     config = load_config(args.config)
     observations = load_observations(args.observations)
@@ -306,7 +310,7 @@ def cmd_analyze(args) -> None:
             "no fitted surface: pass --fitted or store surface.amplitudes_m in the config"
         )
     params = _scene_for_observations(config, surface, observations)
-    out = _ensure_out(args)
+    out = _ensure_out(_out_dir(args))
     # the depth curves are cheap and check the inverse-depth range, and the
     # field checks its depth and stride before it traces: no output file is
     # replaced until every argument has passed
@@ -338,11 +342,10 @@ def cmd_analyze(args) -> None:
     )
 
     scatter = corner_error_scatter(params, observations)
-    write_json(out / "corner_scatter.json", scatter)
-    _write_scatter_csv(out / "corner_scatter.csv", scatter)
+    write_corner_scatter(scatter, out / "corner_scatter.json", out / "corner_scatter.csv")
 
     print(f"distortion field: {field.pixels.shape[0]} samples at depth {args.depth} m")
-    print(f"corner RMSE under fitted model: {scatter['rmse_cm']:.6f} cm")
+    print(f"corner RMSE under fitted model: {scatter.rmse_cm:.6f} cm")
 
 
 # ---------------------------------------------------------------------------

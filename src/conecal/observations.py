@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -270,6 +271,15 @@ def observations_from_json_dict(data: dict) -> ObservationSet:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _json_spelling(texts: list[str]) -> list[str]:
+    """``float.__repr__`` texts as ``json`` spells them: NaN and the
+    infinities in its words, every other text as it is (the same list when
+    no text is non-finite)."""
+    if "nan" in texts or "inf" in texts or "-inf" in texts:
+        return [_NON_FINITE.get(t, t) for t in texts]
+    return texts
+
+
 def _scalar_texts(values) -> list[str] | None:
     """JSON text of each value, or None if any value is not a JSON scalar.
 
@@ -279,10 +289,7 @@ def _scalar_texts(values) -> list[str] | None:
     """
     kinds = set(map(type, values))
     if kinds == {float}:
-        texts = list(map(float.__repr__, values))
-        if "nan" in texts or "inf" in texts or "-inf" in texts:
-            texts = [_NON_FINITE.get(t, t) for t in texts]
-        return texts
+        return _json_spelling(list(map(float.__repr__, values)))
     if kinds == {int}:
         return list(map(int.__repr__, values))
     if not all(issubclass(kind, (str, int, float, type(None))) for kind in kinds):
@@ -305,27 +312,41 @@ def _scalar_texts(values) -> list[str] | None:
     return texts
 
 
-def _record_texts(values: list, indent: str) -> list[str] | None:
-    """Texts of a list of flat dicts sharing one set of ``str`` keys, or None.
+@dataclass(frozen=True)
+class Records:
+    """A list of flat records given by column, for :func:`write_json`.
+
+    ``columns`` maps each ``str`` key to its values, one per record in
+    record order, or, with ``rendered``, to the JSON texts of those values
+    (``"null"``, ``'"ok"'``, ``"0.5"``). :func:`write_json` writes it as the
+    list of dicts it stands for, without building them.
+    """
+
+    columns: dict
+    rendered: bool = False
+
+    def __post_init__(self):
+        if not self.columns:
+            raise ValueError("Records needs at least one column")
+
+
+def _records_texts(records: Records, indent: str) -> list[str] | None:
+    """Texts of the records at ``indent``, or None if a column that is not
+    ``rendered`` holds a value that is not a JSON scalar.
 
     Each record is rendered from one ``str.format`` template, built once
     for the list from the sorted keys, with the values encoded by column.
     """
-    first = values[0]
-    if not isinstance(first, dict) or not first:
-        return None
-    keys = first.keys()
-    if not all(isinstance(v, dict) and v.keys() == keys for v in values):
-        return None
-    if not all(isinstance(k, str) for k in keys):
-        return None
-    names = sorted(keys)
-    columns = []
-    for name in names:
-        column = _scalar_texts([v[name] for v in values])
-        if column is None:
+    if not all(isinstance(k, str) for k in records.columns):
+        raise TypeError("keys must be str")
+    names = sorted(records.columns)
+    columns = [records.columns[name] for name in names]
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("record columns differ in length")
+    if not records.rendered:
+        columns = [_scalar_texts(column) for column in columns]
+        if None in columns:
             return None
-        columns.append(column)
     inner = indent + "  "
     fields = ",\n" + inner
     template = (
@@ -342,33 +363,59 @@ def _record_texts(values: list, indent: str) -> list[str] | None:
     return list(map(template.format, *columns))
 
 
+def _record_texts(values: list, indent: str) -> list[str] | None:
+    """Texts of a list of flat dicts sharing one set of ``str`` keys, or None;
+    rendered by column, as :class:`Records`."""
+    first = values[0]
+    if not isinstance(first, dict) or not first:
+        return None
+    keys = first.keys()
+    if not all(isinstance(v, dict) and v.keys() == keys for v in values):
+        return None
+    if not all(isinstance(k, str) for k in keys):
+        return None
+    return _records_texts(Records({k: [v[k] for v in values] for k in keys}), indent)
+
+
+def _list_text(texts: list[str], indent: str) -> str:
+    """The JSON list of element texts ``texts`` at ``indent``."""
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+
+
 def _json_chunks(obj, indent: str):
     """``json.dumps(obj, indent=2, sort_keys=True)`` for an object at ``indent``,
     yielded in pieces: a list of scalars or of flat records whole, any other
-    list or dict one element or entry at a time."""
+    list, an iterator (as the list it yields) or a dict one element or entry
+    at a time."""
+    inner = indent + "  "
+    if isinstance(obj, Records):
+        texts = _records_texts(obj, inner)
+        if texts is None:
+            raise TypeError("Records columns must hold JSON scalars")
+        yield _list_text(texts, indent)
+        return
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        inner = indent + "  "
         texts = _scalar_texts(obj)
         if texts is None:
             texts = _record_texts(obj, inner)
         if texts is not None:
-            yield "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+            yield _list_text(texts, indent)
             return
+    if isinstance(obj, (list, tuple, Iterator)):
         separator = "[\n" + inner
         for v in obj:
             yield separator
             yield from _json_chunks(v, inner)
             separator = ",\n" + inner
-        yield "\n" + indent + "]"
+        yield "[]" if separator.startswith("[") else "\n" + indent + "]"
         return
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
             return
-        inner = indent + "  "
         separator = "{\n" + inner
         for key in sorted(obj):
             if not isinstance(key, str):
@@ -390,13 +437,16 @@ def write_json(path, obj) -> None:
     The text is the same, byte for byte; ``json`` falls back to its
     pure-Python encoder whenever ``indent`` is set, and this writer
     renders lists of scalars and lists of flat records a column at a
-    time instead. The text is written as it is made, one list element or
-    dict entry at a time (a list of scalars or of flat records is one
-    piece), so its memory does not grow with the document. It goes to a
-    sibling ``<name>.tmp`` file that replaces ``path`` once complete
-    (:func:`_replacing`). Like ``json``, it raises ``TypeError`` for values
-    it cannot encode (``np.int64``, sets, ...); unlike ``json``, also for
-    non-``str`` dict keys.
+    time instead. Two more kinds of list are written as the list they
+    stand for: :class:`Records`, a list of flat records given by column,
+    and an iterator, as the list of what it yields. The text is written
+    as it is made, one list element or dict entry at a time (a list of
+    scalars or of flat records is one piece), so its memory does not grow
+    with the document, and an iterator's elements need not exist at once.
+    It goes to a sibling ``<name>.tmp`` file that replaces ``path`` once
+    complete (:func:`_replacing`). Like ``json``, it raises ``TypeError``
+    for values it cannot encode (``np.int64``, sets, ...); unlike
+    ``json``, also for non-``str`` dict keys.
     """
     with _replacing(path) as fh:
         fh.writelines(_json_chunks(obj, ""))

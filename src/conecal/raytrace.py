@@ -554,12 +554,29 @@ def _pixel_rays(params: SceneParams, image_index, pixels):
     and its camera ray, for ``image_index`` as in :func:`trace_pixels`."""
     rotation, translation = params.pose_arrays(image_index)
     pixels = np.asarray(pixels, dtype=np.float64)
+    _check_index_shape(image_index, pixels)
+    return rotation, translation, pixel_to_ray(params.intrinsics, pixels)
+
+
+def _check_index_shape(image_index, pixels: np.ndarray) -> None:
+    """Raise :class:`DataError` unless ``image_index`` is one image or one
+    per pixel row."""
     if np.ndim(image_index) and np.shape(image_index) != pixels.shape[:-1]:
         raise DataError(
             f"image indices of shape {np.shape(image_index)} do not match "
             f"pixels of shape {pixels.shape}"
         )
-    return rotation, translation, pixel_to_ray(params.intrinsics, pixels)
+
+
+# Rows traced at a time where a caller keeps only part of each trace: its
+# working set stays one block's trace, however many rows a batch holds.
+# Every step is row-wise, so the block size does not change a bit.
+_TRACE_BLOCK_ROWS = 4096
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices covering ``n`` rows ``_TRACE_BLOCK_ROWS`` at a time."""
+    return [slice(start, start + _TRACE_BLOCK_ROWS) for start in range(0, n, _TRACE_BLOCK_ROWS)]
 
 
 def raycast_pixels(params: SceneParams, image_index, pixels):
@@ -568,9 +585,23 @@ def raycast_pixels(params: SceneParams, image_index, pixels):
     ``image_index`` is as for :func:`trace_pixels`. Returns
     ``(board_local, status)`` where ``board_local`` has shape
     ``(..., 2)`` (meters; placeholder values where ``status != OK``).
+    A batch longer than one block is traced :func:`_row_blocks` at a time.
     """
-    batch = trace_pixels(params, image_index, pixels)
-    return batch.board_local, batch.status
+    pixels = np.asarray(pixels, dtype=np.float64)
+    rows = pixels.shape[:-1]
+    blocks = _row_blocks(math.prod(rows))
+    if len(blocks) <= 1:
+        batch = trace_pixels(params, image_index, pixels)
+        return batch.board_local, batch.status
+    _check_index_shape(image_index, pixels)
+    pixels = pixels.reshape(-1, pixels.shape[-1])
+    index = np.reshape(image_index, -1) if np.ndim(image_index) else image_index
+    local = np.empty((pixels.shape[0], 2))
+    status = np.empty(pixels.shape[0], dtype=np.int64)
+    for block in blocks:
+        batch = trace_pixels(params, index if np.ndim(index) == 0 else index[block], pixels[block])
+        local[block], status[block] = batch.board_local, batch.status
+    return local.reshape(*rows, 2), status.reshape(rows)
 
 
 def raycast(params: SceneParams, image_index: int, pixel) -> np.ndarray:

@@ -387,6 +387,24 @@ def per_image_corner_scatter(params, observations):
     }
 
 
+def corner_scatter_files(scatter):
+    """``(json_text, csv_text)`` of the corner scatter files for the dict form
+    ``scatter`` (as :func:`per_image_corner_scatter` returns it): the JSON
+    through ``json.dumps``, the CSV one row per corner with ``repr`` floats
+    and empty residual fields for a failed corner."""
+    import json
+
+    rows = ["image,i,j,px,py,status,dmx_m,dmy_m,err_m"]
+    for image in scatter["images"]:
+        for c in image["corners"]:
+            residuals = ["" if c[k] is None else repr(c[k]) for k in ("dmx_m", "dmy_m", "err_m")]
+            rows.append(
+                ",".join([str(image["index"]), str(c["i"]), str(c["j"]), repr(c["px"]),
+                          repr(c["py"]), c["status"], *residuals])
+            )
+    return json.dumps(scatter, indent=2, sort_keys=True) + "\n", "\n".join(rows) + "\n"
+
+
 # --------------------------------------------------------------------------
 # pose refinement with a finite-difference Jacobian, one trace per image
 

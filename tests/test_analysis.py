@@ -1,13 +1,14 @@
 """Tests for the distortion diagnostics."""
 
 import csv
-import json
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conecal.analysis import (
+    CornerScatter,
     DepthCurve,
     DistortionField,
     _frontal_deltas,
@@ -15,17 +16,19 @@ from conecal.analysis import (
     distortion_field,
     distortion_vector,
     distortion_vs_inverse_depth,
+    write_corner_scatter,
     write_distortion_csv,
 )
 import conecal.analysis
+import conecal.raytrace
 from conecal.calibrate import loss
-from conecal.cli import _write_depth_curve_csv, _write_scatter_csv
+from conecal.cli import _write_depth_curve_csv
 from conecal.errors import DataError, MissError
 from conecal.geometry import RbfSurface
-from conecal.observations import write_json
+from conecal.observations import ObservationSet, write_json
 from conecal.raytrace import STAGE_NAMES, TraceStatus
 from conftest import count_cover_traces
-from oracles import board_targets, per_image_corner_scatter
+from oracles import board_targets, corner_scatter_files, per_image_corner_scatter
 
 
 def consistent_obs(scene):
@@ -211,12 +214,13 @@ class TestCornerErrorScatter:
     def test_grouping_and_rmse(self, scene_zero):
         obs = consistent_obs(scene_zero)
         report = corner_error_scatter(scene_zero, obs)
-        assert [img["index"] for img in report["images"]] == [0, 1, 2]
-        assert report["n_corners"] == obs.n_corners
-        assert report["rmse_cm"] < 1e-6  # data is consistent by construction
+        counts = [im.n_corners for im in obs.images]
+        assert report.offsets.tolist() == np.cumsum([0, *counts]).tolist()
+        assert report.n_corners == obs.n_corners
+        assert report.rmse_cm < 1e-6  # data is consistent by construction
         result = loss(scene_zero, obs)
         pooled = np.sqrt(result.value / result.n_active) * 100.0
-        assert report["rmse_cm"] == pytest.approx(pooled, rel=1e-12, abs=1e-18)
+        assert report.rmse_cm == pytest.approx(pooled, rel=1e-12, abs=1e-18)
 
     def test_failed_corner_reported_with_null_residual(self, scene_zero):
         from conecal.observations import ImageObservations, ObservationSet
@@ -236,15 +240,15 @@ class TestCornerErrorScatter:
             + obs.images[1:],
         )
         report = corner_error_scatter(scene_zero, broken)
-        first = report["images"][0]["corners"][0]
-        assert first["status"] == "inner-intersection"
-        assert first["err_m"] is None
-        assert report["n_corners"] == obs.n_corners - 1
+        assert report.status[0] == TraceStatus.MISS_INNER
+        assert np.all(np.isnan(report.residuals[0])) and np.isnan(report.errors[0])
+        assert np.all(np.isfinite(report.errors[1:]))
+        assert report.n_corners == obs.n_corners - 1
 
     def test_one_stacked_trace_matches_the_per_image_loop(self, monkeypatch):
-        """One trace over every image gives the per-image loop's dict exactly,
-        ``rmse_cm`` bit for bit included, on a scene with inner misses, exit
-        total internal reflection and board misses."""
+        """One trace over every image gives the per-image loop's columns
+        exactly, ``rmse_cm`` bit for bit included, on a scene with inner
+        misses, exit total internal reflection and board misses."""
         from test_calibrate import scene_with_failures
 
         params, obs = scene_with_failures(np.random.default_rng(150))
@@ -262,11 +266,18 @@ class TestCornerErrorScatter:
         monkeypatch.setattr(conecal.analysis, "trace_pixels", counting)
         report = corner_error_scatter(params, obs)
         assert len(calls) == 1
-        assert report == expected
-        assert report["rmse_cm"].hex() == expected["rmse_cm"].hex()
-        for im_a, im_b in zip(report["images"], expected["images"]):
-            for a, b in zip(im_a["corners"], im_b["corners"]):
-                assert [type(v) for v in a.values()] == [type(b[k]) for k in a]
+        corners = [c for im in expected["images"] for c in im["corners"]]
+        assert report.grid_ij.tolist() == [[c["i"], c["j"]] for c in corners]
+        assert report.pixels.tolist() == [[c["px"], c["py"]] for c in corners]
+        names = {TraceStatus.OK: "ok", **STAGE_NAMES}
+        assert [names[TraceStatus(st)] for st in report.status] == [c["status"] for c in corners]
+        residuals = np.column_stack([report.residuals, report.errors]).tolist()
+        assert [[None if np.isnan(v) else v.hex() for v in row] for row in residuals] == [
+            [None if c[k] is None else c[k].hex() for k in ("dmx_m", "dmy_m", "err_m")]
+            for c in corners
+        ]
+        assert report.n_corners == expected["n_corners"]
+        assert report.rmse_cm.hex() == expected["rmse_cm"].hex()
 
     def test_rmse_squares_like_the_per_image_loop(self):
         """A numpy scalar's ``** 2`` goes through libm ``pow``, an array's
@@ -301,8 +312,57 @@ class TestCornerErrorScatter:
             + tuple(one_corner(n, ij[0], [1640.0, -1e7]) for n in (1, 2)),
         )
         report = corner_error_scatter(params, single)
-        assert report["n_corners"] == 1
-        assert report["rmse_cm"].hex() == per_image_corner_scatter(params, single)["rmse_cm"].hex()
+        assert report.n_corners == 1
+        assert report.rmse_cm.hex() == per_image_corner_scatter(params, single)["rmse_cm"].hex()
+
+
+def scatter_sets(scene_zero):
+    """``(params, observations)`` by name: a scene with failed corners of
+    three stages, one image of it, and a consistent set without failures."""
+    from test_calibrate import scene_with_failures
+
+    params, obs = scene_with_failures(np.random.default_rng(150))
+    single = ObservationSet(obs.square_size, obs.corners_per_side, obs.images[:1])
+    return {
+        "failures": (params, obs),
+        "single-image": (params, single),
+        "consistent": (scene_zero, consistent_obs(scene_zero)),
+    }
+
+
+class TestWriteCornerScatter:
+    @pytest.mark.parametrize("name", ["failures", "single-image", "consistent"])
+    def test_files_match_the_dict_form(self, tmp_path, scene_zero, name):
+        """The JSON is ``json.dumps`` of the per-image loop's dicts and the CSV
+        is their row rule, byte for byte."""
+        params, obs = scatter_sets(scene_zero)[name]
+        expected = per_image_corner_scatter(params, obs)
+        failed = sum(c["err_m"] is None for im in expected["images"] for c in im["corners"])
+        assert (failed > 0) == (name != "consistent")
+        write_corner_scatter(
+            corner_error_scatter(params, obs), tmp_path / "s.json", tmp_path / "s.csv"
+        )
+        json_text, csv_text = corner_scatter_files(expected)
+        assert (tmp_path / "s.json").read_bytes() == json_text.encode()
+        assert (tmp_path / "s.csv").read_bytes() == csv_text.encode()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.csv", "s.json"]
+
+    def test_a_failed_write_replaces_neither_file(self, tmp_path):
+        from test_calibrate import scene_with_failures
+
+        params, obs = scene_with_failures(np.random.default_rng(150))
+        scatter = corner_error_scatter(params, obs)
+        for name in ("s.json", "s.csv"):
+            (tmp_path / name).write_text("previous\n")
+        # the second image's rows fail to format, after the first image's are written
+        broken = np.array(scatter.pixels, dtype=object)
+        broken[scatter.offsets[1]] = [1, 2]
+        with pytest.raises(TypeError):
+            write_corner_scatter(
+                dataclasses.replace(scatter, pixels=broken), tmp_path / "s.json", tmp_path / "s.csv"
+            )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.csv", "s.json"]
+        assert all((tmp_path / name).read_text() == "previous\n" for name in ("s.json", "s.csv"))
 
 
 class TestCsvReplacesItsTarget:
@@ -351,6 +411,7 @@ class TestBlocks:
         pixels[4:10] = [1640.0, -1e7]
         depths = np.linspace(0.3, 1.5, pixels.shape[0])
         scatter = corner_error_scatter(params, obs)
+        json_text, _ = corner_scatter_files(per_image_corner_scatter(params, obs))
         curves = [
             distortion_vs_inverse_depth(params, pixel, n_samples=11)
             for pixel in ((820.0, 1232.0), (410.5, 1000.25))
@@ -361,15 +422,14 @@ class TestBlocks:
             deltas, status = _frontal_deltas(params, pixels, 0.7)
             field = DistortionField(0.7, 500, pixels, deltas, status)
             write_distortion_csv(field, out / "field.csv")
-            _write_scatter_csv(out / "scatter.csv", scatter)
+            write_corner_scatter(scatter, out / "scatter.json", out / "scatter.csv")
             _write_depth_curve_csv(out / "curves.csv", curves)
-            write_json(out / "scatter.json", scatter)
             files = {path.name: path.read_bytes() for path in out.iterdir()}
             return files, (deltas, status), _frontal_deltas(params, pixels, depths)
 
         real = outputs(tmp_path / "real")
         assert {TraceStatus.OK, TraceStatus.MISS_INNER, TraceStatus.TIR_OUTER} <= set(real[1][1])
-        monkeypatch.setattr(conecal.analysis, "_FIELD_BLOCK_ROWS", 7)
+        monkeypatch.setattr(conecal.raytrace, "_TRACE_BLOCK_ROWS", 7)
         monkeypatch.setattr(conecal.analysis, "_CSV_BLOCK_ROWS", 5)
         traced = count_cover_traces(monkeypatch)
         small = outputs(tmp_path / "small")
@@ -380,8 +440,7 @@ class TestBlocks:
             assert other[0] == real[0]
             for got, want in zip(other[1] + other[2], real[1] + real[2]):
                 assert got.tobytes() == want.tobytes()
-        expected = json.dumps(scatter, indent=2, sort_keys=True) + "\n"
-        assert real[0]["scatter.json"] == expected.encode()
+        assert real[0]["scatter.json"] == json_text.encode()
 
 
 def traced_peak(action) -> int:
@@ -428,4 +487,33 @@ class TestWorkingSet:
         }
         path = tmp_path / "out.json"
         peaks = {n: traced_peak(lambda: write_json(path, doc)) for n, doc in docs.items()}
+        assert peaks[80] < 1.5 * peaks[20]
+
+    def test_corner_scatter_files(self, tmp_path):
+        """The scatter is written an image at a time: 80 images of 225
+        corners may not cost four times the memory of 20."""
+
+        def scatter(n_images):
+            rng = np.random.default_rng(n_images)
+            n = 225 * n_images
+            status = np.where(np.arange(n) % 9 == 4, TraceStatus.MISS_BOARD, TraceStatus.OK)
+            residuals = rng.normal(0.0, 1e-4, (n, 2))
+            residuals[status != TraceStatus.OK] = np.nan
+            ij = np.stack(np.meshgrid(np.arange(1, 16), np.arange(1, 16), indexing="ij"), -1)
+            return CornerScatter(
+                offsets=np.arange(0, n + 1, 225),
+                grid_ij=np.tile(ij.reshape(-1, 2), (n_images, 1)),
+                pixels=rng.uniform(0.0, 3000.0, (n, 2)),
+                status=status,
+                residuals=residuals,
+                errors=np.hypot(residuals[:, 0], residuals[:, 1]),
+                rmse_cm=0.025,
+                n_corners=int(np.count_nonzero(status == TraceStatus.OK)),
+            )
+
+        scatters = {n: scatter(n) for n in (20, 80)}
+        paths = tmp_path / "s.json", tmp_path / "s.csv"
+        peaks = {
+            n: traced_peak(lambda: write_corner_scatter(s, *paths)) for n, s in scatters.items()
+        }
         assert peaks[80] < 1.5 * peaks[20]

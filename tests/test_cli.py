@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conecal import cli
-from conecal.analysis import corner_error_scatter, distortion_vs_inverse_depth
-from conecal.cli import _write_depth_curve_csv, _write_scatter_csv, load_fitted_surface, main
+from conecal.analysis import corner_error_scatter, distortion_vs_inverse_depth, write_corner_scatter
+from conecal.cli import _write_depth_curve_csv, load_fitted_surface, main
 from conecal.config import (
     default_config,
     load_config,
@@ -25,6 +25,7 @@ from conecal.config import (
 from conecal.errors import ConfigurationError, DataError
 from conecal.observations import load_observations
 from conftest import count_cover_traces, count_kernel_calls
+from oracles import per_image_corner_scatter
 
 # a small scene keeps every invocation well under a second
 SMALL = {
@@ -382,6 +383,38 @@ class TestExitCodes:
             assert "must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "refine-poses", "calibrate", "analyze"])
+    @pytest.mark.parametrize("case", ["file", "under-a-file", "dangling-link"])
+    def test_unusable_out_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, case
+    ):
+        data = generate_small(tmp_path)
+        truth = json.loads((data / "ground_truth.json").read_text())["scene_config"]
+        config = tmp_path / "truth_config.json"
+        config.write_text(json.dumps(truth))
+        blocker = tmp_path / "blocker"
+        if case == "dangling-link":
+            blocker.symlink_to(tmp_path / "missing")
+        else:
+            blocker.write_text("kept\n")
+        out = blocker / "out" if case == "under-a-file" else blocker
+        argv = {
+            "generate": ["generate", "--config", config],
+            "refine-poses": ["refine-poses", "--config", config],
+            "calibrate": ["calibrate", "--config", config, "--refine-poses", "--steps", 2],
+            "analyze": ["analyze", "--config", config],
+        }[command]
+        if command != "generate":
+            argv += ["--observations", data / "observations.json"]
+        traces = count_cover_traces(monkeypatch)
+        capsys.readouterr()
+        assert run([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and len(err.splitlines()) == 1, err
+        assert "is not a directory" in err
+        assert traces == []
+        assert blocker.is_symlink() if case == "dangling-link" else blocker.read_text() == "kept\n"
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
@@ -738,10 +771,12 @@ class TestAnalyze:
         from test_calibrate import scene_with_failures
 
         params, obs = scene_with_failures(np.random.default_rng(150))
-        scatter = corner_error_scatter(params, obs)
-        assert any(c["err_m"] is None for im in scatter["images"] for c in im["corners"])
-        _write_scatter_csv(tmp_path / "scatter.csv", scatter)
-        scatter_csv_writer_form(tmp_path / "scatter_ref.csv", scatter)
+        expected = per_image_corner_scatter(params, obs)
+        assert any(c["err_m"] is None for im in expected["images"] for c in im["corners"])
+        write_corner_scatter(
+            corner_error_scatter(params, obs), tmp_path / "scatter.json", tmp_path / "scatter.csv"
+        )
+        scatter_csv_writer_form(tmp_path / "scatter_ref.csv", expected)
         assert (tmp_path / "scatter.csv").read_bytes() == (tmp_path / "scatter_ref.csv").read_bytes()
 
         cone_only = params.with_surface(

@@ -13,6 +13,7 @@ from conecal.errors import ConfigurationError, DataError
 from conecal.observations import (
     ImageObservations,
     ObservationSet,
+    Records,
     _board_corners,
     _corner_board_coords,
     load_observations,
@@ -511,6 +512,70 @@ class TestWriteJson:
     def test_non_str_keys_raise_type_error(self, tmp_path, obj):
         with pytest.raises(TypeError):
             write_json(tmp_path / "out.json", obj)
+
+
+def by_column(dicts, rendered=False):
+    """``dicts``, flat records sharing one key set, as :class:`Records`; with
+    ``rendered``, each value given as its ``json.dumps`` text."""
+    encode = json.dumps if rendered else (lambda v: v)
+    return Records({k: [encode(d[k]) for d in dicts] for k in dicts[0]}, rendered)
+
+
+# record lists with ints, floats, None, strings, bools and non-finite floats
+COLUMN_RECORDS = {
+    "mixed": [
+        {"i": 1, "px": 0.5, "status": "ok", "err_m": None},
+        {"i": 2, "px": float("nan"), "status": "board-intersection", "err_m": 1e-300},
+        {"i": 3, "px": -0.0, "status": "", "err_m": 2.5},
+    ],
+    "non-finite": [{"v": float("inf")}, {"v": -float("inf")}, {"v": float("nan")}],
+    "strings": [{"w": "caf\u00e9 {x}", "{k}": True}, {"w": "\"q\" \\", "{k}": False}],
+    "one": [{"a": 7}],
+    "numpy-floats": [{"v": np.float64(0.1)}, {"v": np.float64("nan")}],
+}
+
+
+class TestColumnRecords:
+    @pytest.mark.parametrize("rendered", [False, True], ids=["values", "texts"])
+    @pytest.mark.parametrize("name", list(COLUMN_RECORDS))
+    def test_render_as_their_dicts(self, tmp_path, name, rendered):
+        dicts = COLUMN_RECORDS[name]
+        records = by_column(dicts, rendered)
+        assert written(tmp_path, records) == dumps_form(dicts)
+        nested = {"b": records, "a": [{"index": 0, "corners": records}, records]}
+        assert written(tmp_path, nested) == dumps_form(
+            {"b": dicts, "a": [{"index": 0, "corners": dicts}, dicts]}
+        )
+
+    def test_no_records_render_as_an_empty_list(self, tmp_path):
+        assert written(tmp_path, {"a": Records({"i": [], "j": []})}) == dumps_form({"a": []})
+
+    @pytest.mark.parametrize(
+        "columns, error",
+        [({"a": [1, 2], "b": [1]}, ValueError), ({"a": [[1]]}, TypeError),
+         ({"a": [np.int64(1)]}, TypeError), ({1: [1]}, TypeError)],
+        ids=["ragged", "nested", "numpy-int", "int-key"],
+    )
+    def test_bad_columns_raise_and_write_nothing(self, tmp_path, columns, error):
+        with pytest.raises(error):
+            write_json(tmp_path / "out.json", {"r": Records(columns)})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_need_a_column(self):
+        with pytest.raises(ValueError):
+            Records({})
+
+
+class TestIterators:
+    @pytest.mark.parametrize(
+        "items",
+        [[], [1], [1.5, "s", None], [{"a": 1}, [2, 3], {"b": []}], [[0.1, 0.2], RECORDS]],
+        ids=["empty", "one", "scalars", "containers", "nested"],
+    )
+    def test_render_as_the_list_they_yield(self, tmp_path, items):
+        assert written(tmp_path, iter(items)) == dumps_form(items)
+        streamed = {"z": 1, "images": (item for item in items), "a": iter([iter(items)])}
+        assert written(tmp_path, streamed) == dumps_form({"z": 1, "images": items, "a": [items]})
 
 
 def json_parse_sites(tree: ast.AST) -> list[tuple[str | None, int]]:

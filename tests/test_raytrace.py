@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import conecal.raytrace
 from conecal.camera import pixel_to_ray
 from conecal.errors import (
     ConfigurationError,
@@ -536,6 +537,31 @@ class TestRaycast:
             alone = trace_pixels(params, image_index, pixels[rows])
             for name in ("status", "x_outer", "n_outer", "dir_out", "x_board", "board_local"):
                 assert np.array_equal(getattr(stacked, name)[rows], getattr(alone, name)), name
+
+    def test_row_blocks_keep_every_bit(self, scene_zero, monkeypatch):
+        """A batch one block plus 3 rows long is traced as two blocks, and
+        every row, failed ones included, gets the bits of its own trace."""
+        rng = np.random.default_rng(59)
+        amps = rng.normal(1e-5, 2.5e-6, size=scene_zero.surface.grid)
+        params = scene_zero.with_surface(scene_zero.surface.with_amplitudes(amps))
+        n = conecal.raytrace._TRACE_BLOCK_ROWS + 3
+        pixels = self.sample_pixels(params.intrinsics, rng, n)
+        pixels[[2, n - 2]] = [1640.0, -1e7]  # inner misses on both sides of the boundary
+        index = rng.integers(0, len(params.poses), n)
+        rows = []
+        traced = conecal.raytrace.trace_pixels
+
+        def counting(params, image_index, pixels):
+            rows.append(len(pixels))
+            return traced(params, image_index, pixels)
+
+        monkeypatch.setattr(conecal.raytrace, "trace_pixels", counting)
+        local, status = raycast_pixels(params, index, pixels)
+        assert rows == [n - 3, 3]
+        singles = [traced(params, k, pixel[None]) for k, pixel in zip(index.tolist(), pixels)]
+        assert np.array_equal(status, [batch.status[0] for batch in singles])
+        assert np.array_equal(local, [batch.board_local[0] for batch in singles], equal_nan=True)
+        assert np.count_nonzero(status == TraceStatus.MISS_INNER) == 2
 
     def test_landing_point_moves_smoothly(self, scene_zero):
         pixel = np.array([900.0, 700.0])

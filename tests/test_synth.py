@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import conecal.raytrace
 from conecal import geometry, synth
 from conecal.errors import ConfigurationError, DataError
 from conecal.geometry import RbfSurface
@@ -526,3 +527,44 @@ class TestGenerateDataset:
         monkeypatch.setattr(PoseSampler, "sample_pose", flagged_sample_pose)
         data = self.make(intrinsics, cone, patch)
         assert calls == [(len(data.params.poses) * data.observations.corners_per_side**2,)]
+
+
+class TestWorkingSet:
+    """``raycast_pixels`` traces a block of rows at a time, so a trace's
+    memory does not grow with the batch. What still grows is the callers'
+    own per-row state: ``raycast_pixels``' result (24 bytes a row), a small
+    part of one block's trace, and ``project_corners``' pixels, landings,
+    targets and forward-difference stacks (~450 bytes a row, as much as a
+    row of one block's trace). A trace of the whole batch reads close to 4x
+    on both."""
+
+    @staticmethod
+    def inputs(scene_zero, n):
+        # the default config's 8x8 field, targets spread over every pose
+        rng = np.random.default_rng(5)
+        amps = rng.normal(1e-5, 2.5e-6, (8, 8))
+        surface = RbfSurface.flat(scene_zero.surface.patch, (8, 8)).with_amplitudes(amps)
+        index = rng.integers(0, len(scene_zero.poses), n)
+        return scene_zero.with_surface(surface), index, rng.uniform(-0.08, 0.08, (n, 2))
+
+    def test_raycast_pixels(self, scene_zero):
+        from test_analysis import traced_peak
+
+        n = conecal.raytrace._TRACE_BLOCK_ROWS
+        params, index, _ = self.inputs(scene_zero, 4 * n)
+        pixels = np.random.default_rng(6).uniform(0.0, 1.0, (4 * n, 2)) * [3280.0, 2464.0]
+        peaks = {
+            k: traced_peak(lambda: raycast_pixels(params, index[:k], pixels[:k])) for k in (n, 4 * n)
+        }
+        assert peaks[4 * n] < 1.5 * peaks[n]
+
+    def test_project_corners(self, scene_zero):
+        from test_analysis import traced_peak
+
+        n = conecal.raytrace._TRACE_BLOCK_ROWS
+        params, index, targets = self.inputs(scene_zero, 4 * n)
+        peaks = {
+            k: traced_peak(lambda: project_corners(params, index[:k], targets[:k]))
+            for k in (n, 4 * n)
+        }
+        assert peaks[4 * n] < 2.5 * peaks[n]
