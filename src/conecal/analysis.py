@@ -14,13 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .camera import pinhole_project, pixel_to_ray
 from .errors import DataError
-from .observations import ObservationSet, Records, _json_spelling, _replacing, write_json
+from .observations import (
+    ObservationSet,
+    Records,
+    _float_json_texts,
+    _replacing,
+    _scalar_texts,
+    write_json,
+)
 from .raytrace import (
     STAGE_NAMES,
     SceneParams,
@@ -270,7 +276,7 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> C
 
 
 _SCATTER_KEYS = ("i", "j", "px", "py", "status", "dmx_m", "dmy_m", "err_m")
-_JSON_STATUS = {st: encode_basestring_ascii(name) for st, name in _STATUS_NAMES.items()}
+_JSON_STATUS = dict(zip(_STATUS_NAMES, _scalar_texts(list(_STATUS_NAMES.values()))))
 
 
 def write_corner_scatter(scatter: CornerScatter, json_path, csv_path) -> None:
@@ -298,14 +304,14 @@ def write_corner_scatter(scatter: CornerScatter, json_path, csv_path) -> None:
             csv_texts, json_texts = [], []
             for column in residuals.T.tolist():
                 texts = list(map(float.__repr__, column))
-                csv_texts.append(_blanked(texts, failed, ""))
-                json_texts.append(_json_spelling(_blanked(texts, failed, "null")))
+                csv_texts.append(_blanked(texts, failed))
+                json_texts.append(_float_json_texts(texts, failed))
             row = f"{index}" + ",{}" * len(_SCATTER_KEYS) + "\n"
             status_names = [_STATUS_NAMES[st] for st in status]
             csv.write("".join(map(row.format, i, j, px, py, status_names, *csv_texts)))
             statuses = [_JSON_STATUS[st] for st in status]
-            columns = [i, j, _json_spelling(px), _json_spelling(py), statuses, *json_texts]
-            corners = Records(dict(zip(_SCATTER_KEYS, columns)), rendered=True)
+            columns = [i, j, _float_json_texts(px), _float_json_texts(py), statuses, *json_texts]
+            corners = Records(dict(zip(_SCATTER_KEYS, columns)))
             yield {"index": index, "corners": corners}
 
     with _replacing(csv_path) as csv:
@@ -316,11 +322,11 @@ def write_corner_scatter(scatter: CornerScatter, json_path, csv_path) -> None:
         )
 
 
-def _blanked(texts: list[str], rows: list[int], blank: str) -> list[str]:
-    """``texts`` with ``blank`` at ``rows`` (the same list when there are none)."""
+def _blanked(texts: list[str], rows: list[int]) -> list[str]:
+    """``texts`` emptied at ``rows`` (the same list when there are none)."""
     if not rows:
         return texts
     texts = texts.copy()
     for k in rows:
-        texts[k] = blank
+        texts[k] = ""
     return texts

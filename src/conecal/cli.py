@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 from .analysis import (
@@ -62,23 +62,16 @@ from .raytrace import SceneParams
 from .synth import generate_dataset
 
 
-def _out_dir(args) -> Path:
-    """``--out``, checked before a command does its work: the path, or its
-    nearest existing ancestor, must be a directory this process can write,
-    else a ConfigurationError. Nothing is created until :func:`_ensure_out`."""
+def _ensure_out(args) -> Path:
+    """Create the ``--out`` directory and its missing parents, and check
+    that a file can be made in it; a path that is not such a directory is
+    a ConfigurationError. Called before a command does its work."""
     out = Path(args.out)
-    existing = next(path for path in (out, *out.parents) if path.exists() or path.is_symlink())
-    if not existing.is_dir():
-        raise ConfigurationError(f"--out {out}: {existing} is not a directory")
-    if not os.access(existing, os.W_OK | os.X_OK):
-        raise ConfigurationError(f"--out {out}: {existing} is not writable")
-    return out
-
-
-def _ensure_out(out: Path) -> Path:
-    """Create the checked output directory ``out`` and its missing parents."""
     try:
         out.mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=out).close()
+    except FileExistsError as exc:
+        raise ConfigurationError(f"--out {out}: exists and is not a directory") from exc
     except OSError as exc:
         raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from exc
     return out
@@ -126,21 +119,22 @@ def cmd_generate(args) -> None:
     dist = None
     if config["surface"]["amplitudes_m"] is None:
         dist = amplitude_distribution_from_config(config)
-    out = _out_dir(args)
+    intrinsics, cone = intrinsics_from_config(config), cone_from_config(config)
+    sampler = pose_sampler_from_config(config)
+    out = _ensure_out(args)
     dataset = generate_dataset(
-        intrinsics_from_config(config),
-        cone_from_config(config),
+        intrinsics,
+        cone,
         template,
         n_images=n_images,
         square_size=square_size,
         corners_per_side=corners_per_side,
         amplitude_dist=dist,
-        pose_sampler=pose_sampler_from_config(config),
+        pose_sampler=sampler,
         noise_sigma_px=noise_sigma_px,
         seed=args.seed,
     )
 
-    _ensure_out(out)
     save_observations(dataset.observations, out / "observations.json")
     truth_config = config_with_amplitudes(config, dataset.params.surface.amplitudes)
     write_json(
@@ -169,7 +163,7 @@ def cmd_refine_poses(args) -> None:
     config = load_config(args.config)
     observations = load_observations(args.observations)
     params = _scene_for_observations(config, surface_from_config(config), observations)
-    out = _out_dir(args)
+    out = _ensure_out(args)
     result = refine_poses(params, observations)
 
     refined = observations_to_json_dict(observations)
@@ -186,7 +180,6 @@ def cmd_refine_poses(args) -> None:
             for report in result.reports
         ],
     }
-    _ensure_out(out)
     write_json(out / "refined_poses.json", refined)
     for report in result.reports:
         print(
@@ -253,7 +246,7 @@ def cmd_calibrate(args) -> None:
     observations = load_observations(args.observations)
     start_surface = surface_from_config(config)
     params = _scene_for_observations(config, start_surface, observations)
-    out = _out_dir(args)
+    out = _ensure_out(args)
     # the refinement, the cone-only RMSE and the fit share the set's one cover trace
     if args.refine_poses:
         params = refine_poses(params, observations).params
@@ -262,7 +255,6 @@ def cmd_calibrate(args) -> None:
     rmse_initial = pinhole_rmse_cm(params, observations)
     rmse_cone_only = rmse_cm(params.with_surface(zero), observations)
 
-    _ensure_out(out)
     try:
         result = optimize_amplitudes(params, observations, options)
     except DivergenceError as exc:
@@ -310,7 +302,7 @@ def cmd_analyze(args) -> None:
             "no fitted surface: pass --fitted or store surface.amplitudes_m in the config"
         )
     params = _scene_for_observations(config, surface, observations)
-    out = _ensure_out(_out_dir(args))
+    out = _ensure_out(args)
     # the depth curves are cheap and check the inverse-depth range, and the
     # field checks its depth and stride before it traces: no output file is
     # replaced until every argument has passed

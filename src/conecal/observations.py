@@ -271,13 +271,17 @@ def observations_from_json_dict(data: dict) -> ObservationSet:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_spelling(texts: list[str]) -> list[str]:
-    """``float.__repr__`` texts as ``json`` spells them: NaN and the
-    infinities in its words, every other text as it is (the same list when
-    no text is non-finite)."""
-    if "nan" in texts or "inf" in texts or "-inf" in texts:
-        return [_NON_FINITE.get(t, t) for t in texts]
-    return texts
+def _float_json_texts(reprs: list[str], null_rows=()) -> list[str]:
+    """JSON texts of a float column given as its ``float.__repr__`` texts:
+    NaN and the infinities spelled as ``json`` spells them, and ``null`` at
+    ``null_rows`` (the same list when no text changes)."""
+    if "nan" in reprs or "inf" in reprs or "-inf" in reprs:
+        reprs = [_NON_FINITE.get(t, t) for t in reprs]
+    elif null_rows:
+        reprs = reprs.copy()
+    for k in null_rows:
+        reprs[k] = "null"
+    return reprs
 
 
 def _scalar_texts(values) -> list[str] | None:
@@ -289,7 +293,7 @@ def _scalar_texts(values) -> list[str] | None:
     """
     kinds = set(map(type, values))
     if kinds == {float}:
-        return _json_spelling(list(map(float.__repr__, values)))
+        return _float_json_texts(list(map(float.__repr__, values)))
     if kinds == {int}:
         return list(map(int.__repr__, values))
     if not all(issubclass(kind, (str, int, float, type(None))) for kind in kinds):
@@ -316,26 +320,25 @@ def _scalar_texts(values) -> list[str] | None:
 class Records:
     """A list of flat records given by column, for :func:`write_json`.
 
-    ``columns`` maps each ``str`` key to its values, one per record in
-    record order, or, with ``rendered``, to the JSON texts of those values
-    (``"null"``, ``'"ok"'``, ``"0.5"``). :func:`write_json` writes it as the
-    list of dicts it stands for, without building them.
+    ``columns`` maps each ``str`` key to the JSON texts of its values, one
+    per record in record order (``"null"``, ``'"ok"'``, ``"0.5"``, as
+    :func:`_scalar_texts` and :func:`_float_json_texts` spell them).
+    :func:`write_json` writes it as the list of dicts it stands for,
+    without building them.
     """
 
     columns: dict
-    rendered: bool = False
 
     def __post_init__(self):
         if not self.columns:
             raise ValueError("Records needs at least one column")
 
 
-def _records_texts(records: Records, indent: str) -> list[str] | None:
-    """Texts of the records at ``indent``, or None if a column that is not
-    ``rendered`` holds a value that is not a JSON scalar.
+def _records_texts(records: Records, indent: str) -> list[str]:
+    """Texts of the records at ``indent``.
 
     Each record is rendered from one ``str.format`` template, built once
-    for the list from the sorted keys, with the values encoded by column.
+    for the list from the sorted keys, with the texts filled in by column.
     """
     if not all(isinstance(k, str) for k in records.columns):
         raise TypeError("keys must be str")
@@ -343,10 +346,8 @@ def _records_texts(records: Records, indent: str) -> list[str] | None:
     columns = [records.columns[name] for name in names]
     if len(set(map(len, columns))) > 1:
         raise ValueError("record columns differ in length")
-    if not records.rendered:
-        columns = [_scalar_texts(column) for column in columns]
-        if None in columns:
-            return None
+    if not all(set(map(type, column)) <= {str} for column in columns):
+        raise TypeError("Records columns must hold JSON texts")
     inner = indent + "  "
     fields = ",\n" + inner
     template = (
@@ -374,7 +375,10 @@ def _record_texts(values: list, indent: str) -> list[str] | None:
         return None
     if not all(isinstance(k, str) for k in keys):
         return None
-    return _records_texts(Records({k: [v[k] for v in values] for k in keys}), indent)
+    columns = {k: _scalar_texts([v[k] for v in values]) for k in keys}
+    if None in columns.values():
+        return None
+    return _records_texts(Records(columns), indent)
 
 
 def _list_text(texts: list[str], indent: str) -> str:
@@ -392,10 +396,7 @@ def _json_chunks(obj, indent: str):
     at a time."""
     inner = indent + "  "
     if isinstance(obj, Records):
-        texts = _records_texts(obj, inner)
-        if texts is None:
-            raise TypeError("Records columns must hold JSON scalars")
-        yield _list_text(texts, indent)
+        yield _list_text(_records_texts(obj, inner), indent)
         return
     if isinstance(obj, (list, tuple)):
         texts = _scalar_texts(obj)

@@ -585,20 +585,16 @@ def raycast_pixels(params: SceneParams, image_index, pixels):
     ``image_index`` is as for :func:`trace_pixels`. Returns
     ``(board_local, status)`` where ``board_local`` has shape
     ``(..., 2)`` (meters; placeholder values where ``status != OK``).
-    A batch longer than one block is traced :func:`_row_blocks` at a time.
+    The batch is traced :func:`_row_blocks` at a time.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     rows = pixels.shape[:-1]
-    blocks = _row_blocks(math.prod(rows))
-    if len(blocks) <= 1:
-        batch = trace_pixels(params, image_index, pixels)
-        return batch.board_local, batch.status
     _check_index_shape(image_index, pixels)
     pixels = pixels.reshape(-1, pixels.shape[-1])
     index = np.reshape(image_index, -1) if np.ndim(image_index) else image_index
     local = np.empty((pixels.shape[0], 2))
     status = np.empty(pixels.shape[0], dtype=np.int64)
-    for block in blocks:
+    for block in _row_blocks(pixels.shape[0]):
         batch = trace_pixels(params, index if np.ndim(index) == 0 else index[block], pixels[block])
         local[block], status[block] = batch.board_local, batch.status
     return local.reshape(*rows, 2), status.reshape(rows)

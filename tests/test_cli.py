@@ -384,7 +384,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "refine-poses", "calibrate", "analyze"])
-    @pytest.mark.parametrize("case", ["file", "under-a-file", "dangling-link"])
+    @pytest.mark.parametrize("case", ["file", "under-a-file", "dangling-link", "not-writable"])
     def test_unusable_out_exits_2_before_any_work(
         self, tmp_path, monkeypatch, capsys, command, case
     ):
@@ -395,9 +395,18 @@ class TestExitCodes:
         blocker = tmp_path / "blocker"
         if case == "dangling-link":
             blocker.symlink_to(tmp_path / "missing")
+        elif case == "not-writable":
+            # a directory no file can be made in, as on a read-only mount
+            # (a mode bit would not stop a root process)
+            blocker.mkdir()
+
+            def refused(*args, **kwargs):
+                raise PermissionError(13, "Permission denied")
+
+            monkeypatch.setattr(cli.tempfile, "TemporaryFile", refused)
         else:
             blocker.write_text("kept\n")
-        out = blocker / "out" if case == "under-a-file" else blocker
+        out = blocker / "out" if case in ("under-a-file", "not-writable") else blocker
         argv = {
             "generate": ["generate", "--config", config],
             "refine-poses": ["refine-poses", "--config", config],
@@ -411,9 +420,20 @@ class TestExitCodes:
         assert run([*argv, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --out ") and len(err.splitlines()) == 1, err
-        assert "is not a directory" in err
+        assert {
+            "file": "exists and is not a directory",
+            "under-a-file": "Not a directory",
+            "dangling-link": "exists and is not a directory",
+            "not-writable": "Permission denied",
+        }[case] in err
         assert traces == []
-        assert blocker.is_symlink() if case == "dangling-link" else blocker.read_text() == "kept\n"
+        if case == "dangling-link":
+            assert blocker.is_symlink()
+        elif case == "not-writable":
+            assert [p.name for p in blocker.iterdir()] == ["out"]
+            assert list(out.iterdir()) == []
+        else:
+            assert blocker.read_text() == "kept\n"
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import re
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from conecal.observations import (
     Records,
     _board_corners,
     _corner_board_coords,
+    _float_json_texts,
     load_observations,
     observations_from_json_dict,
     observations_to_json_dict,
@@ -514,11 +516,10 @@ class TestWriteJson:
             write_json(tmp_path / "out.json", obj)
 
 
-def by_column(dicts, rendered=False):
-    """``dicts``, flat records sharing one key set, as :class:`Records`; with
-    ``rendered``, each value given as its ``json.dumps`` text."""
-    encode = json.dumps if rendered else (lambda v: v)
-    return Records({k: [encode(d[k]) for d in dicts] for k in dicts[0]}, rendered)
+def by_column(dicts):
+    """``dicts``, flat records sharing one key set, as :class:`Records`, each
+    value given as its ``json.dumps`` text."""
+    return Records({k: [json.dumps(d[k]) for d in dicts] for k in dicts[0]})
 
 
 # record lists with ints, floats, None, strings, bools and non-finite floats
@@ -536,11 +537,10 @@ COLUMN_RECORDS = {
 
 
 class TestColumnRecords:
-    @pytest.mark.parametrize("rendered", [False, True], ids=["values", "texts"])
     @pytest.mark.parametrize("name", list(COLUMN_RECORDS))
-    def test_render_as_their_dicts(self, tmp_path, name, rendered):
+    def test_render_as_their_dicts(self, tmp_path, name):
         dicts = COLUMN_RECORDS[name]
-        records = by_column(dicts, rendered)
+        records = by_column(dicts)
         assert written(tmp_path, records) == dumps_form(dicts)
         nested = {"b": records, "a": [{"index": 0, "corners": records}, records]}
         assert written(tmp_path, nested) == dumps_form(
@@ -552,9 +552,9 @@ class TestColumnRecords:
 
     @pytest.mark.parametrize(
         "columns, error",
-        [({"a": [1, 2], "b": [1]}, ValueError), ({"a": [[1]]}, TypeError),
-         ({"a": [np.int64(1)]}, TypeError), ({1: [1]}, TypeError)],
-        ids=["ragged", "nested", "numpy-int", "int-key"],
+        [({"a": ["1", "2"], "b": ["1"]}, ValueError), ({"a": [["1"]]}, TypeError),
+         ({"a": [1]}, TypeError), ({"a": ["1", None]}, TypeError), ({1: ["1"]}, TypeError)],
+        ids=["ragged", "nested", "int", "none", "int-key"],
     )
     def test_bad_columns_raise_and_write_nothing(self, tmp_path, columns, error):
         with pytest.raises(error):
@@ -564,6 +564,20 @@ class TestColumnRecords:
     def test_need_a_column(self):
         with pytest.raises(ValueError):
             Records({})
+
+    @pytest.mark.parametrize(
+        "values, null_rows",
+        [([0.5, -0.0, 1e-300], []), ([0.5, math.nan, 2.5], [1]),
+         ([math.inf, 0.1, -math.inf, math.nan], [0, 3]), ([math.nan], []), ([], [])],
+        ids=["finite", "one-null", "non-finite", "nan", "empty"],
+    )
+    def test_float_texts_spell_as_json(self, values, null_rows):
+        reprs = list(map(float.__repr__, values))
+        expected = [
+            "null" if k in null_rows else json.dumps(v) for k, v in enumerate(values)
+        ]
+        assert _float_json_texts(reprs, null_rows) == expected
+        assert reprs == list(map(float.__repr__, values))  # the input is left as it is
 
 
 class TestIterators:

@@ -567,4 +567,7 @@ class TestWorkingSet:
             k: traced_peak(lambda: project_corners(params, index[:k], targets[:k]))
             for k in (n, 4 * n)
         }
+        # ~2.15x measured: the rows' own state still grows (see the class
+        # docstring), so this bound only keeps whole-batch traces out; a
+        # project_corners that worked in row blocks would stay under 1.5x
         assert peaks[4 * n] < 2.5 * peaks[n]
