@@ -22,6 +22,7 @@ from .errors import DataError
 from .observations import (
     ObservationSet,
     Records,
+    StackedCorners,
     _float_json_texts,
     _replacing,
     _scalar_texts,
@@ -246,14 +247,16 @@ class CornerScatter:
 def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> CornerScatter:
     """Per-corner residuals under the full model, grouped by image.
 
-    Every image's corners are traced in one batch, each row landing on
-    its own image's pose; failed corners have NaN residuals and no part in
-    the pooled RMSE.
+    Every image's corners are stacked, each row landing on its own image's
+    pose, and traced :func:`_row_blocks` at a time; failed corners have NaN
+    residuals and no part in the pooled RMSE.
     """
     corners = observations.stacked()
-    batch = trace_pixels(params, corners.image_index, corners.pixels)
-    rho = batch.board_local - corners.targets
-    ok = batch.status == TraceStatus.OK
+    rho = np.empty_like(corners.targets)
+    status = np.empty(rho.shape[0], dtype=np.int64)
+    for block in _row_blocks(rho.shape[0]):
+        rho[block], status[block] = _residual_block(params, corners, block)
+    ok = status == TraceStatus.OK
     count = int(np.count_nonzero(ok))
     if count == 0:
         raise DataError("no corner completed the trace; nothing to report")
@@ -267,12 +270,19 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> C
         offsets=corners.offsets,
         grid_ij=corners.grid_ij,
         pixels=corners.pixels,
-        status=batch.status,
+        status=status,
         residuals=rho,
         errors=np.hypot(rho[:, 0], rho[:, 1]),
         rmse_cm=float(np.sqrt(total / count) * 100.0),
         n_corners=count,
     )
+
+
+def _residual_block(params: SceneParams, corners: StackedCorners, block: slice):
+    """``(residuals, status)`` of one block of stacked corners; its trace is
+    released on return, before the next block is traced."""
+    batch = trace_pixels(params, corners.image_index[block], corners.pixels[block])
+    return batch.board_local - corners.targets[block], batch.status
 
 
 _SCATTER_KEYS = ("i", "j", "px", "py", "status", "dmx_m", "dmy_m", "err_m")

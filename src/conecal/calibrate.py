@@ -10,8 +10,8 @@ the exit refraction and the normal's dependence on the field. Pose
 gradients use a left rotation increment about the current estimate.
 
 Every evaluation runs on one stacked batch of all images' corners. Its
-cover stage (inner hit and refraction, outer hit) and the kernel matrix
-``K`` at the outer hits are computed once per live observation set,
+cover stage (inner hit and refraction, outer hit) and the per-axis kernel
+factors at the outer hits are computed once per live observation set,
 camera, cone and centers, and reused for every iterate of a fit. That is
 exact only because the outer intersection is taken on the perfect cone,
 so the outer hits do not move with the amplitudes; an exact intersection
@@ -26,8 +26,8 @@ solve with it as the Jacobian, the gradient contracts it with the
 residuals.
 
 Accumulations (``np.sum``, per-image ``np.bincount`` and the products
-with ``K``) run in a fixed order, so repeated runs produce bit-identical
-results.
+with the kernel factors) run in a fixed order, so repeated runs produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -150,11 +150,11 @@ class _FitBatch:
 
     Holds the rows of :meth:`ObservationSet.stacked` (minus the pixels),
     plus the pose- and amplitude-independent cover stage, built for the
-    camera, cone and center layout in ``key``. The kernel matrix ``K`` at
-    the outer hits is built on first use and is the only kernel data kept:
-    the field's slope and angular derivative, and their amplitude gradient,
-    follow from it exactly (:func:`~conecal.geometry._field_values` and its
-    adjoint).
+    camera, cone and center layout in ``key``. The per-axis kernel factors
+    ``(E1, E2)`` at the outer hits are built on first use and are the only
+    kernel data kept: the field, its slope and angular derivative, and their
+    amplitude gradient follow from them exactly
+    (:func:`~conecal.geometry._field_values` and its adjoint).
     """
 
     def __init__(self, params: SceneParams, observations: ObservationSet):
@@ -165,15 +165,15 @@ class _FitBatch:
         self.cover = _trace_cover(params.cone, np.zeros_like(dirs), dirs)
 
     @cached_property
-    def K(self) -> np.ndarray:
-        """``K`` at every outer hit, shape (n_corners, n_centers); built
-        image by image to bound the temporaries of the kernel evaluation."""
+    def kernel_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(E1, E2)`` at every outer hit; built image by image to bound
+        the temporaries of the kernel evaluation."""
         _, _, patch, grid, beta = self.key
         centers = RbfSurface.flat(patch, grid, beta=beta)
-        K = np.empty((self.target.shape[0], centers.n_centers))
-        for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
-            K[start:stop] = rbf_kernel_terms(centers, self.cover.s_outer[start:stop])
-        return K
+        e1, e2 = (np.empty((self.target.shape[0], g)) for g in grid)
+        for rows in map(slice, self.offsets[:-1], self.offsets[1:]):
+            e1[rows], e2[rows] = rbf_kernel_terms(centers, self.cover.s_outer[rows])
+        return e1, e2
 
     def errored(self, status: np.ndarray) -> tuple:
         """Sorted ``(image_index, i, j, stage)`` of every failed corner."""
@@ -194,7 +194,7 @@ class _FitBatch:
         the outer normal's field derivatives when ``derivatives`` is set
         (else None) and each corner's board rotation. Each row has the bits
         that :func:`~conecal.raytrace.trace_pixels` gives its pixel."""
-        fields = _field_values(params.surface, self.cover.s_outer, lambda: self.K)
+        fields = _field_values(params.surface, self.cover.s_outer, lambda: self.kernel_factors)
         n_outer, dn = _outer_normal_linearization(
             params.cone, self.cover.s_outer, fields, derivatives
         )
@@ -248,10 +248,10 @@ class _FitBatch:
         dl_dnhat = [sigma * (f * d_c - along * m_c) for d_c, m_c in zip(dl_dro, r_m)]
 
         # backward through the normal to the field value, slope and
-        # angular derivative, then through K
+        # angular derivative, then through the kernel factors
         g = np.zeros((self.target.shape[0], 3))
         g[ok] = _stack_last(*(_dot(dl_dnhat, _components(dn[..., j])) for j in range(3)))
-        return _field_values_adjoint(params.surface, self.cover.s_outer, self.K, g)
+        return _field_values_adjoint(params.surface, self.cover.s_outer, self.kernel_factors, g)
 
     def _pose_gradient(self, rotation, batch, ok, rho):
         """One [rotation-increment, translation] block of 6 per image: the

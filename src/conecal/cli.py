@@ -6,7 +6,8 @@ deterministic for a fixed config and seed: JSON files use sorted keys,
 CSV floats round-trip exactly, and nothing embeds timestamps or machine
 paths.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
+Exit codes: 0 success, 2 configuration error, 3 data error (a ray that
+fails to trace through the given surface included), 4 numerical
 divergence (argument parsing failures also exit 2, via argparse).
 """
 
@@ -48,7 +49,13 @@ from .config import (
     surface_from_config,
     surface_to_config,
 )
-from .errors import ConfigurationError, DataError, DivergenceError
+from .errors import (
+    ConfigurationError,
+    DataError,
+    DivergenceError,
+    RayTraceError,
+    SingularSurfaceError,
+)
 from .geometry import RbfSurface
 from .observations import (
     _pose_to_json,
@@ -421,7 +428,8 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, RayTraceError, SingularSurfaceError) as exc:
+        # a ray the given surface cannot trace is a fault of the data
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DivergenceError as exc:

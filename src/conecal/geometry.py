@@ -33,8 +33,8 @@ from .errors import ConfigurationError, OutOfRangeError, SingularSurfaceError
 
 Which = Literal["inner", "outer"]
 
-# rows of K built at once by a trace; 1024 was fastest of 512..8192 on an
-# 81 016-ray distortion field, and memory stays flat as batches grow
+# rows whose kernel factors are contracted at once: memory stays flat as
+# batches grow, and 256..4096 rows ran within 10 % on an 81 016-ray field
 _KERNEL_BLOCK_ROWS = 1024
 
 
@@ -275,24 +275,22 @@ def denormalize_coords(patch: RbfPatch, s_norm) -> np.ndarray:
     return _as_coords(s_norm) * patch.spans + patch.lower
 
 
-def rbf_kernel_terms(surface: RbfSurface, s) -> np.ndarray:
-    """Per-center kernel values ``K``, shape ``(..., n_centers)``: the only
-    kernel matrix, since the field is ``K @ a`` for the flat amplitudes
-    ``a`` and its slopes follow from ``K`` alone (:func:`_field_values`).
+def rbf_kernel_terms(surface: RbfSurface, s) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis kernel factors ``(e1, e2)``, shapes ``(..., G1)`` and
+    ``(..., G2)`` for the center grid ``(G1, G2)``: the only kernel data,
+    as the field and its slopes follow from them (:func:`_field_values`).
 
     The centers form a grid and the Gaussian is isotropic in normalized
-    coordinates, so ``K[(i, j)] = e1[i] * e2[j]`` with one exponential per
-    center row and one per center column: G1 + G2 exponentials per point
-    in place of G1 * G2. Each point's row depends only on that point.
+    coordinates, so center ``(i, j)``'s kernel is ``e1[i] * e2[j]``: one
+    exponential per center row and one per column, and the kernel matrix
+    ``K`` is never formed. Each point's factors depend only on that point.
     """
     s_norm = normalize_coords(surface.patch, s)
     c1, c2 = surface.center_axes
     d1 = c1 - s_norm[..., 0, None]
     d2 = c2 - s_norm[..., 1, None]
     two_beta = 2.0 * surface.beta
-    e1 = np.exp(-(d1 * d1) / two_beta)
-    e2 = np.exp(-(d2 * d2) / two_beta)
-    return (e1[..., :, None] * e2[..., None, :]).reshape(s_norm.shape[:-1] + (surface.n_centers,))
+    return np.exp(-(d1 * d1) / two_beta), np.exp(-(d2 * d2) / two_beta)
 
 
 def _slope_scale(surface: RbfSurface) -> np.ndarray:
@@ -377,30 +375,31 @@ def _field_values(surface: RbfSurface | None, s, kernel=None):
 
     Returns None, the perfect cone, when there is no surface or all its
     amplitudes are zero; no kernel is evaluated then. ``kernel``, when
-    given, is a zero-argument callable returning ``K`` at ``s`` (the fit
-    builds it lazily and keeps it); otherwise ``K`` is built here
-    ``_KERNEL_BLOCK_ROWS`` rows at a time, so its memory does not grow
-    with the batch. With ``m = K [a, a c_1, a c_2]``, ``phi = m_0`` and,
-    by the rule of :func:`_slope_scale`,
-    ``phi_d = (m_d - s_d phi) / (beta span_d)``. Either ``K`` is
-    multiplied row by row, since a BLAS product rounds a row differently
-    with the number of rows: a point's result then depends neither on the
-    rest of its batch nor on where ``K`` came from, so the fit and a trace
-    of the same ray agree bit for bit.
+    given, is a zero-argument callable returning the factors ``(e1, e2)``
+    at ``s`` (the fit keeps them); otherwise they are built here
+    ``_KERNEL_BLOCK_ROWS`` rows at a time. Each row contracts
+    ``w = e1 [A, c_1 A, A c_2]`` over the center rows and ``m = e2 w`` over
+    the columns: ``m = K [a, a c_1, a c_2]`` without ``K``, ``phi = m_0``
+    and ``phi_d = (m_d - s_d phi) / (beta span_d)`` (:func:`_slope_scale`).
+    Both products run row by row, as a BLAS product rounds a row
+    differently with the number of rows: a point's result depends neither
+    on its batch nor on where its factors came from, so the fit and a
+    trace of the same ray agree bit for bit.
     """
     if surface is None or not np.any(surface.amplitudes):
         return None
-    amplitudes = surface.flat_amplitudes
-    centers = surface.centers
-    weights = np.column_stack([amplitudes, amplitudes * centers[:, 0], amplitudes * centers[:, 1]])
+    a = surface.amplitudes
+    c1, c2 = surface.center_axes
+    weights = np.stack([a, c1[:, None] * a, a * c2], axis=-1).reshape(a.shape[0], -1)
     s = _as_coords(s)
     rows = s.reshape(-1, 2)
-    cached = None if kernel is None else kernel().reshape(rows.shape[0], surface.n_centers)
+    kept = None if kernel is None else [e.reshape(-1, e.shape[-1]) for e in kernel()]
     m = np.empty((rows.shape[0], 3))
     for start in range(0, rows.shape[0], _KERNEL_BLOCK_ROWS):
         block = slice(start, start + _KERNEL_BLOCK_ROWS)
-        k = rbf_kernel_terms(surface, rows[block]) if cached is None else cached[block]
-        m[block] = (k[:, None, :] @ weights)[:, 0, :]
+        e1, e2 = rbf_kernel_terms(surface, rows[block]) if kept is None else [e[block] for e in kept]
+        w = (e1[:, None, :] @ weights).reshape(-1, a.shape[1], 3)
+        m[block] = (e2[:, None, :] @ w)[:, 0, :]
     m = m.reshape(s.shape[:-1] + (3,))
     phi = m[..., 0]
     s_norm = normalize_coords(surface.patch, s)
@@ -412,23 +411,23 @@ def _field_values(surface: RbfSurface | None, s, kernel=None):
     )
 
 
-def _field_values_adjoint(surface: RbfSurface, s, k: np.ndarray, cotangents: np.ndarray):
-    """Transpose of :func:`_field_values` given the kernel matrix ``k`` at ``s``.
+def _field_values_adjoint(surface: RbfSurface, s, factors, cotangents: np.ndarray):
+    """Transpose of :func:`_field_values` given the factors ``(e1, e2)`` at ``s``.
 
     ``cotangents`` has shape (n, 3), one row ``(g_phi, g_phi1, g_phi2)``
     per point of ``s``. Returns the gradient over the flat amplitudes of
     ``sum(g_phi * phi + g_phi1 * phi1 + g_phi2 * phi2)``, which is
-    ``k^T g_phi + sum_d (c_d k^T g_d - k^T (s_d g_d)) / (beta span_d)``.
+    ``K^T g_phi + sum_d (c_d K^T g_d - K^T (s_d g_d)) / (beta span_d)``;
+    each ``K^T h`` is ``e1^T diag(h) e2`` over the center grid.
     """
+    e1, e2 = factors
     s_norm = normalize_coords(surface.patch, s)
-    p = np.concatenate([cotangents.T, (cotangents[:, 1:] * s_norm).T]) @ k
-    centers = surface.centers
+    h = np.column_stack([cotangents, cotangents[:, 1:] * s_norm])
+    p = [(e1 * h[:, k, None]).T @ e2 for k in range(5)]
+    c1, c2 = surface.center_axes
     scale = _slope_scale(surface)
-    return (
-        p[0]
-        + (centers[:, 0] * p[1] - p[3]) / scale[0]
-        + (centers[:, 1] * p[2] - p[4]) / scale[1]
-    )
+    grad = p[0] + (c1[:, None] * p[1] - p[3]) / scale[0] + (c2 * p[2] - p[4]) / scale[1]
+    return grad.ravel()
 
 
 def _outer_normal_linearization(cone: ConeGeometry, s, fields=None, derivatives: bool = False):

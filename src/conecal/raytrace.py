@@ -595,9 +595,16 @@ def raycast_pixels(params: SceneParams, image_index, pixels):
     local = np.empty((pixels.shape[0], 2))
     status = np.empty(pixels.shape[0], dtype=np.int64)
     for block in _row_blocks(pixels.shape[0]):
-        batch = trace_pixels(params, index if np.ndim(index) == 0 else index[block], pixels[block])
-        local[block], status[block] = batch.board_local, batch.status
+        block_index = index if np.ndim(index) == 0 else index[block]
+        local[block], status[block] = _raycast_block(params, block_index, pixels[block])
     return local.reshape(*rows, 2), status.reshape(rows)
+
+
+def _raycast_block(params: SceneParams, image_index, pixels: np.ndarray):
+    """:func:`raycast_pixels` of one block; its trace is released on
+    return, before the next block is traced."""
+    batch = trace_pixels(params, image_index, pixels)
+    return batch.board_local, batch.status
 
 
 def raycast(params: SceneParams, image_index: int, pixel) -> np.ndarray:

@@ -225,6 +225,47 @@ def _rotation_zyx(angles) -> np.ndarray:
 _FD_STEP_PX = 0.01
 
 
+def _pinhole_seeds(params: SceneParams, image_index, targets: np.ndarray) -> np.ndarray:
+    """Pinhole projections of board points, for ``image_index`` as in
+    :func:`project_corners`; the per-point poses and camera-frame points
+    are released on return, before any ray is traced."""
+    rotation, translation = params.pose_arrays(image_index)
+    world = _board_to_world(rotation, translation, targets)
+    if np.any(world[:, 2] <= 0.0):
+        raise DataError("board corners behind the camera cannot be projected")
+    return pinhole_project(params.intrinsics, world)
+
+
+def _newton_steps(raycast, rows, pixels, base, residual):
+    """``(solvable, steps)``: which of ``rows`` have an invertible 2x2
+    jacobian, and their Gauss-Newton pixel steps. ``pixels``, ``base`` and
+    ``residual`` are the rows' pixels, landings and residuals; both forward
+    differences run in one trace, released on return."""
+    h = _FD_STEP_PX
+    k = rows.size
+    fd_local, fd_status = raycast(
+        np.concatenate([rows, rows]),
+        np.concatenate([pixels + [h, 0.0], pixels + [0.0, h]]),
+    )
+    local_x, local_y = fd_local[:k], fd_local[k:]
+    fd_ok = (fd_status[:k] == _OK) & (fd_status[k:] == _OK)
+    j00 = (local_x[:, 0] - base[:, 0]) / h
+    j10 = (local_x[:, 1] - base[:, 1]) / h
+    j01 = (local_y[:, 0] - base[:, 0]) / h
+    j11 = (local_y[:, 1] - base[:, 1]) / h
+    det = j00 * j11 - j01 * j10
+    solvable = fd_ok & (np.abs(det) > 1e-30)
+    det_safe = np.where(solvable, det, 1.0)
+    step = -np.stack(
+        [
+            (j11 * residual[:, 0] - j01 * residual[:, 1]) / det_safe,
+            (j00 * residual[:, 1] - j10 * residual[:, 0]) / det_safe,
+        ],
+        axis=-1,
+    )
+    return solvable, step[solvable]
+
+
 def project_corners(
     params: SceneParams, image_index, board_xy, tol: float = 1e-9, max_iters: int = 50
 ):
@@ -248,11 +289,7 @@ def project_corners(
         image_index = np.reshape(image_index, -1)
         if image_index.size != n:
             raise DataError(f"{image_index.size} image indices for {n} board points")
-    rotation, translation = params.pose_arrays(image_index)
-    world = _board_to_world(rotation, translation, targets)
-    if np.any(world[:, 2] <= 0.0):
-        raise DataError("board corners behind the camera cannot be projected")
-    pixels = pinhole_project(params.intrinsics, world)
+    pixels = _pinhole_seeds(params, image_index, targets)
 
     def raycast(rows, pixels_at_rows):
         index = image_index if np.ndim(image_index) == 0 else image_index[rows]
@@ -277,30 +314,8 @@ def project_corners(
         if rows.size == 0:
             break
 
-        # both forward differences of the active rows in one trace
-        h = _FD_STEP_PX
-        k = rows.size
-        fd_local, fd_status = raycast(
-            np.concatenate([rows, rows]),
-            np.concatenate([pixels[rows] + [h, 0.0], pixels[rows] + [0.0, h]]),
-        )
-        local_x, local_y, base = fd_local[:k], fd_local[k:], local[rows]
-        fd_ok = (fd_status[:k] == _OK) & (fd_status[k:] == _OK)
-        j00 = (local_x[:, 0] - base[:, 0]) / h
-        j10 = (local_x[:, 1] - base[:, 1]) / h
-        j01 = (local_y[:, 0] - base[:, 0]) / h
-        j11 = (local_y[:, 1] - base[:, 1]) / h
-        det = j00 * j11 - j01 * j10
-        solvable = fd_ok & (np.abs(det) > 1e-30)
-        det_safe = np.where(solvable, det, 1.0)
-        step = -np.stack(
-            [
-                (j11 * residual[:, 0] - j01 * residual[:, 1]) / det_safe,
-                (j00 * residual[:, 1] - j10 * residual[:, 0]) / det_safe,
-            ],
-            axis=-1,
-        )
-        rows, step, err = rows[solvable], step[solvable], err[solvable]
+        solvable, step = _newton_steps(raycast, rows, pixels[rows], local[rows], residual)
+        rows, err = rows[solvable], err[solvable]
 
         # halve the steps of the rows still pending until each actually
         # reduces its residual; an accepted trial is the row's new landing

@@ -143,6 +143,32 @@ def difference_kernel_oracle(surface, s):
     return np.exp(-(d1 * d1 + d2 * d2) / (2.0 * surface.beta))
 
 
+def kernel_matrices_oracle(surface, s):
+    """``K`` of :func:`difference_kernel_oracle` and its derivative matrices
+    ``dK/ds_d = K (c_d - s_d) / (beta span_d)``, each ``(..., n_centers)``."""
+    k = difference_kernel_oracle(surface, s)
+    diff = surface.centers - normalize_coords(surface.patch, s)[..., None, :]
+    scale = surface.beta * surface.patch.spans
+    return k, k * diff[..., 0] / scale[0], k * diff[..., 1] / scale[1]
+
+
+def kernel_field_oracle(surface, s, kernel=None):
+    """``geometry._field_values`` as the products of the three matrices of
+    :func:`kernel_matrices_oracle` with the flat amplitudes: one exponential
+    per center, no per-axis factors. None for a zero field, as the library
+    returns; ``kernel`` is ignored, so the oracle can stand in for it."""
+    if surface is None or not np.any(surface.amplitudes):
+        return None
+    a = surface.flat_amplitudes
+    return tuple(np.sum(m * a, axis=-1) for m in kernel_matrices_oracle(surface, s))
+
+
+def kernel_field_adjoint_oracle(surface, s, cotangents):
+    """``geometry._field_values_adjoint``: the transposes of the three
+    matrices of :func:`kernel_matrices_oracle` times the cotangent columns."""
+    return sum(m.T @ cotangents[:, d] for d, m in enumerate(kernel_matrices_oracle(surface, s)))
+
+
 # --------------------------------------------------------------------------
 # finite-difference outer normal
 

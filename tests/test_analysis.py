@@ -25,7 +25,7 @@ from conecal.calibrate import loss
 from conecal.cli import _write_depth_curve_csv
 from conecal.errors import DataError, MissError
 from conecal.geometry import RbfSurface
-from conecal.observations import ObservationSet, write_json
+from conecal.observations import ImageObservations, ObservationSet, write_json
 from conecal.raytrace import STAGE_NAMES, TraceStatus
 from conftest import count_cover_traces
 from oracles import board_targets, corner_scatter_files, per_image_corner_scatter
@@ -410,7 +410,6 @@ class TestBlocks:
         # blocks and of 5- and 3-row CSV blocks
         pixels[4:10] = [1640.0, -1e7]
         depths = np.linspace(0.3, 1.5, pixels.shape[0])
-        scatter = corner_error_scatter(params, obs)
         json_text, _ = corner_scatter_files(per_image_corner_scatter(params, obs))
         curves = [
             distortion_vs_inverse_depth(params, pixel, n_samples=11)
@@ -422,6 +421,7 @@ class TestBlocks:
             deltas, status = _frontal_deltas(params, pixels, 0.7)
             field = DistortionField(0.7, 500, pixels, deltas, status)
             write_distortion_csv(field, out / "field.csv")
+            scatter = corner_error_scatter(params, obs)
             write_corner_scatter(scatter, out / "scatter.json", out / "scatter.csv")
             _write_depth_curve_csv(out / "curves.csv", curves)
             files = {path.name: path.read_bytes() for path in out.iterdir()}
@@ -433,7 +433,7 @@ class TestBlocks:
         monkeypatch.setattr(conecal.analysis, "_CSV_BLOCK_ROWS", 5)
         traced = count_cover_traces(monkeypatch)
         small = outputs(tmp_path / "small")
-        assert max(traced) == 7 and sum(traced) == 2 * pixels.shape[0]
+        assert max(traced) == 7 and sum(traced) == 2 * pixels.shape[0] + obs.n_corners
         monkeypatch.setattr(conecal.analysis, "_CSV_BLOCK_ROWS", 3)
         smaller = outputs(tmp_path / "smaller")
         for other in (small, smaller):
@@ -478,6 +478,28 @@ class TestWorkingSet:
             for stride, field in fields.items()
         }
         assert peaks[20] < 1.5 * peaks[40]
+
+    def test_corner_scatter(self, scene_zero):
+        """The corners are traced a block at a time: 72 images of 225
+        corners (four blocks) against 18 (one block). The scatter's own
+        columns and the stacked corners still grow, ~80 bytes a corner
+        against ~400 for a row of one block's trace (~1.5x measured); one
+        trace of every corner read 2.8x."""
+        amps = np.random.default_rng(5).normal(1e-5, 2.5e-6, (8, 8))
+        surface = RbfSurface.flat(scene_zero.surface.patch, (8, 8)).with_amplitudes(amps)
+        ij = np.stack(np.meshgrid(np.arange(1, 16), np.arange(1, 16), indexing="ij"), -1)
+        pixels = np.random.default_rng(7).uniform(0.0, 1.0, (72, 225, 2)) * [3280.0, 2464.0]
+        images = [
+            ImageObservations(k, scene_zero.poses[k % 3], ij.reshape(-1, 2), pixels[k])
+            for k in range(72)
+        ]
+        scene = dataclasses.replace(
+            scene_zero, surface=surface, poses=tuple(im.initial_pose for im in images)
+        )
+        sets = {n: ObservationSet(0.03, 15, tuple(images[:n])) for n in (18, 72)}
+        assert sets[18].n_corners <= conecal.raytrace._TRACE_BLOCK_ROWS
+        peaks = {n: traced_peak(lambda: corner_error_scatter(scene, obs)) for n, obs in sets.items()}
+        assert peaks[72] < 2.0 * peaks[18]
 
     def test_json_of_record_lists(self, tmp_path):
         records = [{"i": k, "j": 2 * k, "px": 0.1 * k, "status": "ok"} for k in range(200)]

@@ -375,7 +375,7 @@ class TestStackedBatch:
                 landed.board_local.view(np.int64), traced.board_local.view(np.int64)
             )
             statuses.append(set(traced.status.tolist()))
-        # failures at several stages in one scene, more rows than a K block in the other
+        # failures at several stages in one scene, more rows than a kernel block in the other
         assert len(statuses[0]) >= 4
         assert pixels.shape[0] > _KERNEL_BLOCK_ROWS
 

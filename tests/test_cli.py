@@ -22,7 +22,7 @@ from conecal.config import (
     surface_from_config,
     surface_to_config,
 )
-from conecal.errors import ConfigurationError, DataError
+from conecal.errors import ConfigurationError, DataError, SingularSurfaceError
 from conecal.observations import load_observations
 from conftest import count_cover_traces, count_kernel_calls
 from oracles import per_image_corner_scatter
@@ -825,6 +825,33 @@ class TestAnalyze:
         if flag == "--depth":
             # rejected before the field is traced or written
             assert list(out.iterdir()) == []
+
+    def test_untraceable_surface_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A surface steep enough that a depth curve's ray is totally
+        reflected at the outer wall is bad data: one error line, exit 3,
+        no traceback; an undefined surface normal is reported the same way."""
+        data = generate_small(tmp_path)
+        truth = json.loads((data / "ground_truth.json").read_text())["scene_config"]
+        rows, cols = truth["surface"]["grid_rows"], truth["surface"]["grid_cols"]
+        truth["surface"]["amplitudes_m"] = [
+            [0.05 * (-1) ** (i + j) for j in range(cols)] for i in range(rows)
+        ]
+        config = tmp_path / "steep_config.json"
+        config.write_text(json.dumps(truth))
+        argv = ["analyze", "--config", config, "--observations", data / "observations.json",
+                "--out", tmp_path / "an", "--stride", 400]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: total internal reflection at stage outer-refraction\n"
+
+        def singular(*args, **kwargs):
+            raise SingularSurfaceError("outer wall normal is undefined (degenerate tangents)")
+
+        monkeypatch.setattr(cli, "distortion_vs_inverse_depth", singular)
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: outer wall normal is undefined (degenerate tangents)\n"
+        )
 
     def test_bad_inverse_depth_range_leaves_the_report_whole(self, tmp_path):
         data = generate_small(tmp_path)

@@ -35,7 +35,7 @@ from conecal.geometry import (
     rbf_offset,
 )
 from conftest import count_kernel_calls
-from oracles import difference_kernel_oracle
+from oracles import difference_kernel_oracle, kernel_field_adjoint_oracle, kernel_field_oracle
 
 # Independently computed: four unit-spaced corners at squared distance 0.5
 # from the patch center, so Phi = 4 * 1e-5 * exp(-0.5 / (2 * 0.125)).
@@ -234,88 +234,74 @@ class TestRbfKernelTerms:
     @pytest.mark.parametrize("beta", [None, 0.02, 0.3])
     @pytest.mark.parametrize("shape", [(2,), (40, 2), (3, 5, 2), (0, 2)])
     def test_matches_the_difference_oracle(self, patch, grid, beta, shape):
-        """The per-axis factored K equals one exponential per center within
-        1e-15 absolute (K <= 1), inside the patch and up to half a patch
-        beyond it, and each row equals the same point's K alone bit for bit."""
+        """The outer product of the per-axis factors equals one exponential
+        per center within 1e-15 absolute (K <= 1), inside the patch and up
+        to half a patch beyond it, and each row's factors equal the same
+        point's factors alone bit for bit."""
         rng = np.random.default_rng(61)
         surface = RbfSurface.flat(patch, grid, beta=beta)
         n = int(np.prod(shape[:-1]))
         s = denormalize_coords(patch, rng.uniform(-0.5, 1.5, (n, 2))).reshape(shape)
-        k = rbf_kernel_terms(surface, s)
+        e1, e2 = rbf_kernel_terms(surface, s)
         want = difference_kernel_oracle(surface, s)
-        assert k.shape == shape[:-1] + (surface.n_centers,)
+        assert (e1.shape, e2.shape) == (shape[:-1] + grid[:1], shape[:-1] + grid[1:])
+        k = (e1[..., :, None] * e2[..., None, :]).reshape(want.shape)
         np.testing.assert_allclose(k, want, rtol=0.0, atol=1e-15)
         rows = s.reshape(-1, 2)
         for i in range(min(n, 5)):
-            assert np.array_equal(rbf_kernel_terms(surface, rows[i]), k.reshape(n, -1)[i])
+            for alone, batch in zip(rbf_kernel_terms(surface, rows[i]), (e1, e2)):
+                assert np.array_equal(alone, batch.reshape(n, -1)[i])
 
 
 class TestFieldValuesFromKernel:
     def test_match_the_three_kernel_matrices(self, patch):
-        """K equals the outer product of per-axis exponentials bit for bit
-        and the (n, C, 2) difference-tensor formula within 1e-15, and the
-        fields and their adjoint built from K alone, with and without a
-        kernel callable, equal the contractions with K and the derivative
-        matrices dK/ds_d = K (c_d - s_d) / (beta span_d)."""
+        """The factors are the per-axis exponentials bit for bit, and the
+        fields and their adjoint built from them, with and without a kernel
+        callable, equal the contractions with K and the derivative matrices
+        dK/ds_d = K (c_d - s_d) / (beta span_d), one exponential per center,
+        within 1e-13 of their largest value."""
         rng = np.random.default_rng(43)
         surface = RbfSurface.flat(patch, (4, 5)).with_amplitudes(rng.normal(0.0, 1e-5, (4, 5)))
         s = np.column_stack([rng.uniform(0.025, 0.055, 30), rng.uniform(-0.4, 0.4, 30)])
-        k = rbf_kernel_terms(surface, s)
+        factors = rbf_kernel_terms(surface, s)
         s_norm = normalize_coords(patch, s)
         d1 = np.arange(4) / 3 - s_norm[:, 0, None]
         d2 = np.arange(5) / 4 - s_norm[:, 1, None]
-        e1 = np.exp(-(d1 * d1) / (2.0 * surface.beta))
-        e2 = np.exp(-(d2 * d2) / (2.0 * surface.beta))
-        np.testing.assert_array_equal(k, np.einsum("ni,nj->nij", e1, e2).reshape(30, 20))
-        diff = surface.centers - normalize_coords(patch, s)[:, None, :]
-        np.testing.assert_allclose(
-            k, np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * surface.beta)), rtol=0.0, atol=1e-15
-        )
-        scale = surface.beta * patch.spans
-        terms = [k, k * diff[..., 0] / scale[0], k * diff[..., 1] / scale[1]]
-        fields = [np.sum(t * surface.flat_amplitudes, axis=-1) for t in terms]
-        for kernel in (None, lambda: k):
+        np.testing.assert_array_equal(factors[0], np.exp(-(d1 * d1) / (2.0 * surface.beta)))
+        np.testing.assert_array_equal(factors[1], np.exp(-(d2 * d2) / (2.0 * surface.beta)))
+        fields = kernel_field_oracle(surface, s)
+        for kernel in (None, lambda: factors):
             for got, want in zip(_field_values(surface, s, kernel), fields):
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
         for got, want in zip(_field_values(surface, s[3]), fields):
             assert got == pytest.approx(want[3], rel=0.0, abs=1e-13 * np.max(np.abs(want)))
         g = rng.normal(size=(30, 3))
-        want = sum(t.T @ g[:, d] for d, t in enumerate(terms))
-        got = _field_values_adjoint(surface, s, k, g)
+        want = kernel_field_adjoint_oracle(surface, s, g)
+        got = _field_values_adjoint(surface, s, factors, g)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize(
         "shape", [(2 * _KERNEL_BLOCK_ROWS + 3, 2), (2,), (3, 5, 2), (0, 2)]
     )
     def test_row_blocks_equal_the_unblocked_product(self, patch, shape, monkeypatch):
-        """K is built in blocks of rows; each row's product with the
-        weights is the same bits as the whole K multiplied row by row."""
+        """The factors are built in blocks of rows, and each row's fields
+        have the bits of that row evaluated alone, whether the factors are
+        built here or passed in whole, as the fit passes them."""
         rng = np.random.default_rng(59)
         surface = RbfSurface.flat(patch, (4, 5)).with_amplitudes(rng.normal(0.0, 1e-5, (4, 5)))
         n = int(np.prod(shape[:-1]))
         s = np.column_stack([rng.uniform(0.025, 0.055, n), rng.uniform(-0.4, 0.4, n)]).reshape(shape)
-        a, centers = surface.flat_amplitudes, surface.centers
-        weights = np.column_stack([a, a * centers[:, 0], a * centers[:, 1]])
-        m = (rbf_kernel_terms(surface, s)[..., None, :] @ weights)[..., 0, :]
-        s_norm = normalize_coords(patch, s)
-        scale = surface.beta * patch.spans
-        want = (
-            m[..., 0],
-            (m[..., 1] - s_norm[..., 0] * m[..., 0]) / scale[0],
-            (m[..., 2] - s_norm[..., 1] * m[..., 0]) / scale[1],
-        )
         calls = count_kernel_calls(monkeypatch)
         got = _field_values(surface, s)
         assert len(calls) == -(-n // _KERNEL_BLOCK_ROWS)
         assert all(rows <= _KERNEL_BLOCK_ROWS for rows, _ in calls)
-        for g, w in zip(got, want):
-            assert g.shape == shape[:-1]
-            assert np.array_equal(g, w)
-        # a cached K, as the fit passes it, takes the same product
-        k = rbf_kernel_terms(surface, s)
-        for g, w in zip(_field_values(surface, s, lambda: k), want):
-            assert g.shape == shape[:-1]
-            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        alone = [_field_values(surface, row) for row in s.reshape(-1, 2)]
+        want = [np.array([a[d] for a in alone]).reshape(shape[:-1]) for d in range(3)]
+        factors = rbf_kernel_terms(surface, s)
+        for fields in (got, _field_values(surface, s, lambda: factors)):
+            for g, w in zip(fields, want):
+                assert g.shape == shape[:-1]
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     def test_zero_field_never_builds_the_kernel(self, patch):
         def no_kernel():

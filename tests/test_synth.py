@@ -21,9 +21,9 @@ from conecal.synth import (
 from oracles import (
     board_grid_targets,
     board_targets,
-    difference_kernel_oracle,
     gauss_newton_project_every_row,
     grid_search_project,
+    kernel_field_oracle,
     sample_pose_projecting_every_candidate,
 )
 
@@ -285,11 +285,12 @@ class TestProjectCorners:
             assert np.max(np.abs(pixel - reference)) < 1e-3
 
     def test_factored_kernel_moves_only_last_bits(self, scene_zero, monkeypatch):
-        """Traces and projections under a 10x10 field with the per-axis
-        factored kernel agree with those under one exponential per center:
-        landings within 1e-14 m (a few ulps of board coordinates) and
-        projected pixels within 1e-9 px, far inside the projection's 1e-9 m
-        tolerance (~4e-6 px at these depths); statuses agree exactly."""
+        """Traces and projections under a 10x10 field evaluated from the
+        per-axis kernel factors agree with those under a field of one
+        exponential per center, contracted with K and its derivative
+        matrices: landings within 1e-14 m (a few ulps of board coordinates)
+        and projected pixels within 1e-9 px, far inside the projection's
+        1e-9 m tolerance (~4e-6 px at these depths); statuses agree exactly."""
         rng = np.random.default_rng(67)
         surface = RbfSurface.flat(scene_zero.surface.patch, (10, 10))
         params = scene_zero.with_surface(surface.with_amplitudes(rng.normal(1e-5, 2.5e-6, (10, 10))))
@@ -303,7 +304,7 @@ class TestProjectCorners:
             return trace_pixels(params, image_index, pixels), project_corners(params, target_index, targets)
 
         factored, (projected, converged) = run()
-        monkeypatch.setattr(geometry, "rbf_kernel_terms", difference_kernel_oracle)
+        monkeypatch.setattr(geometry, "_field_values", kernel_field_oracle)
         oracle, (oracle_projected, oracle_converged) = run()
         ok = factored.status == TraceStatus.OK
         assert np.count_nonzero(ok) > 1000
@@ -530,13 +531,13 @@ class TestGenerateDataset:
 
 
 class TestWorkingSet:
-    """``raycast_pixels`` traces a block of rows at a time, so a trace's
-    memory does not grow with the batch. What still grows is the callers'
-    own per-row state: ``raycast_pixels``' result (24 bytes a row), a small
-    part of one block's trace, and ``project_corners``' pixels, landings,
-    targets and forward-difference stacks (~450 bytes a row, as much as a
-    row of one block's trace). A trace of the whole batch reads close to 4x
-    on both."""
+    """``raycast_pixels`` traces a block of rows at a time and releases each
+    block's trace before the next, so a trace's memory does not grow with
+    the batch. What still grows is the callers' own per-row state:
+    ``raycast_pixels``' result (24 bytes a row), a small part of one
+    block's trace, and ``project_corners``' pixels, landings, targets and
+    forward-difference stacks (~280 bytes a row, two thirds of a row of one
+    block's trace). A trace of the whole batch reads close to 4x on both."""
 
     @staticmethod
     def inputs(scene_zero, n):
@@ -556,7 +557,9 @@ class TestWorkingSet:
         peaks = {
             k: traced_peak(lambda: raycast_pixels(params, index[:k], pixels[:k])) for k in (n, 4 * n)
         }
-        assert peaks[4 * n] < 1.5 * peaks[n]
+        # ~1.17x measured; holding the last block's trace while the next is
+        # traced read 1.55x
+        assert peaks[4 * n] < 1.3 * peaks[n]
 
     def test_project_corners(self, scene_zero):
         from test_analysis import traced_peak
@@ -567,7 +570,7 @@ class TestWorkingSet:
             k: traced_peak(lambda: project_corners(params, index[:k], targets[:k]))
             for k in (n, 4 * n)
         }
-        # ~2.15x measured: the rows' own state still grows (see the class
+        # ~2.2x measured: the rows' own state still grows (see the class
         # docstring), so this bound only keeps whole-batch traces out; a
         # project_corners that worked in row blocks would stay under 1.5x
         assert peaks[4 * n] < 2.5 * peaks[n]
