@@ -25,7 +25,7 @@ from .observations import (
     StackedCorners,
     _float_json_texts,
     _replacing,
-    _scalar_texts,
+    _scalar_text,
     write_json,
 )
 from .raytrace import (
@@ -286,7 +286,7 @@ def _residual_block(params: SceneParams, corners: StackedCorners, block: slice):
 
 
 _SCATTER_KEYS = ("i", "j", "px", "py", "status", "dmx_m", "dmy_m", "err_m")
-_JSON_STATUS = dict(zip(_STATUS_NAMES, _scalar_texts(list(_STATUS_NAMES.values()))))
+_JSON_STATUS = {st: _scalar_text(name) for st, name in _STATUS_NAMES.items()}
 
 
 def write_corner_scatter(scatter: CornerScatter, json_path, csv_path) -> None:

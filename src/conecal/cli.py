@@ -6,9 +6,10 @@ deterministic for a fixed config and seed: JSON files use sorted keys,
 CSV floats round-trip exactly, and nothing embeds timestamps or machine
 paths.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (a ray that
-fails to trace through the given surface included), 4 numerical
-divergence (argument parsing failures also exit 2, via argparse).
+Exit codes: 0 success, 2 configuration error (an output file that cannot
+be written included), 3 data error (a ray that fails to trace through the
+given surface included), 4 numerical divergence (argument parsing
+failures also exit 2, via argparse).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import json
 import os
 from collections import namedtuple
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -119,7 +119,9 @@ class ObservationSet:
             ij = im.grid_ij
             if np.any(ij < 1) or np.any(ij > n):
                 raise DataError(f"corner indices must lie in [1, {n}]")
-            if np.unique(ij, axis=0).shape[0] != ij.shape[0]:
+            # equal rows meet once sorted whole; a key of i and j could wrap int64
+            rows = ij[np.lexsort(ij.T)]
+            if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
                 raise DataError(f"image {im.image_index} has duplicate corner indices")
 
     @property
@@ -224,17 +226,22 @@ def _json_numbers(values: list, name: str, kind: type = float) -> np.ndarray:
 
 
 def observations_to_json_dict(obs: ObservationSet) -> dict:
+    """The observations file's document, for :func:`write_json`: the board,
+    and per image its index, initial pose and corners. Each image's
+    ``corners`` is :class:`Records` with columns ``i``, ``j``, ``px`` and
+    ``py``, formatted from :meth:`ObservationSet.stacked` once for the set
+    (pixels are finite, so ``float.__repr__`` is their JSON text); its
+    parsed form is ``json.loads`` of the file :func:`save_observations` writes."""
     corners = obs.stacked()
-    records = [
-        {"i": i, "j": j, "px": px, "py": py}
-        for (i, j), (px, py) in zip(corners.grid_ij.tolist(), corners.pixels.tolist())
-    ]
+    i, j = (list(map(int.__repr__, c)) for c in corners.grid_ij.T.tolist())
+    px, py = (list(map(float.__repr__, c)) for c in corners.pixels.T.tolist())
+    columns = {"i": i, "j": j, "px": px, "py": py}
     offsets = corners.offsets.tolist()
     images = [
         {
             "index": im.image_index,
             "initial_pose": _pose_to_json(im.initial_pose),
-            "corners": records[start:stop],
+            "corners": Records({k: texts[start:stop] for k, texts in columns.items()}),
         }
         for im, start, stop in zip(obs.images, offsets, offsets[1:])
     ]
@@ -284,36 +291,13 @@ def _float_json_texts(reprs: list[str], null_rows=()) -> list[str]:
     return reprs
 
 
-def _scalar_texts(values) -> list[str] | None:
-    """JSON text of each value, or None if any value is not a JSON scalar.
-
-    Floats (subclasses such as ``np.float64`` included) are spelled by
-    ``float.__repr__`` and ints by ``int.__repr__``, as ``json`` spells
-    them; ``bool`` and ``None`` are matched before ``int``.
-    """
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return _float_json_texts(list(map(float.__repr__, values)))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if not all(issubclass(kind, (str, int, float, type(None))) for kind in kinds):
-        return None
-    texts = []
-    for v in values:
-        if isinstance(v, str):
-            texts.append(encode_basestring_ascii(v))
-        elif v is None:
-            texts.append("null")
-        elif v is True:
-            texts.append("true")
-        elif v is False:
-            texts.append("false")
-        elif isinstance(v, int):
-            texts.append(int.__repr__(v))
-        else:
-            text = float.__repr__(v)
-            texts.append(_NON_FINITE.get(text, text))
-    return texts
+def _scalar_text(value) -> str:
+    """``json.dumps(value)`` for a JSON scalar (a ``str``, ``int``, ``float``,
+    ``bool`` or ``None``, subclasses such as ``np.float64`` included);
+    any other value raises ``TypeError``, as ``json`` does."""
+    if not isinstance(value, (str, int, float, type(None))):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return json.dumps(value)
 
 
 @dataclass(frozen=True)
@@ -322,7 +306,7 @@ class Records:
 
     ``columns`` maps each ``str`` key to the JSON texts of its values, one
     per record in record order (``"null"``, ``'"ok"'``, ``"0.5"``, as
-    :func:`_scalar_texts` and :func:`_float_json_texts` spell them).
+    :func:`_scalar_text` and :func:`_float_json_texts` spell them).
     :func:`write_json` writes it as the list of dicts it stands for,
     without building them.
     """
@@ -364,23 +348,6 @@ def _records_texts(records: Records, indent: str) -> list[str]:
     return list(map(template.format, *columns))
 
 
-def _record_texts(values: list, indent: str) -> list[str] | None:
-    """Texts of a list of flat dicts sharing one set of ``str`` keys, or None;
-    rendered by column, as :class:`Records`."""
-    first = values[0]
-    if not isinstance(first, dict) or not first:
-        return None
-    keys = first.keys()
-    if not all(isinstance(v, dict) and v.keys() == keys for v in values):
-        return None
-    if not all(isinstance(k, str) for k in keys):
-        return None
-    columns = {k: _scalar_texts([v[k] for v in values]) for k in keys}
-    if None in columns.values():
-        return None
-    return _records_texts(Records(columns), indent)
-
-
 def _list_text(texts: list[str], indent: str) -> str:
     """The JSON list of element texts ``texts`` at ``indent``."""
     if not texts:
@@ -391,20 +358,12 @@ def _list_text(texts: list[str], indent: str) -> str:
 
 def _json_chunks(obj, indent: str):
     """``json.dumps(obj, indent=2, sort_keys=True)`` for an object at ``indent``,
-    yielded in pieces: a list of scalars or of flat records whole, any other
-    list, an iterator (as the list it yields) or a dict one element or entry
-    at a time."""
+    yielded in pieces: :class:`Records` whole, a list, an iterator (as the
+    list it yields) or a dict one element or entry at a time."""
     inner = indent + "  "
     if isinstance(obj, Records):
         yield _list_text(_records_texts(obj, inner), indent)
         return
-    if isinstance(obj, (list, tuple)):
-        texts = _scalar_texts(obj)
-        if texts is None:
-            texts = _record_texts(obj, inner)
-        if texts is not None:
-            yield _list_text(texts, indent)
-            return
     if isinstance(obj, (list, tuple, Iterator)):
         separator = "[\n" + inner
         for v in obj:
@@ -426,28 +385,23 @@ def _json_chunks(obj, indent: str):
             separator = ",\n" + inner
         yield "\n" + indent + "}"
         return
-    texts = _scalar_texts([obj])
-    if texts is None:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    yield texts[0]
+    yield _scalar_text(obj)
 
 
 def write_json(path, obj) -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` to ``path``.
 
-    The text is the same, byte for byte; ``json`` falls back to its
-    pure-Python encoder whenever ``indent`` is set, and this writer
-    renders lists of scalars and lists of flat records a column at a
-    time instead. Two more kinds of list are written as the list they
-    stand for: :class:`Records`, a list of flat records given by column,
-    and an iterator, as the list of what it yields. The text is written
-    as it is made, one list element or dict entry at a time (a list of
-    scalars or of flat records is one piece), so its memory does not grow
-    with the document, and an iterator's elements need not exist at once.
-    It goes to a sibling ``<name>.tmp`` file that replaces ``path`` once
-    complete (:func:`_replacing`). Like ``json``, it raises ``TypeError``
-    for values it cannot encode (``np.int64``, sets, ...); unlike
-    ``json``, also for non-``str`` dict keys.
+    The text is the same, byte for byte: every scalar is spelled by
+    ``json.dumps``. Two more kinds of list are written as the list they
+    stand for: :class:`Records`, a list of flat records given by column as
+    their JSON texts, and an iterator, as the list of what it yields. The
+    text is written as it is made, one list element or dict entry at a time
+    (:class:`Records` is one piece), so its memory does not grow with the
+    document, and an iterator's elements need not exist at once. It goes
+    to a sibling ``<name>.tmp`` file that replaces ``path`` once complete
+    (:func:`_replacing`). Like ``json``, it raises ``TypeError`` for values
+    it cannot encode (``np.int64``, sets, ...); unlike ``json``, also for
+    non-``str`` dict keys.
     """
     with _replacing(path) as fh:
         fh.writelines(_json_chunks(obj, ""))
@@ -457,15 +411,20 @@ def write_json(path, obj) -> None:
 @contextmanager
 def _replacing(path):
     """A text file for ``path``'s new contents: a sibling ``<name>.tmp`` that
-    replaces ``path`` when the block completes, and is removed on an error."""
+    replaces ``path`` when the block completes, and is removed on an error,
+    a failed replace included. An ``OSError`` (a full disk, a directory at
+    ``path``) is raised as a :class:`ConfigurationError` naming ``path``."""
     partial = Path(f"{path}.tmp")
     try:
         with partial.open("w", newline="") as fh:
             yield fh
-    except BaseException:
-        partial.unlink(missing_ok=True)
+        os.replace(partial, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            partial.unlink()
+        if isinstance(exc, OSError):
+            raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
-    os.replace(partial, path)
 
 
 def read_json(path, error: type, what: str):

@@ -435,6 +435,20 @@ class TestExitCodes:
         else:
             assert blocker.read_text() == "kept\n"
 
+    def test_an_output_that_cannot_be_replaced_exits_2_and_leaves_no_partial_file(
+        self, tmp_path, capsys
+    ):
+        config = write_config(tmp_path)
+        out = tmp_path / "data"
+        (out / "observations.json").mkdir(parents=True)
+        capsys.readouterr()
+        assert run(["generate", "--config", config, "--out", out, "--seed", 7]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'observations.json'}: "), err
+        assert len(err.splitlines()) == 1, err
+        assert [p.name for p in out.iterdir()] == ["observations.json"]
+        assert list((out / "observations.json").iterdir()) == []
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
@@ -900,44 +914,53 @@ class TestAnalyze:
         assert code == 0
 
 
+def run_every_subcommand(config, base) -> dict:
+    """Run generate, refine-poses, calibrate and analyze into ``base``; the
+    bytes of every file written, by path relative to ``base``."""
+    run(["generate", "--config", config, "--out", base / "data", "--seed", 11])
+    run(
+        [
+            "refine-poses", "--config", config,
+            "--observations", base / "data" / "observations.json",
+            "--out", base / "ref",
+        ]
+    )
+    run(
+        [
+            "calibrate", "--config", config,
+            "--observations", base / "data" / "observations.json",
+            "--out", base / "fit", "--steps", 30,
+        ]
+    )
+    run(
+        [
+            "analyze", "--config", config,
+            "--observations", base / "data" / "observations.json",
+            "--fitted", base / "fit" / "fitted_surface.json",
+            "--out", base / "an", "--stride", 400,
+        ]
+    )
+    return {str(p.relative_to(base)): p.read_bytes() for p in sorted(base.rglob("*")) if p.is_file()}
+
+
 class TestDeterminism:
     def test_all_subcommands_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
-        outputs = {}
-        for label in ("a", "b"):
-            base = tmp_path / label
-            run(["generate", "--config", config, "--out", base / "data", "--seed", 11])
-            run(
-                [
-                    "refine-poses", "--config", config,
-                    "--observations", base / "data" / "observations.json",
-                    "--out", base / "ref",
-                ]
-            )
-            run(
-                [
-                    "calibrate", "--config", config,
-                    "--observations", base / "data" / "observations.json",
-                    "--out", base / "fit", "--steps", 30,
-                ]
-            )
-            run(
-                [
-                    "analyze", "--config", config,
-                    "--observations", base / "data" / "observations.json",
-                    "--fitted", base / "fit" / "fitted_surface.json",
-                    "--out", base / "an", "--stride", 400,
-                ]
-            )
-            outputs[label] = {
-                str(p.relative_to(base)): p.read_bytes()
-                for p in sorted(base.rglob("*"))
-                if p.is_file()
-            }
+        outputs = {label: run_every_subcommand(config, tmp_path / label) for label in ("a", "b")}
         assert sorted(outputs["a"]) == sorted(outputs["b"])
         assert len(outputs["a"]) == 9
         for name, blob in outputs["a"].items():
             assert blob == outputs["b"][name], name
+
+    def test_every_json_output_is_the_text_json_dumps_writes(self, tmp_path):
+        outputs = run_every_subcommand(write_config(tmp_path), tmp_path / "out")
+        texts = {name: blob.decode() for name, blob in outputs.items() if name.endswith(".json")}
+        assert sorted(texts) == [
+            "an/corner_scatter.json", "an/depth_curves.json", "data/ground_truth.json",
+            "data/observations.json", "fit/fitted_surface.json", "ref/refined_poses.json",
+        ]
+        for name, text in texts.items():
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
 
 
 # run in a fresh interpreter where importing scipy fails: this suite's own

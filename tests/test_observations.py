@@ -18,6 +18,7 @@ from conecal.observations import (
     _board_corners,
     _corner_board_coords,
     _float_json_texts,
+    _replacing,
     load_observations,
     observations_from_json_dict,
     observations_to_json_dict,
@@ -30,6 +31,13 @@ from oracles import board_targets
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "conecal"
+
+
+def saved_document(tmp_path, obs) -> dict:
+    """The parsed text that :func:`save_observations` writes for ``obs``."""
+    path = tmp_path / "saved.json"
+    save_observations(obs, path)
+    return json.loads(path.read_text())
 
 
 def small_set(n_images=2, corners_per_side=5):
@@ -264,9 +272,9 @@ class TestJsonFormat:
         save_observations(obs, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_axis_angle_rotation_accepted(self):
+    def test_axis_angle_rotation_accepted(self, tmp_path):
         obs = small_set(n_images=1)
-        doc = observations_to_json_dict(obs)
+        doc = saved_document(tmp_path, obs)
         pose = obs.images[0].initial_pose
         rotvec = Rotation.from_matrix(pose.rotation).as_rotvec()
         doc["images"][0]["initial_pose"] = {
@@ -278,8 +286,8 @@ class TestJsonFormat:
             loaded.images[0].initial_pose.rotation, pose.rotation, atol=1e-12
         )
 
-    def test_missing_rotation_rejected(self):
-        doc = observations_to_json_dict(small_set(n_images=1))
+    def test_missing_rotation_rejected(self, tmp_path):
+        doc = saved_document(tmp_path, small_set(n_images=1))
         doc["images"][0]["initial_pose"] = {"translation_m": [0.0, 0.0, 0.5]}
         with pytest.raises(DataError, match="rotation"):
             observations_from_json_dict(doc)
@@ -310,9 +318,9 @@ class TestJsonFormat:
             "text-px", "bool-py", "null-py", "text-and-bool-translation", "bool-rotation",
         ],
     )
-    def test_coerced_numbers_rejected(self, section, key, value, message):
+    def test_coerced_numbers_rejected(self, tmp_path, section, key, value, message):
         # int(), float() and np.array(..., dtype=float) would truncate or parse each of these
-        doc = observations_to_json_dict(small_set(n_images=1))
+        doc = saved_document(tmp_path, small_set(n_images=1))
         image = doc["images"][0]
         target = {
             "image": image, "board": doc["board"], "corner": image["corners"][3],
@@ -322,9 +330,9 @@ class TestJsonFormat:
         with pytest.raises(DataError, match=f"malformed observations: {message}"):
             observations_from_json_dict(doc)
 
-    def test_numpy_floats_load_as_plain_floats(self):
+    def test_numpy_floats_load_as_plain_floats(self, tmp_path):
         # every number rule accepts float subclasses, as json would write them
-        plain = observations_to_json_dict(small_set(n_images=2))
+        plain = saved_document(tmp_path, small_set(n_images=2))
         doc = json.loads(json.dumps(plain))
         doc["board"]["square_size_m"] = np.float64(doc["board"]["square_size_m"])
         image = doc["images"][1]
@@ -333,7 +341,7 @@ class TestJsonFormat:
         pose["translation_m"] = [np.float64(v) for v in pose["translation_m"]]
         pose["rotation_rowmajor"][4] = np.float64(pose["rotation_rowmajor"][4])
         loaded = observations_from_json_dict(doc)
-        assert observations_to_json_dict(loaded) == plain
+        assert saved_document(tmp_path, loaded) == plain
         # a bool, a string or a null is still no number beside them
         for bad, name in ((True, "bool"), ("0.5", "str"), (None, "NoneType")):
             image["corners"][4]["py"] = bad
@@ -353,7 +361,7 @@ class TestJsonFormat:
     def test_extra_top_level_keys_ignored(self, tmp_path):
         # reports written next to the observations must not break parsing
         obs = small_set(n_images=1)
-        doc = observations_to_json_dict(obs)
+        doc = saved_document(tmp_path, obs)
         doc["refinement"] = {"method": "gauss-newton"}
         path = tmp_path / "extra.json"
         path.write_text(json.dumps(doc))
@@ -371,8 +379,8 @@ class TestJsonFormat:
         ],
         ids=["fractional-index", "no-corners", "duplicate"],
     )
-    def test_bad_corner_lists_rejected(self, corners, message):
-        doc = observations_to_json_dict(small_set(n_images=1))
+    def test_bad_corner_lists_rejected(self, tmp_path, corners, message):
+        doc = saved_document(tmp_path, small_set(n_images=1))
         doc["images"][0]["corners"] = corners
         with pytest.raises(DataError, match=message):
             observations_from_json_dict(doc)
@@ -452,7 +460,10 @@ class TestWriteJson:
         from conecal.config import config_with_amplitudes, default_config
 
         obs = small_set(n_images=3)
-        doc = observations_to_json_dict(obs)
+        records_form = observations_to_json_dict(obs)
+        doc = saved_document(tmp_path, obs)
+        # the corners given by column write the bytes of their parsed dicts
+        assert written(tmp_path, records_form) == written(tmp_path, doc)
         doc["refinement"] = {
             "images": [
                 {"index": k, "initial_cost_m2": 0.1 / (k + 1), "final_cost_m2": 1e-9,
@@ -590,6 +601,20 @@ class TestIterators:
         assert written(tmp_path, iter(items)) == dumps_form(items)
         streamed = {"z": 1, "images": (item for item in items), "a": iter([iter(items)])}
         assert written(tmp_path, streamed) == dumps_form({"z": 1, "images": items, "a": [items]})
+
+
+class TestReplacing:
+    @pytest.mark.parametrize("failure", ["replace", "write"])
+    def test_an_os_error_names_the_target_and_removes_the_partial_file(self, tmp_path, failure):
+        path = tmp_path / "out.json"
+        if failure == "replace":
+            path.mkdir()
+        with pytest.raises(ConfigurationError, match=f"^cannot write {re.escape(str(path))}: "):
+            with _replacing(path) as fh:
+                fh.write("partial\n")
+                if failure == "write":
+                    raise OSError(28, "No space left on device")
+        assert [p.name for p in tmp_path.iterdir()] == ([path.name] if failure == "replace" else [])
 
 
 def json_parse_sites(tree: ast.AST) -> list[tuple[str | None, int]]:
