@@ -3,7 +3,8 @@
 The distortion at a pixel is measured against a frontal plane: trace
 the pixel through the cover to the plane ``z = depth``, project that
 landing point with the bare pinhole model, and report the pixel
-displacement; every diagnostic lands through :func:`_frontal_deltas`.
+displacement. Every diagnostic lands through :func:`_frontal_deltas`; it and
+the CSV writers work one :func:`~conecal.raytrace._row_blocks` block at a time.
 Because the cover only displaces and redirects the ray before it leaves
 the outer wall, each displacement component is an affine function of
 inverse depth; the curve fit exposes the slope and intercept of that
@@ -13,16 +14,14 @@ relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .camera import pinhole_project, pixel_to_ray
+from .camera import pinhole_project
 from .errors import DataError
 from .observations import (
     ObservationSet,
     Records,
-    StackedCorners,
     _float_json_texts,
     _replacing,
     _scalar_text,
@@ -32,61 +31,47 @@ from .raytrace import (
     STAGE_NAMES,
     SceneParams,
     TraceStatus,
-    _land_on_board,
+    _checked_pixels,
     _raise_for_status,
     _row_blocks,
-    _trace_batch,
+    _trace_landed,
+    _traced_by_blocks,
     trace_pixels,
 )
 
 _STATUS_NAMES = {int(st): "ok" if st == TraceStatus.OK else STAGE_NAMES[st] for st in TraceStatus}
 
-# Rows formatted per CSV write: with the traces' row blocks
-# (:func:`~conecal.raytrace._row_blocks`), the diagnostics' working set stays
-# a block, however many samples or rows an output holds.
-_CSV_BLOCK_ROWS = 4096
 
-
-def _frontal_deltas(params: SceneParams, pixels: np.ndarray, depth):
+def _frontal_deltas(params: SceneParams, pixels, depth):
     """``(deltas, status)`` of pixels landed on the frontal planes ``z = depth``
     (one depth, or one per row): each landing's pinhole projection minus its
     pixel, NaN where the trace failed, and the trace status; a ray leaving
     the cover away from its plane is a board-plane miss; a depth that is not
     positive and finite is a DataError. Traced :func:`_row_blocks` at a time."""
+    pixels = _checked_pixels(depth, pixels)
     depth = np.broadcast_to(depth, pixels.shape[:1])
     if not np.all((depth > 0.0) & (depth < np.inf)):
         raise DataError("depth must be positive and finite")
-    deltas = np.empty_like(pixels)
-    status = np.empty(pixels.shape[0], dtype=np.int64)
-    for block in _row_blocks(pixels.shape[0]):
-        deltas[block], status[block] = _frontal_block(params, pixels[block], depth[block])
-    return deltas, status
+
+    def frontal_block(block):
+        at = pixels[block]
+        # the points (0, 0, depth), exactly: depth is positive and finite
+        batch = _trace_landed(params, np.eye(3), depth[block, None] * [0.0, 0.0, 1.0], at)
+        ok = batch.status == TraceStatus.OK
+        deltas = np.full_like(at, np.nan)
+        deltas[ok] = pinhole_project(params.intrinsics, batch.x_board[ok]) - at[ok]
+        return deltas, batch.status
+
+    return _traced_by_blocks(pixels.shape[0], frontal_block)
 
 
-def _frontal_block(params: SceneParams, pixels: np.ndarray, depth: np.ndarray):
-    """:func:`_frontal_deltas` of one block, with one depth per row; its
-    trace is released on return, before the next block is traced."""
-    dirs = pixel_to_ray(params.intrinsics, pixels)
-    batch = _trace_batch(params.cone, params.surface, np.zeros_like(dirs), dirs)
-    plane = np.zeros_like(dirs)
-    plane[:, 2] = depth
-    batch = _land_on_board(batch, np.eye(3), plane)
-    ok = batch.status == TraceStatus.OK
-    deltas = np.full_like(pixels, np.nan)
-    if np.any(ok):
-        deltas[ok] = pinhole_project(params.intrinsics, batch.x_board[ok]) - pixels[ok]
-    return deltas, batch.status
-
-
-def _write_csv(path, header: str, rows) -> None:
-    """Write ``header`` and the row texts the iterable ``rows`` yields, one
-    line each, ``_CSV_BLOCK_ROWS`` rows per write, into a file that replaces
-    ``path`` once complete, as :func:`~conecal.observations.write_json` does."""
-    rows = iter(rows)
+def _write_csv(path, header: str, blocks) -> None:
+    """Write ``header`` and, one write each, the texts that ``blocks`` yields (rows
+    ending in newlines) into a file that replaces ``path`` once complete."""
     with _replacing(path) as fh:
         fh.write(header + "\n")
-        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
-            fh.write("\n".join(block) + "\n")
+        for block in blocks:
+            fh.write(block)
 
 
 def distortion_vector(params: SceneParams, pixel, depth: float) -> np.ndarray:
@@ -96,8 +81,7 @@ def distortion_vector(params: SceneParams, pixel, depth: float) -> np.ndarray:
     pinhole projection of the point this pixel really sees, minus the
     pixel itself. Raises a stage-tagged error if the ray fails.
     """
-    pixel = np.asarray(pixel, dtype=np.float64)
-    deltas, status = _frontal_deltas(params, pixel[None, :], float(depth))
+    deltas, status = _frontal_deltas(params, np.reshape(pixel, (1, -1)), float(depth))
     _raise_for_status(int(status[0]))
     return deltas[0]
 
@@ -142,23 +126,24 @@ def write_distortion_csv(field: DistortionField, path) -> None:
     depth = repr(field.depth)
     tails = {st: f"{depth},{name}" for st, name in _STATUS_NAMES.items()}
 
-    def rows():
-        for start in range(0, field.pixels.shape[0], _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
+    def blocks():
+        for block in _row_blocks(field.pixels.shape[0]):
             pixels = np.ascontiguousarray(field.pixels[block], dtype=np.float64)
             bits, inverse = np.unique(pixels.view(np.int64), return_inverse=True)
             texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
             deltas = field.deltas[block]
             norms = np.hypot(deltas[:, 0], deltas[:, 1])
-            for (px, py), (dx, dy), norm, st in zip(
-                texts[inverse.reshape(pixels.shape)].tolist(),
-                deltas.tolist(),
-                norms.tolist(),
-                field.status[block].tolist(),
-            ):
-                yield f"{px},{py},{dx!r},{dy!r},{norm!r},{tails[st]}"
+            yield "".join(
+                f"{px},{py},{dx!r},{dy!r},{norm!r},{tails[st]}\n"
+                for (px, py), (dx, dy), norm, st in zip(
+                    texts[inverse.reshape(pixels.shape)].tolist(),
+                    deltas.tolist(),
+                    norms.tolist(),
+                    field.status[block].tolist(),
+                )
+            )
 
-    _write_csv(path, "px,py,dpx,dpy,norm,depth,status", rows())
+    _write_csv(path, "px,py,dpx,dpy,norm,depth,status", blocks())
 
 
 @dataclass(frozen=True)
@@ -252,10 +237,12 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> C
     residuals and no part in the pooled RMSE.
     """
     corners = observations.stacked()
-    rho = np.empty_like(corners.targets)
-    status = np.empty(rho.shape[0], dtype=np.int64)
-    for block in _row_blocks(rho.shape[0]):
-        rho[block], status[block] = _residual_block(params, corners, block)
+
+    def residual_block(block):
+        batch = trace_pixels(params, corners.image_index[block], corners.pixels[block])
+        return batch.board_local - corners.targets[block], batch.status
+
+    rho, status = _traced_by_blocks(corners.targets.shape[0], residual_block)
     ok = status == TraceStatus.OK
     count = int(np.count_nonzero(ok))
     if count == 0:
@@ -276,13 +263,6 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> C
         rmse_cm=float(np.sqrt(total / count) * 100.0),
         n_corners=count,
     )
-
-
-def _residual_block(params: SceneParams, corners: StackedCorners, block: slice):
-    """``(residuals, status)`` of one block of stacked corners; its trace is
-    released on return, before the next block is traced."""
-    batch = trace_pixels(params, corners.image_index[block], corners.pixels[block])
-    return batch.board_local - corners.targets[block], batch.status
 
 
 _SCATTER_KEYS = ("i", "j", "px", "py", "status", "dmx_m", "dmy_m", "err_m")

@@ -70,10 +70,10 @@ from .raytrace import SceneParams
 from .synth import generate_dataset
 
 
-def _ensure_out(args) -> Path:
-    """Create the ``--out`` directory and its missing parents, and check
-    that a file can be made in it; a path that is not such a directory is
-    a ConfigurationError. Called before a command does its work."""
+def _ensure_out(args, *names: str) -> list[Path]:
+    """Paths of the outputs ``names`` in ``--out``, which is created with its
+    missing parents; an ``--out`` no file can be made in, or an output that
+    exists as a directory, is a ConfigurationError. Called before any work."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -82,7 +82,11 @@ def _ensure_out(args) -> Path:
         raise ConfigurationError(f"--out {out}: exists and is not a directory") from exc
     except OSError as exc:
         raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from exc
-    return out
+    paths = [out / name for name in names]
+    for path in paths:
+        if path.is_dir():
+            raise ConfigurationError(f"cannot write {path}: Is a directory")
+    return paths
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -129,7 +133,7 @@ def cmd_generate(args) -> None:
         dist = amplitude_distribution_from_config(config)
     intrinsics, cone = intrinsics_from_config(config), cone_from_config(config)
     sampler = pose_sampler_from_config(config)
-    out = _ensure_out(args)
+    observations_path, truth_path = _ensure_out(args, "observations.json", "ground_truth.json")
     dataset = generate_dataset(
         intrinsics,
         cone,
@@ -143,10 +147,10 @@ def cmd_generate(args) -> None:
         seed=args.seed,
     )
 
-    save_observations(dataset.observations, out / "observations.json")
+    save_observations(dataset.observations, observations_path)
     truth_config = config_with_amplitudes(config, dataset.params.surface.amplitudes)
     write_json(
-        out / "ground_truth.json",
+        truth_path,
         {
             "seed": dataset.seed,
             "scene_config": truth_config,
@@ -171,7 +175,7 @@ def cmd_refine_poses(args) -> None:
     config = load_config(args.config)
     observations = load_observations(args.observations)
     params = _scene_for_observations(config, surface_from_config(config), observations)
-    out = _ensure_out(args)
+    (refined_path,) = _ensure_out(args, "refined_poses.json")
     result = refine_poses(params, observations)
 
     refined = observations_to_json_dict(observations)
@@ -188,7 +192,7 @@ def cmd_refine_poses(args) -> None:
             for report in result.reports
         ],
     }
-    write_json(out / "refined_poses.json", refined)
+    write_json(refined_path, refined)
     for report in result.reports:
         print(
             f"image {report.image_index}: cost {report.initial_cost:.6e} -> "
@@ -254,7 +258,7 @@ def cmd_calibrate(args) -> None:
     observations = load_observations(args.observations)
     start_surface = surface_from_config(config)
     params = _scene_for_observations(config, start_surface, observations)
-    out = _ensure_out(args)
+    (fitted_path,) = _ensure_out(args, "fitted_surface.json")
     # the refinement, the cone-only RMSE and the fit share the set's one cover trace
     if args.refine_poses:
         params = refine_poses(params, observations).params
@@ -269,16 +273,16 @@ def cmd_calibrate(args) -> None:
         if exc.last_stable is None:
             raise
         write_json(
-            out / "fitted_surface.json",
+            fitted_path,
             _fitted_surface_json(
                 exc.last_stable, rmse_initial, rmse_cone_only, options, exc.iteration
             ),
         )
-        print(f"saved last stable iterate to {out / 'fitted_surface.json'}", file=sys.stderr)
+        print(f"saved last stable iterate to {fitted_path}", file=sys.stderr)
         raise
 
     write_json(
-        out / "fitted_surface.json",
+        fitted_path,
         _fitted_surface_json(result, rmse_initial, rmse_cone_only, options, None),
     )
     _print_rmse_table(rmse_initial, result.rmse_cm)
@@ -289,13 +293,15 @@ def cmd_calibrate(args) -> None:
 
 
 def _write_depth_curve_csv(path: Path, curves) -> None:
-    def rows():
+    def blocks():
         for curve in curves:
             px, py = curve.pixel.tolist()
-            for inv_depth, (dx, dy) in zip(curve.inv_depths.tolist(), curve.deltas.tolist()):
-                yield f"{px!r},{py!r},{inv_depth!r},{dx!r},{dy!r}"
+            yield "".join(
+                f"{px!r},{py!r},{inv_depth!r},{dx!r},{dy!r}\n"
+                for inv_depth, (dx, dy) in zip(curve.inv_depths.tolist(), curve.deltas.tolist())
+            )
 
-    _write_csv(path, "px,py,inv_depth_per_m,dpx,dpy", rows())
+    _write_csv(path, "px,py,inv_depth_per_m,dpx,dpy", blocks())
 
 
 def cmd_analyze(args) -> None:
@@ -310,7 +316,10 @@ def cmd_analyze(args) -> None:
             "no fitted surface: pass --fitted or store surface.amplitudes_m in the config"
         )
     params = _scene_for_observations(config, surface, observations)
-    out = _ensure_out(args)
+    field_csv, curves_csv, curves_json, scatter_json, scatter_csv = _ensure_out(
+        args, "distortion_field.csv", "depth_curves.csv", "depth_curves.json",
+        "corner_scatter.json", "corner_scatter.csv",
+    )
     # the depth curves are cheap and check the inverse-depth range, and the
     # field checks its depth and stride before it traces: no output file is
     # replaced until every argument has passed
@@ -321,11 +330,11 @@ def cmd_analyze(args) -> None:
         for pixel in ((width / 4, height / 2), (width / 8, height / 2))
     ]
     field = distortion_field(params, depth=args.depth, stride=args.stride)
-    write_distortion_csv(field, out / "distortion_field.csv")
+    write_distortion_csv(field, field_csv)
 
-    _write_depth_curve_csv(out / "depth_curves.csv", curves)
+    _write_depth_curve_csv(curves_csv, curves)
     write_json(
-        out / "depth_curves.json",
+        curves_json,
         {
             "inv_depth_range_per_m": [float(inv_range[0]), float(inv_range[1])],
             "curves": [
@@ -342,7 +351,7 @@ def cmd_analyze(args) -> None:
     )
 
     scatter = corner_error_scatter(params, observations)
-    write_corner_scatter(scatter, out / "corner_scatter.json", out / "corner_scatter.csv")
+    write_corner_scatter(scatter, scatter_json, scatter_csv)
 
     print(f"distortion field: {field.pixels.shape[0]} samples at depth {args.depth} m")
     print(f"corner RMSE under fitted model: {scatter.rmse_cm:.6f} cm")

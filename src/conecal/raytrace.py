@@ -544,28 +544,33 @@ def trace_pixels(params: SceneParams, image_index, pixels) -> TraceBatch:
     :class:`TraceBatch` includes the board-plane hit. The calibration fit
     runs the same cover, exit and landing stages on all images at once.
     """
-    rotation, translation, dirs = _pixel_rays(params, image_index, pixels)
+    rotation, translation = params.pose_arrays(image_index)
+    return _trace_landed(params, rotation, translation, _checked_pixels(image_index, pixels))
+
+
+def _trace_landed(params: SceneParams, rotation, translation, pixels: np.ndarray) -> TraceBatch:
+    """Trace checked pixels through the cover and land them on the boards
+    ``rotation``, ``translation``: one, or one per pixel row, as for :func:`_land`."""
+    dirs = pixel_to_ray(params.intrinsics, pixels)
     batch = _trace_batch(params.cone, params.surface, np.zeros_like(dirs), dirs)
     return _land_on_board(batch, rotation, translation)
 
 
-def _pixel_rays(params: SceneParams, image_index, pixels):
-    """``(rotation, translation, dirs)``: the pose of each pixel row's image
-    and its camera ray, for ``image_index`` as in :func:`trace_pixels`."""
-    rotation, translation = params.pose_arrays(image_index)
-    pixels = np.asarray(pixels, dtype=np.float64)
-    _check_index_shape(image_index, pixels)
-    return rotation, translation, pixel_to_ray(params.intrinsics, pixels)
+def _xy_rows(values, what: str = "pixels") -> np.ndarray:
+    """``values`` as a float array; a :class:`DataError` unless it holds 2 numbers per row."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 0 or values.shape[-1] != 2:
+        raise DataError(f"{what} must hold 2 numbers per row, got shape {values.shape}")
+    return values
 
 
-def _check_index_shape(image_index, pixels: np.ndarray) -> None:
-    """Raise :class:`DataError` unless ``image_index`` is one image or one
-    per pixel row."""
-    if np.ndim(image_index) and np.shape(image_index) != pixels.shape[:-1]:
-        raise DataError(
-            f"image indices of shape {np.shape(image_index)} do not match "
-            f"pixels of shape {pixels.shape}"
-        )
+def _checked_pixels(per_row, pixels) -> np.ndarray:
+    """:func:`_xy_rows` of ``pixels``; a :class:`DataError` also unless
+    ``per_row`` (image indices, depths) is one value or one per pixel row."""
+    pixels = _xy_rows(pixels)
+    if np.ndim(per_row) and np.shape(per_row) != pixels.shape[:-1]:
+        raise DataError(f"per-row shape {np.shape(per_row)} for pixels of shape {pixels.shape}")
+    return pixels
 
 
 # Rows traced at a time where a caller keeps only part of each trace: its
@@ -579,6 +584,17 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(start, start + _TRACE_BLOCK_ROWS) for start in range(0, n, _TRACE_BLOCK_ROWS)]
 
 
+def _traced_by_blocks(n: int, trace_block):
+    """``(values, status)``, shaped ``(n, 2)`` and ``(n,)``, that ``trace_block(block)``
+    traces and returns for each :func:`_row_blocks` slice of ``n`` rows; each
+    block's trace is released before the next block is traced."""
+    values = np.empty((n, 2))
+    status = np.empty(n, dtype=np.int64)
+    for block in _row_blocks(n):
+        values[block], status[block] = trace_block(block)
+    return values, status
+
+
 def raycast_pixels(params: SceneParams, image_index, pixels):
     """Batched pixel-to-board raycast under the full cover model.
 
@@ -587,30 +603,22 @@ def raycast_pixels(params: SceneParams, image_index, pixels):
     ``(..., 2)`` (meters; placeholder values where ``status != OK``).
     The batch is traced :func:`_row_blocks` at a time.
     """
-    pixels = np.asarray(pixels, dtype=np.float64)
+    pixels = _checked_pixels(image_index, pixels)
     rows = pixels.shape[:-1]
-    _check_index_shape(image_index, pixels)
-    pixels = pixels.reshape(-1, pixels.shape[-1])
+    pixels = pixels.reshape(-1, 2)
     index = np.reshape(image_index, -1) if np.ndim(image_index) else image_index
-    local = np.empty((pixels.shape[0], 2))
-    status = np.empty(pixels.shape[0], dtype=np.int64)
-    for block in _row_blocks(pixels.shape[0]):
-        block_index = index if np.ndim(index) == 0 else index[block]
-        local[block], status[block] = _raycast_block(params, block_index, pixels[block])
+
+    def trace_block(block):
+        batch = trace_pixels(params, index if np.ndim(index) == 0 else index[block], pixels[block])
+        return batch.board_local, batch.status
+
+    local, status = _traced_by_blocks(pixels.shape[0], trace_block)
     return local.reshape(*rows, 2), status.reshape(rows)
-
-
-def _raycast_block(params: SceneParams, image_index, pixels: np.ndarray):
-    """:func:`raycast_pixels` of one block; its trace is released on
-    return, before the next block is traced."""
-    batch = trace_pixels(params, image_index, pixels)
-    return batch.board_local, batch.status
 
 
 def raycast(params: SceneParams, image_index: int, pixel) -> np.ndarray:
     """Board-local landing point of one pixel's ray, shape (2,), meters."""
-    pixel = np.asarray(pixel, dtype=np.float64)
-    local, status = raycast_pixels(params, image_index, pixel[None, :])
+    local, status = raycast_pixels(params, image_index, np.reshape(pixel, (1, -1)))
     _raise_for_status(int(status[0]))
     return local[0]
 
@@ -621,6 +629,7 @@ def pinhole_raycast(params: SceneParams, image_index, pixels):
     This is the no-distortion reference model; ``image_index`` is as for
     :func:`trace_pixels`. Returns ``(board_local, hit mask)``.
     """
-    rotation, translation, dirs = _pixel_rays(params, image_index, pixels)
+    rotation, translation = params.pose_arrays(image_index)
+    dirs = pixel_to_ray(params.intrinsics, _checked_pixels(image_index, pixels))
     _, _, local, hit = _land(rotation, translation, np.zeros_like(dirs), dirs)
     return local, hit

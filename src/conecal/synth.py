@@ -30,6 +30,7 @@ from .raytrace import (
     _board_to_world,
     _land,
     _trace_batch,
+    _xy_rows,
     raycast_pixels,
 )
 
@@ -283,7 +284,7 @@ def project_corners(
     _check_count("max_iters", max_iters, 1)
     if not 0.0 < tol < math.inf:
         raise ConfigurationError(f"tol must be positive and finite, got {tol!r}")
-    targets = np.asarray(board_xy, dtype=np.float64).reshape(-1, 2)
+    targets = _xy_rows(board_xy, "board points").reshape(-1, 2)
     n = targets.shape[0]
     if np.ndim(image_index):
         image_index = np.reshape(image_index, -1)

@@ -64,6 +64,29 @@ class TestDistortionVector:
         with pytest.raises(MissError):
             distortion_vector(scene_zero, [1640.0, -1e7], depth=1.0)
 
+    @pytest.mark.parametrize(
+        "shape", [(4, 3), (4, 1), (3,), ()], ids=["n-by-3", "n-by-1", "3-vector", "0-d"]
+    )
+    def test_pixels_hold_two_numbers_per_row(self, scene_zero, shape):
+        # a 3-vector pixel raised a broadcast ValueError
+        pixel = np.full(shape, 900.0)
+        with pytest.raises(DataError, match="2 numbers per row"):
+            distortion_vector(scene_zero, pixel, depth=1.0)
+        with pytest.raises(DataError, match="2 numbers per row"):
+            _frontal_deltas(scene_zero, pixel, 1.0)
+        with pytest.raises(DataError, match="2 numbers per row"):
+            distortion_vs_inverse_depth(scene_zero, pixel)
+
+    def test_one_pixel_at_a_time(self, scene_zero):
+        # two pixels raised a broadcast ValueError
+        with pytest.raises(DataError, match="2 numbers per row"):
+            distortion_vector(scene_zero, np.full((2, 2), 900.0), depth=1.0)
+
+    @pytest.mark.parametrize("depth", [1.0, np.ones(0)], ids=["one", "per-row"])
+    def test_no_pixels(self, scene_zero, depth):
+        deltas, status = _frontal_deltas(scene_zero, np.empty((0, 2)), depth)
+        assert deltas.shape == (0, 2) and status.shape == (0,)
+
     def test_bad_depth_rejected(self, scene_zero):
         with pytest.raises(DataError):
             distortion_vector(scene_zero, [1640.0, 1232.0], depth=0.0)
@@ -366,19 +389,21 @@ class TestWriteCornerScatter:
 
 
 class TestCsvReplacesItsTarget:
-    """A CSV is streamed into ``<name>.tmp`` and replaces its target only once complete."""
+    """A CSV is streamed into ``<name>.tmp`` a block of rows per write and
+    replaces its target only once complete."""
 
     @staticmethod
-    def failing_rows(n):
-        for k in range(n):
-            yield f"{k},{k}"
+    def failing_blocks(n):
+        """Blocks of two rows holding ``n`` rows in all, then a failure."""
+        for k in range(0, n, 2):
+            yield "".join(f"{r},{r}\n" for r in range(k, min(k + 2, n)))
         raise RuntimeError("row source failed")
 
     def test_failing_rows_leave_no_file(self, tmp_path):
-        # past the first block, so a direct writer would leave header + 4096 rows
+        # after 2 500 written blocks, so a direct writer would leave header + 5000 rows
         path = tmp_path / "out.csv"
         with pytest.raises(RuntimeError, match="row source failed"):
-            conecal.analysis._write_csv(path, "a,b", self.failing_rows(5000))
+            conecal.analysis._write_csv(path, "a,b", self.failing_blocks(5000))
         assert list(tmp_path.iterdir()) == []
 
     def test_failing_rows_keep_an_existing_target(self, tmp_path):
@@ -386,14 +411,14 @@ class TestCsvReplacesItsTarget:
         path.write_text("a,b\nold,row\n")
         for n in (0, 3, 5000):
             with pytest.raises(RuntimeError):
-                conecal.analysis._write_csv(path, "a,b", self.failing_rows(n))
+                conecal.analysis._write_csv(path, "a,b", self.failing_blocks(n))
             assert list(tmp_path.iterdir()) == [path]
             assert path.read_text() == "a,b\nold,row\n"
 
     def test_complete_rows_replace_the_target(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("stale\n")
-        conecal.analysis._write_csv(path, "a,b", (f"{k},{k}" for k in range(3)))
+        conecal.analysis._write_csv(path, "a,b", iter(["0,0\n1,1\n", "2,2\n"]))
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == b"a,b\n0,0\n1,1\n2,2\n"
 
@@ -406,8 +431,8 @@ class TestBlocks:
 
         params, obs = scene_with_failures(np.random.default_rng(150))
         pixels = distortion_field(params, depth=0.7, stride=500).pixels
-        # rows 4-9 miss the cover, across the boundaries of 7-row trace
-        # blocks and of 5- and 3-row CSV blocks
+        # rows 4-9 miss the cover, across the boundaries of 7-, 3- and
+        # 1-row blocks, traced and written
         pixels[4:10] = [1640.0, -1e7]
         depths = np.linspace(0.3, 1.5, pixels.shape[0])
         json_text, _ = corner_scatter_files(per_image_corner_scatter(params, obs))
@@ -429,14 +454,13 @@ class TestBlocks:
 
         real = outputs(tmp_path / "real")
         assert {TraceStatus.OK, TraceStatus.MISS_INNER, TraceStatus.TIR_OUTER} <= set(real[1][1])
-        monkeypatch.setattr(conecal.raytrace, "_TRACE_BLOCK_ROWS", 7)
-        monkeypatch.setattr(conecal.analysis, "_CSV_BLOCK_ROWS", 5)
-        traced = count_cover_traces(monkeypatch)
-        small = outputs(tmp_path / "small")
-        assert max(traced) == 7 and sum(traced) == 2 * pixels.shape[0] + obs.n_corners
-        monkeypatch.setattr(conecal.analysis, "_CSV_BLOCK_ROWS", 3)
-        smaller = outputs(tmp_path / "smaller")
-        for other in (small, smaller):
+        blocked = []
+        for rows in (7, 3, 1):
+            monkeypatch.setattr(conecal.raytrace, "_TRACE_BLOCK_ROWS", rows)
+            traced = count_cover_traces(monkeypatch)
+            blocked.append(outputs(tmp_path / f"rows{rows}"))
+            assert max(traced) == rows and sum(traced) == 2 * pixels.shape[0] + obs.n_corners
+        for other in blocked:
             assert other[0] == real[0]
             for got, want in zip(other[1] + other[2], real[1] + real[2]):
                 assert got.tobytes() == want.tobytes()

@@ -449,6 +449,42 @@ class TestExitCodes:
         assert [p.name for p in out.iterdir()] == ["observations.json"]
         assert list((out / "observations.json").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, output, work",
+        [
+            ("generate", "observations.json", "generate_dataset"),
+            ("generate", "ground_truth.json", "generate_dataset"),
+            ("refine-poses", "refined_poses.json", "refine_poses"),
+            ("calibrate", "fitted_surface.json", "optimize_amplitudes"),
+            ("analyze", "distortion_field.csv", "distortion_field"),
+            ("analyze", "depth_curves.csv", "distortion_field"),
+            ("analyze", "depth_curves.json", "distortion_field"),
+            ("analyze", "corner_scatter.json", "distortion_field"),
+            ("analyze", "corner_scatter.csv", "distortion_field"),
+        ],
+    )
+    def test_an_output_that_is_a_directory_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, output, work
+    ):
+        data = generate_small(tmp_path)
+        truth = json.loads((data / "ground_truth.json").read_text())["scene_config"]
+        config = tmp_path / "truth_config.json"
+        config.write_text(json.dumps(truth))
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        called = []
+        monkeypatch.setattr(cli, work, lambda *args, **kwargs: called.append(args))
+        argv = [command, "--config", config, "--out", out]
+        if command != "generate":
+            argv += ["--observations", data / "observations.json"]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / output}: Is a directory\n"
+        assert called == []
+        assert [p.name for p in out.iterdir()] == [output]
+        assert list((out / output).iterdir()) == []
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

@@ -622,3 +622,37 @@ class TestRaycast:
             assert np.array_equal(hit[rows], want_hit)
         with pytest.raises(DataError):
             pinhole_raycast(scene_zero, image_index[:-1], pixels)
+
+
+PIXEL_ENTRIES = [trace_pixels, raycast_pixels, pinhole_raycast, raycast]
+# pixel arrays that do not hold 2 numbers per row
+SHAPES = [(4, 3), (4, 1), (3,), ()]
+
+
+class TestPixelShapes:
+    @pytest.mark.parametrize("entry", PIXEL_ENTRIES, ids=lambda entry: entry.__name__)
+    @pytest.mark.parametrize("shape", SHAPES, ids=["n-by-3", "n-by-1", "3-vector", "0-d"])
+    def test_pixels_hold_two_numbers_per_row(self, scene_zero, entry, shape):
+        # (n, 3) pixels were traced on their first two columns, and a 0-d
+        # or (n, 1) array raised a bare IndexError
+        with pytest.raises(DataError, match="2 numbers per row"):
+            entry(scene_zero, 0, np.full(shape, 900.0))
+
+    def test_a_per_row_index_does_not_admit_wider_pixels(self, scene_zero):
+        with pytest.raises(DataError, match="2 numbers per row"):
+            raycast_pixels(scene_zero, np.array([0, 1]), np.full((2, 3), 900.0))
+
+    def test_the_scalar_raycast_takes_one_pixel(self, scene_zero):
+        # two pixels raised a TypeError from the status of the first
+        with pytest.raises(DataError, match="2 numbers per row"):
+            raycast(scene_zero, 0, np.full((2, 2), 900.0))
+
+    @pytest.mark.parametrize("index", [0, np.zeros(0, dtype=np.int64)], ids=["one", "per-row"])
+    def test_empty_batches(self, scene_zero, index):
+        pixels = np.empty((0, 2))
+        batch = trace_pixels(scene_zero, index, pixels)
+        assert batch.status.shape == (0,) and batch.board_local.shape == (0, 2)
+        assert batch.x_board.shape == (0, 3)
+        for entry in (raycast_pixels, pinhole_raycast):
+            local, status = entry(scene_zero, index, pixels)
+            assert local.shape == (0, 2) and status.shape == (0,), entry.__name__

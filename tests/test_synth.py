@@ -313,6 +313,19 @@ class TestProjectCorners:
         assert np.all(converged) and np.array_equal(converged, oracle_converged)
         assert np.max(np.abs(projected - oracle_projected)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "shape", [(4, 3), (4, 1), (3,), ()], ids=["n-by-3", "n-by-1", "3-vector", "0-d"]
+    )
+    def test_board_points_hold_two_numbers_per_row(self, scene_zero, shape):
+        # two (2, 3) points were reshaped into three targets, and (4, 1) into two
+        with pytest.raises(DataError, match="2 numbers per row"):
+            project_corners(scene_zero, 0, np.full(shape, 0.01))
+
+    @pytest.mark.parametrize("index", [0, np.zeros(0, dtype=np.int64)], ids=["one", "per-row"])
+    def test_no_board_points(self, scene_zero, index):
+        pixels, converged = project_corners(scene_zero, index, np.empty((0, 2)))
+        assert pixels.shape == (0, 2) and converged.shape == (0,)
+
     def test_behind_camera_rejected(self, scene_zero, poses):
         import dataclasses
 
