@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibrate import _rmse_cm
 from .camera import pinhole_project
 from .errors import DataError
 from .observations import (
@@ -176,8 +177,9 @@ def distortion_vs_inverse_depth(
     """Sample one pixel's distortion across depths and fit the affine law.
 
     The pixel is traced once per depth, each row landing on its own
-    frontal plane. A trace failure raises its stage error; an exit ray
-    that misses a depth plane raises :class:`DataError`.
+    frontal plane. A ``pixel`` that is not 2 numbers raises :class:`DataError`
+    before it is traced; a trace failure raises its stage error; an exit
+    ray that misses a depth plane raises :class:`DataError`.
     """
     lo, hi = float(inv_depth_range[0]), float(inv_depth_range[1])
     if not 0.0 < lo < hi < np.inf or 1.0 / lo == np.inf:
@@ -185,6 +187,10 @@ def distortion_vs_inverse_depth(
     if n_samples < 2:
         raise DataError("need at least two depth samples")
     pixel = np.asarray(pixel, dtype=np.float64)
+    if pixel.shape != (2,):
+        raise DataError(
+            f"pixel must be one pixel (2 numbers per row, one row), got shape {pixel.shape}"
+        )
     inv_depths = np.linspace(lo, hi, n_samples)
     deltas, status = _frontal_deltas(params, np.tile(pixel, (n_samples, 1)), 1.0 / inv_depths)
     if np.any(status != TraceStatus.OK):
@@ -234,7 +240,8 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> C
 
     Every image's corners are stacked, each row landing on its own image's
     pose, and traced :func:`_row_blocks` at a time; failed corners have NaN
-    residuals and no part in the pooled RMSE.
+    residuals and no part in the pooled RMSE, which is
+    :func:`~conecal.calibrate.rmse_cm`'s.
     """
     corners = observations.stacked()
 
@@ -247,11 +254,6 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> C
     count = int(np.count_nonzero(ok))
     if count == 0:
         raise DataError("no corner completed the trace; nothing to report")
-    # squared through libm pow, as a numpy scalar's ``** 2`` is (an array's
-    # ``** 2`` multiplies, which rounds differently in the last bit), and
-    # summed left to right, so the RMSE equals a corner-by-corner running sum
-    sq = np.float_power(rho[ok, 0], 2) + np.float_power(rho[ok, 1], 2)
-    total = float(np.cumsum(sq)[-1])
     rho[~ok] = np.nan
     return CornerScatter(
         offsets=corners.offsets,
@@ -260,7 +262,8 @@ def corner_error_scatter(params: SceneParams, observations: ObservationSet) -> C
         status=status,
         residuals=rho,
         errors=np.hypot(rho[:, 0], rho[:, 1]),
-        rmse_cm=float(np.sqrt(total / count) * 100.0),
+        # the loss's sum over the same rows, so the RMSE is ``rmse_cm``'s bits
+        rmse_cm=_rmse_cm(float(np.sum(rho[ok] ** 2)), count),
         n_corners=count,
     )
 

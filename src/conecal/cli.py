@@ -38,15 +38,12 @@ from .calibrate import (
     rmse_cm,
 )
 from .config import (
-    amplitude_distribution_from_config,
-    board_from_config,
     cone_from_config,
     config_with_amplitudes,
     default_config,
-    generate_counts_from_config,
+    generate_from_config,
     intrinsics_from_config,
     load_config,
-    pose_sampler_from_config,
     surface_from_config,
     surface_to_config,
 )
@@ -124,28 +121,9 @@ def cmd_generate(args) -> None:
     if args.noise is not None:
         config["generate"]["noise_sigma_px"] = args.noise
 
-    template = surface_from_config(config)
-    n_images, noise_sigma_px = generate_counts_from_config(config)
-    square_size, corners_per_side = board_from_config(config)
-    # stored amplitudes pin the ground truth; otherwise draw fresh ones
-    dist = None
-    if config["surface"]["amplitudes_m"] is None:
-        dist = amplitude_distribution_from_config(config)
-    intrinsics, cone = intrinsics_from_config(config), cone_from_config(config)
-    sampler = pose_sampler_from_config(config)
+    settings = generate_from_config(config)
     observations_path, truth_path = _ensure_out(args, "observations.json", "ground_truth.json")
-    dataset = generate_dataset(
-        intrinsics,
-        cone,
-        template,
-        n_images=n_images,
-        square_size=square_size,
-        corners_per_side=corners_per_side,
-        amplitude_dist=dist,
-        pose_sampler=sampler,
-        noise_sigma_px=noise_sigma_px,
-        seed=args.seed,
-    )
+    dataset = generate_dataset(**settings, seed=args.seed)
 
     save_observations(dataset.observations, observations_path)
     truth_config = config_with_amplitudes(config, dataset.params.surface.amplitudes)

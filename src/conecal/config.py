@@ -230,43 +230,41 @@ def surface_from_config(config: dict) -> RbfSurface:
     )
 
 
-def amplitude_distribution_from_config(config: dict) -> AmplitudeDistribution:
-    section = config["generate"]
-    return AmplitudeDistribution(
-        mean=_number(section, "amplitude_mean_m", "generate"),
-        sigma=_number(section, "amplitude_sigma_m", "generate"),
-    )
+def generate_from_config(config: dict) -> dict:
+    """The keyword arguments of :func:`~conecal.synth.generate_dataset`, all
+    but the seed, that ``config`` describes. Stored amplitudes pin the
+    ground truth; without them fresh ones are drawn from the ``generate``
+    section's distribution."""
 
+    def generate(key, read=_number):
+        return read(config["generate"], key, "generate")
 
-def pose_sampler_from_config(config: dict) -> PoseSampler:
-    section = config["generate"]
-    return PoseSampler(
-        depth_range=(
-            _number(section, "depth_min_m", "generate"),
-            _number(section, "depth_max_m", "generate"),
+    surface = surface_from_config(config)
+    n_images, noise_sigma_px = generate("n_images", _integer), generate("noise_sigma_px")
+    square_size = _number(config["board"], "square_size_m", "board")
+    corners_per_side = _integer(config["board"], "corners_per_side", "board")
+    _check_board(square_size, corners_per_side)
+    amplitude_dist = None
+    if config["surface"]["amplitudes_m"] is None:
+        amplitude_dist = AmplitudeDistribution(
+            mean=generate("amplitude_mean_m"), sigma=generate("amplitude_sigma_m")
+        )
+    return {
+        "intrinsics": intrinsics_from_config(config),
+        "cone": cone_from_config(config),
+        "surface": surface,
+        "n_images": n_images,
+        "square_size": square_size,
+        "corners_per_side": corners_per_side,
+        "amplitude_dist": amplitude_dist,
+        "pose_sampler": PoseSampler(
+            depth_range=(generate("depth_min_m"), generate("depth_max_m")),
+            rotation_range_deg=generate("rotation_range_deg"),
+            lateral_margin=generate("lateral_margin"),
+            max_attempts=generate("max_attempts", _integer),
         ),
-        rotation_range_deg=_number(section, "rotation_range_deg", "generate"),
-        lateral_margin=_number(section, "lateral_margin", "generate"),
-        max_attempts=_integer(section, "max_attempts", "generate"),
-    )
-
-
-def generate_counts_from_config(config: dict) -> tuple[int, float]:
-    """(number of images, corner noise sigma in px) of a synthetic dataset."""
-    section = config["generate"]
-    return (
-        _integer(section, "n_images", "generate"),
-        _number(section, "noise_sigma_px", "generate"),
-    )
-
-
-def board_from_config(config: dict) -> tuple[float, int]:
-    """(square size in meters, corners per side)."""
-    section = config["board"]
-    square = _number(section, "square_size_m", "board")
-    corners = _integer(section, "corners_per_side", "board")
-    _check_board(square, corners)
-    return square, corners
+        "noise_sigma_px": noise_sigma_px,
+    }
 
 
 def _grid_keys(amplitudes) -> dict:

@@ -21,12 +21,13 @@ from conecal.analysis import (
 )
 import conecal.analysis
 import conecal.raytrace
-from conecal.calibrate import loss
+from conecal.calibrate import loss, rmse_cm
 from conecal.cli import _write_depth_curve_csv
 from conecal.errors import DataError, MissError
 from conecal.geometry import RbfSurface
 from conecal.observations import ImageObservations, ObservationSet, write_json
 from conecal.raytrace import STAGE_NAMES, TraceStatus
+from conecal.synth import AmplitudeDistribution, generate_dataset
 from conftest import count_cover_traces
 from oracles import board_targets, corner_scatter_files, per_image_corner_scatter
 
@@ -81,6 +82,14 @@ class TestDistortionVector:
         # two pixels raised a broadcast ValueError
         with pytest.raises(DataError, match="2 numbers per row"):
             distortion_vector(scene_zero, np.full((2, 2), 900.0), depth=1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,)], ids=["two-pixels", "3-vector"])
+    def test_depth_curve_takes_one_pixel(self, scene_zero, shape):
+        # two pixels were tiled into 50 rows against 25 depths, and the
+        # error named the tiled shape
+        with pytest.raises(DataError) as err:
+            distortion_vs_inverse_depth(scene_zero, np.full(shape, 900.0))
+        assert "one pixel" in str(err.value) and f"got shape {shape}" in str(err.value)
 
     @pytest.mark.parametrize("depth", [1.0, np.ones(0)], ids=["one", "per-row"])
     def test_no_pixels(self, scene_zero, depth):
@@ -270,8 +279,9 @@ class TestCornerErrorScatter:
 
     def test_one_stacked_trace_matches_the_per_image_loop(self, monkeypatch):
         """One trace over every image gives the per-image loop's columns
-        exactly, ``rmse_cm`` bit for bit included, on a scene with inner
-        misses, exit total internal reflection and board misses."""
+        exactly, on a scene with inner misses, exit total internal reflection
+        and board misses; its RMSE is ``calibrate.rmse_cm``'s bits, and the
+        loop's running sum within 1e-15 of it."""
         from test_calibrate import scene_with_failures
 
         params, obs = scene_with_failures(np.random.default_rng(150))
@@ -300,12 +310,14 @@ class TestCornerErrorScatter:
             for c in corners
         ]
         assert report.n_corners == expected["n_corners"]
-        assert report.rmse_cm.hex() == expected["rmse_cm"].hex()
+        assert report.rmse_cm == rmse_cm(params, obs)
+        assert report.rmse_cm == pytest.approx(expected["rmse_cm"], rel=1e-15, abs=0.0)
 
     def test_rmse_squares_like_the_per_image_loop(self):
         """A numpy scalar's ``** 2`` goes through libm ``pow``, an array's
         multiplies; one corner whose two squares give different RMSE bits
-        must still report the per-image loop's bits."""
+        reports ``calibrate.rmse_cm``'s bits, within 1e-15 of the per-image
+        loop's."""
         from conecal.observations import ImageObservations, ObservationSet
         from conecal.raytrace import trace_pixels
         from test_calibrate import scene_with_failures
@@ -336,7 +348,28 @@ class TestCornerErrorScatter:
         )
         report = corner_error_scatter(params, single)
         assert report.n_corners == 1
-        assert report.rmse_cm.hex() == per_image_corner_scatter(params, single)["rmse_cm"].hex()
+        assert report.rmse_cm == rmse_cm(params, single)
+        expected = per_image_corner_scatter(params, single)["rmse_cm"]
+        assert report.rmse_cm == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["failures", "generated"])
+    def test_rmse_is_the_calibrate_rmse_bit_for_bit(self, intrinsics, cone, patch, name):
+        """Analyze's RMSE and ``calibrate.rmse_cm`` are one reduction of the
+        same residuals, on a scene with failed corners of three stages and on
+        a noisy generated set where a corner-by-corner running sum rounds
+        differently."""
+        from test_calibrate import scene_with_failures
+
+        if name == "failures":
+            params, obs = scene_with_failures(np.random.default_rng(150))
+        else:
+            dataset = generate_dataset(
+                intrinsics, cone, RbfSurface.flat(patch, (3, 3)), n_images=2,
+                corners_per_side=5, amplitude_dist=AmplitudeDistribution(1e-5, 2.5e-6),
+                noise_sigma_px=0.5, seed=2,
+            )
+            params, obs = dataset.params, dataset.observations
+        assert corner_error_scatter(params, obs).rmse_cm == rmse_cm(params, obs)
 
 
 def scatter_sets(scene_zero):

@@ -540,6 +540,39 @@ class TestOptimizeAmplitudes:
         assert err.value.iteration == 0
         assert err.value.last_stable.loss_history.shape == (1,)
 
+    def fail_at(self, monkeypatch, k, failure):
+        """Make ``calibrate.loss_gradient`` fail at 0-based iteration ``k``: a
+        NaN loss (``"nan"``) or a DataError (``"no-ray"``), as when a step
+        wipes out every ray."""
+        real = calibrate.loss_gradient
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            result, grad = real(*args)
+            if len(calls) - 1 != k:
+                return result, grad
+            if failure == "no-ray":
+                raise DataError("no corner completed the trace; loss is undefined")
+            return dataclasses.replace(result, value=math.nan), grad
+
+        monkeypatch.setattr(calibrate, "loss_gradient", failing)
+
+    @pytest.mark.parametrize("failure", ["nan", "no-ray"])
+    def test_a_failure_at_iteration_k_diverges_there(self, monkeypatch, failure):
+        _, start, obs = self.make_recovery_problem(np.random.default_rng(408))
+        self.fail_at(monkeypatch, 2, failure)
+        with pytest.raises(DivergenceError) as err:
+            optimize_amplitudes(start, obs, OptimizerOptions(step_count=5))
+        assert err.value.iteration == 2
+        assert err.value.last_stable.loss_history.shape == (2,)
+
+    def test_no_ray_at_the_first_iteration_is_bad_data(self, monkeypatch):
+        _, start, obs = self.make_recovery_problem(np.random.default_rng(408))
+        self.fail_at(monkeypatch, 0, "no-ray")
+        with pytest.raises(DataError):
+            optimize_amplitudes(start, obs, OptimizerOptions(step_count=5))
+
     def test_tolerance_stops_early(self):
         rng = np.random.default_rng(403)
         _, start, obs = self.make_recovery_problem(rng)
@@ -745,6 +778,21 @@ class TestRefinePoses:
         refine_poses(scene_zero, obs)
         assert len(solves) == obs.n_images
         assert all(sol.nfev <= 5 for sol in solves)
+
+    def test_an_image_with_no_corner_through_the_cover_keeps_its_pose(self, scene_zero):
+        rng = np.random.default_rng(506)
+        obs = consistent_observations(scene_zero, subsample=2)
+        start = self.perturbed(scene_zero, rng)
+        im = obs.images[1]
+        missing = dataclasses.replace(im, pixels=np.tile([1640.0, -1e7], (im.n_corners, 1)))
+        obs = dataclasses.replace(obs, images=(obs.images[0], missing, *obs.images[2:]))
+        refined = refine_poses(start, obs)
+        report = refined.reports[1]
+        assert (report.n_valid, report.initial_cost, report.final_cost) == (0, 0.0, 0.0)
+        kept, pose = start.poses[1], refined.params.poses[1]
+        assert np.array_equal(pose.rotation, kept.rotation)
+        assert np.array_equal(pose.translation, kept.translation)
+        assert refined.reports[0].n_valid > 0
 
     def test_preserves_surface(self, scene_zero):
         rng = np.random.default_rng(502)

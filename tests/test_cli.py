@@ -81,6 +81,11 @@ BAD_CONFIGS = {
     ),
     "null-surface": ('{"surface": null}', "config key surface must be an object"),
     "null-patch": ('{"surface": {"patch": null}}', "config key surface.patch must be an object"),
+    "array-document": ("[]", "must contain a JSON object"),
+    "two-element-apex": (
+        '{"cone": {"apex_m": [0.0, 0.04]}}',
+        "config key cone.apex_m must be a 3-element array",
+    ),
 }
 
 
@@ -180,6 +185,10 @@ class TestExitCodes:
 
     def test_bad_grid_flag_exits_2(self, tmp_path):
         assert run(["generate", "--grid", "8by8", "--out", tmp_path]) == 2
+
+    def test_empty_grid_flag_exits_2(self, tmp_path, capsys):
+        assert run(["generate", "--grid", "0x3", "--out", tmp_path]) == 2
+        assert "--grid needs at least one row and one column" in capsys.readouterr().err
 
     def test_missing_observations_exits_3(self, tmp_path):
         code = run(["calibrate", "--observations", tmp_path / "nope.json", "--out", tmp_path])
@@ -875,6 +884,17 @@ class TestAnalyze:
         if flag == "--depth":
             # rejected before the field is traced or written
             assert list(out.iterdir()) == []
+
+    def test_zero_stride_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        data = generate_small(tmp_path)
+        truth = json.loads((data / "ground_truth.json").read_text())
+        config = tmp_path / "truth_config.json"
+        config.write_text(json.dumps(truth["scene_config"]))
+        out = tmp_path / "an"
+        argv = ["analyze", "--config", config, "--observations", data / "observations.json"]
+        assert run(argv + ["--out", out, "--stride", 0]) == 3
+        assert "stride must be a positive pixel count" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_untraceable_surface_exits_3(self, tmp_path, capsys, monkeypatch):
         """A surface steep enough that a depth curve's ray is totally
