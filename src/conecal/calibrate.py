@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DivergenceError
+from .errors import ConfigurationError, DataError, DivergenceError, _check_count
 from .camera import pixel_to_ray
 from .geometry import (
     RbfSurface,
@@ -84,8 +84,7 @@ class OptimizerOptions:
     tolerance: float = 0.0
 
     def __post_init__(self):
-        if self.step_count < 1:
-            raise ConfigurationError("step_count must be at least 1")
+        _check_count("step_count", self.step_count, 1)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ConfigurationError("learning_rate must be positive and finite")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
@@ -349,22 +348,6 @@ class _AdamState:
         return rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-def _check_divergence(
-    value: float,
-    grad: np.ndarray | None,
-    iteration: int,
-    last_stable: "FitResult | None",
-) -> None:
-    """Raise :class:`DivergenceError` unless the loss is finite and no larger
-    than 1e6 m^2 and, when given, the gradient is finite."""
-    if not (np.isfinite(value) and value <= 1e6 and (grad is None or np.all(np.isfinite(grad)))):
-        raise DivergenceError(
-            f"optimization diverged at iteration {iteration} (loss {value!r})",
-            iteration=iteration,
-            last_stable=last_stable,
-        )
-
-
 def optimize_amplitudes(
     params: SceneParams,
     observations: ObservationSet,
@@ -374,64 +357,65 @@ def optimize_amplitudes(
 
     Starts from the amplitudes in ``params`` and returns updated scene
     parameters, the per-iterate loss history (initial value included)
-    and the exclusions of the final evaluation.  On divergence the raised
-    error carries the last well-behaved iterate in ``last_stable`` so
-    callers can persist a usable result.
+    and the exclusions of the final evaluation.  Iterates 0 to N-1 of an
+    N-step fit are evaluated by :func:`loss_gradient`, iterate N by
+    :func:`loss`. An iterate whose loss is not finite or exceeds 1e6 m^2,
+    whose gradient is not finite, or whose trace loses every ray after
+    iterate 0 raises :class:`DivergenceError`, as does a step that takes
+    the amplitudes beyond 1 m. The error carries the last well-behaved
+    iterate in ``last_stable`` so callers can persist a usable result.
     """
     options = options or OptimizerOptions()
     current = params
     x = params.surface.flat_amplitudes.copy()
     adam = _AdamState(x.size)
     history = []
-    last_stable: FitResult | None = None
+    stable = None  # (params, LossResult, history length) of the last well-behaved iterate
 
-    for it in range(options.step_count):
+    def stable_fit() -> FitResult | None:
+        if stable is None:
+            return None
+        fit_params, fit_loss, n_losses = stable
+        return FitResult(
+            fit_params, np.array(history[:n_losses]), fit_loss.errored, fit_loss.n_active
+        )
+
+    def diverged(it: int, reason: str) -> DivergenceError:
+        message = f"optimization diverged at iteration {it}{reason}"
+        return DivergenceError(message, iteration=it, last_stable=stable_fit())
+
+    for it in range(options.step_count + 1):
         try:
-            result, grad = loss_gradient(current, observations, "amplitudes")
+            if it < options.step_count:
+                result, grad = loss_gradient(current, observations, "amplitudes")
+            else:
+                result, grad = loss(current, observations), None
         except DataError:
             if it == 0:
                 raise
             # the step wiped out every ray: that is divergence, not bad data
-            raise DivergenceError(
-                f"optimization diverged at iteration {it}: no ray completes the trace",
-                iteration=it,
-                last_stable=last_stable,
-            ) from None
+            raise diverged(it, ": no ray completes the trace") from None
         history.append(result.value)
-        _check_divergence(result.value, grad, it, last_stable)
-        last_stable = FitResult(
-            params=current,
-            loss_history=np.array(history),
-            errored=result.errored,
-            n_active=result.n_active,
-        )
-        if (
+        if not (
+            np.isfinite(result.value)
+            and result.value <= 1e6
+            and (grad is None or np.all(np.isfinite(grad)))
+        ):
+            raise diverged(it, f" (loss {result.value!r})")
+        stable = (current, result, len(history))
+        if grad is None or (
             options.tolerance > 0.0
             and len(history) >= 2
             and abs(history[-2] - history[-1]) <= options.tolerance
         ):
-            return last_stable
+            break
         x = x - adam.step(grad, options.rate_at(it))
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1.0:
-            raise DivergenceError(
-                f"optimization diverged at iteration {it}: amplitudes left the "
-                "physically meaningful range",
-                iteration=it,
-                last_stable=last_stable,
-            )
+            raise diverged(it, ": amplitudes left the physically meaningful range")
         current = current.with_surface(
             current.surface.with_amplitudes(x.reshape(current.surface.grid))
         )
-
-    final = loss(current, observations)
-    history.append(final.value)
-    _check_divergence(final.value, None, options.step_count, last_stable)
-    return FitResult(
-        params=current,
-        loss_history=np.array(history),
-        errored=final.errored,
-        n_active=final.n_active,
-    )
+    return stable_fit()
 
 
 # ---------------------------------------------------------------------------

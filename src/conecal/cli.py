@@ -9,7 +9,12 @@ paths.
 Exit codes: 0 success, 2 configuration error (an output file that cannot
 be written included), 3 data error (a ray that fails to trace through the
 given surface included), 4 numerical divergence (argument parsing
-failures also exit 2, via argparse).
+failures also exit 2, via argparse). On exit 4, ``calibrate`` writes the
+last stable iterate to ``fitted_surface.json`` when the evaluation of any
+iterate after the first fails, the last iterate included, or when a step
+takes the amplitudes out of range; it writes nothing when the evaluation
+of iterate 0 fails. The file's ``loss_history_m2`` holds one entry per
+evaluated iterate, N + 1 for a fit of N steps that succeeds.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .analysis import (
     write_distortion_csv,
 )
 from .calibrate import (
-    FitResult,
     OptimizerOptions,
     optimize_amplitudes,
     pinhole_rmse_cm,
@@ -186,30 +190,6 @@ def _relative_improvement_pct(rmse_initial: float, rmse_final: float) -> float:
     return 100.0 * (1.0 - rmse_final / rmse_initial)
 
 
-def _fitted_surface_json(
-    fit: FitResult,
-    rmse_initial: float,
-    rmse_cone_only: float,
-    options: OptimizerOptions,
-    diverged_at: int | None,
-) -> dict:
-    return {
-        **surface_to_config(fit.surface),
-        "rmse_initial_cm": rmse_initial,
-        "rmse_cone_only_cm": rmse_cone_only,
-        "rmse_final_cm": fit.rmse_cm,
-        "relative_improvement_pct": _relative_improvement_pct(rmse_initial, fit.rmse_cm),
-        "loss_history_m2": [float(v) for v in fit.loss_history],
-        "errored_rays": [
-            {"image": image, "i": int(i), "j": int(j), "stage": stage}
-            for image, i, j, stage in fit.errored
-        ],
-        "n_active_corners": fit.n_active,
-        "options": dataclasses.asdict(options),
-        "diverged_at_iteration": diverged_at,
-    }
-
-
 def load_fitted_surface(path) -> RbfSurface:
     """Rebuild the irregularity field written by the calibrate subcommand from
     its surface keys, read as a config ``surface`` section that stores amplitudes."""
@@ -245,25 +225,35 @@ def cmd_calibrate(args) -> None:
     rmse_initial = pinhole_rmse_cm(params, observations)
     rmse_cone_only = rmse_cm(params.with_surface(zero), observations)
 
+    failure = None
     try:
-        result = optimize_amplitudes(params, observations, options)
+        fit = optimize_amplitudes(params, observations, options)
     except DivergenceError as exc:
         if exc.last_stable is None:
             raise
-        write_json(
-            fitted_path,
-            _fitted_surface_json(
-                exc.last_stable, rmse_initial, rmse_cone_only, options, exc.iteration
-            ),
-        )
-        print(f"saved last stable iterate to {fitted_path}", file=sys.stderr)
-        raise
-
+        fit, failure = exc.last_stable, exc
     write_json(
         fitted_path,
-        _fitted_surface_json(result, rmse_initial, rmse_cone_only, options, None),
+        {
+            **surface_to_config(fit.surface),
+            "rmse_initial_cm": rmse_initial,
+            "rmse_cone_only_cm": rmse_cone_only,
+            "rmse_final_cm": fit.rmse_cm,
+            "relative_improvement_pct": _relative_improvement_pct(rmse_initial, fit.rmse_cm),
+            "loss_history_m2": [float(v) for v in fit.loss_history],
+            "errored_rays": [
+                {"image": image, "i": int(i), "j": int(j), "stage": stage}
+                for image, i, j, stage in fit.errored
+            ],
+            "n_active_corners": fit.n_active,
+            "options": dataclasses.asdict(options),
+            "diverged_at_iteration": None if failure is None else failure.iteration,
+        },
     )
-    _print_rmse_table(rmse_initial, result.rmse_cm)
+    if failure is not None:
+        print(f"saved last stable iterate to {fitted_path}", file=sys.stderr)
+        raise failure
+    _print_rmse_table(rmse_initial, fit.rmse_cm)
 
 
 # ---------------------------------------------------------------------------

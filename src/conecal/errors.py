@@ -33,10 +33,16 @@ def _check_count(name: str, value, minimum: int) -> None:
 
 
 class DivergenceError(ConecalError):
-    """An iterative solve produced a non-finite value.
+    """An iterative solve left the range where its result means anything.
+
+    The amplitude fit raises it for an iterate whose loss is not finite or
+    exceeds 1e6 m^2, or whose gradient is not finite; for an iterate after
+    the first whose trace loses every ray; and for a step that takes an
+    amplitude beyond 1 m.
 
     Attributes:
-        iteration: index of the step at which divergence was detected.
+        iteration: index of the iterate (or of the step) at which divergence
+            was detected.
         last_stable: the most recent well-behaved iterate, when the failing
             solver can provide one (e.g. a fit result captured just before
             the loss blew up); ``None`` otherwise.

@@ -238,6 +238,10 @@ class TestOptimizerOptions:
             OptimizerOptions(learning_rate=0.0)
         with pytest.raises(ConfigurationError):
             OptimizerOptions(tolerance=-1.0)
+        # a count that range() cannot take, or a bool, is not a step count
+        for steps in (2.5, 3.0, True):
+            with pytest.raises(ConfigurationError, match="step_count must be an integer"):
+                OptimizerOptions(step_count=steps)
 
     @pytest.mark.parametrize(
         "options",
@@ -572,6 +576,46 @@ class TestOptimizeAmplitudes:
         self.fail_at(monkeypatch, 0, "no-ray")
         with pytest.raises(DataError):
             optimize_amplitudes(start, obs, OptimizerOptions(step_count=5))
+
+    def fail_at_the_last_iterate(self, monkeypatch, failure):
+        """Make ``calibrate.loss``, which evaluates the final iterate, fail
+        like :meth:`fail_at`."""
+        real = calibrate.loss
+
+        def failing(*args):
+            if failure == "no-ray":
+                raise DataError("no corner completed the trace; loss is undefined")
+            return dataclasses.replace(real(*args), value=math.nan)
+
+        monkeypatch.setattr(calibrate, "loss", failing)
+
+    @pytest.mark.parametrize("failure", ["nan", "no-ray"])
+    def test_a_failure_at_the_last_iterate_diverges_there(self, monkeypatch, failure):
+        _, start, obs = self.make_recovery_problem(np.random.default_rng(408))
+        self.fail_at_the_last_iterate(monkeypatch, failure)
+        with pytest.raises(DivergenceError) as err:
+            optimize_amplitudes(start, obs, OptimizerOptions(step_count=3))
+        assert err.value.iteration == 3
+        assert err.value.last_stable.loss_history.shape == (3,)
+
+    def test_n_steps_take_n_gradients_and_one_loss(self, monkeypatch):
+        _, start, obs = self.make_recovery_problem(np.random.default_rng(409))
+        calls = []
+
+        def counting(name):
+            real = getattr(calibrate, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(calibrate, name, counted)
+
+        counting("loss")
+        counting("loss_gradient")
+        fit = optimize_amplitudes(start, obs, OptimizerOptions(step_count=3))
+        assert calls == ["loss_gradient"] * 3 + ["loss"]
+        assert fit.loss_history.shape == (4,)
 
     def test_tolerance_stops_early(self):
         rng = np.random.default_rng(403)

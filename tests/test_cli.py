@@ -215,7 +215,14 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_divergent_rate_exits_4_and_saves_iterate(self, tmp_path):
+    @pytest.mark.parametrize(
+        "steps, rate, iteration",
+        [(20, "1e30", 0), (1, "0.05", 1)],
+        # the first step leaves the amplitude range; the one step of the
+        # second loses every ray, which only the final evaluation sees
+        ids=["first-step-out-of-range", "last-iterate-loses-every-ray"],
+    )
+    def test_divergent_rate_exits_4_and_saves_iterate(self, tmp_path, steps, rate, iteration):
         data = generate_small(tmp_path)
         config = tmp_path / "config.json"
         out = tmp_path / "fit"
@@ -223,12 +230,12 @@ class TestExitCodes:
             [
                 "calibrate", "--config", config,
                 "--observations", data / "observations.json",
-                "--out", out, "--steps", 20, "--rate", "1e30",
+                "--out", out, "--steps", steps, "--rate", rate,
             ]
         )
         assert code == 4
         saved = json.loads((out / "fitted_surface.json").read_text())
-        assert saved["diverged_at_iteration"] == 0
+        assert saved["diverged_at_iteration"] == iteration
         assert np.all(np.isfinite(saved["amplitudes_m"]))
 
     @pytest.mark.parametrize(
