@@ -19,7 +19,7 @@ import numpy as np
 
 from .calibrate import _rmse_cm
 from .camera import pinhole_project
-from .errors import DataError
+from .errors import DataError, _check_integer
 from .observations import (
     ObservationSet,
     Records,
@@ -104,6 +104,7 @@ def distortion_field(params: SceneParams, depth: float, stride: int = 40) -> Dis
     Samples start at pixel (0, 0) and step by ``stride`` in both axes,
     so doubling the stride yields a subset of the sample points.
     """
+    _check_integer("stride", stride, DataError)
     if stride < 1:
         raise DataError("stride must be a positive pixel count")
     xs = np.arange(0.0, params.intrinsics.width, float(stride))
@@ -184,6 +185,7 @@ def distortion_vs_inverse_depth(
     lo, hi = float(inv_depth_range[0]), float(inv_depth_range[1])
     if not 0.0 < lo < hi < np.inf or 1.0 / lo == np.inf:
         raise DataError("inverse depth range must be positive, finite and increasing")
+    _check_integer("n_samples", n_samples, DataError)
     if n_samples < 2:
         raise DataError("need at least two depth samples")
     pixel = np.asarray(pixel, dtype=np.float64)

@@ -20,10 +20,13 @@ iterate. The cover does not depend on the poses either, which each
 evaluation reads from its parameters, so one batch also serves the pose
 refinement (its zero-field exit rays), the RMSEs and the fit.
 
-Pose refinement and the pose gradient share one linearization of the
-board landing, :func:`_pose_rows`: the refinement's Gauss-Newton steps
-solve with it as the Jacobian, the gradient contracts it with the
-residuals.
+Every derivative of a board landing follows from one linearization,
+:func:`_translation_rows`: the rows ``T_k = du_k/dt`` of its board
+coordinates over the pose translation. The pose refinement's Jacobian is
+``[r x T_k, T_k]`` (:func:`_pose_rows`). Both gradients contract the
+residuals with the rows first, into ``c = sum_k 2 rho_k T_k``: the pose
+gradient sums ``[r x c, c]`` per image, and the amplitude chain starts
+from the exit-direction cotangent ``-t_board c``.
 
 Accumulations (``np.sum``, per-image ``np.bincount`` and the products
 with the kernel factors) run in a fixed order, so repeated runs produce
@@ -45,6 +48,7 @@ from .camera import pixel_to_ray
 from .geometry import (
     RbfSurface,
     _components,
+    _cross,
     _dot,
     _field_values,
     _field_values_adjoint,
@@ -55,7 +59,6 @@ from .geometry import (
 from .observations import ObservationSet
 from .raytrace import (
     STAGE_NAMES,
-    BoardPose,
     SceneParams,
     TraceStatus,
     _land,
@@ -213,24 +216,27 @@ class _FitBatch:
         result = LossResult(
             value=float(np.sum(rho**2)), n_active=n_active, errored=self.errored(batch.status)
         )
+        if wrt is None:
+            return result, None
+        # c = dL/dt of each active landing, from its translation rows
+        rotation = rotation[ok]
+        axes = [_components(rotation[..., k]) for k in range(3)]
+        t_rows = _translation_rows(axes, _components(batch.dir_out[ok]))
+        c = [2.0 * (rho[:, 0] * t0 + rho[:, 1] * t1) for t0, t1 in zip(*t_rows)]
         if wrt == "amplitudes":
-            return result, self._amplitude_gradient(params, rotation[ok], batch, ok, rho, dn[ok])
-        if wrt == "poses":
-            return result, self._pose_gradient(rotation[ok], batch, ok, rho)
-        return result, None
+            t_board = batch.t_board[ok]
+            dl_dro = [-t_board * c_c for c_c in c]
+            return result, self._amplitude_gradient(params, batch, ok, dl_dro, dn[ok])
+        grad = _pose_rows(axes, batch.board_local[ok], [c])[:, 0]
+        image = self.image_index[ok]
+        blocks = [np.bincount(image, weights=col, minlength=self.n_images) for col in grad.T]
+        return result, np.stack(blocks, axis=1).ravel()
 
-    def _amplitude_gradient(self, params, rotation, batch, ok, rho, dn):
-        # the chain runs on x/y/z component arrays, with the operations of the
-        # (N, 3) formula in numpy's order, so its bits are that formula's;
-        # w3 is the gradient of the loss with respect to the board-plane hit
-        a0, a1, n_b = (_components(rotation[..., k]) for k in range(3))
-        rho0, rho1 = rho[:, 0], rho[:, 1]
-        w3 = [2.0 * (rho0 * a0_c + rho1 * a1_c) for a0_c, a1_c in zip(a0, a1)]
-        r_o = _components(batch.dir_out[ok])
-        scale = _dot(r_o, w3) / _dot(r_o, n_b)
-        t_board = batch.t_board[ok]
-        dl_dro = [t_board * (w3_c - n_c * scale) for w3_c, n_c in zip(w3, n_b)]
-
+    def _amplitude_gradient(self, params, batch, ok, dl_dro, dn):
+        """The amplitude gradient from ``dl_dro``, the cotangent of the active
+        rows' exit directions, as x/y/z components. The chain runs on
+        component arrays, with the operations of the (N, 3) formula in
+        numpy's order, so its bits are that formula's."""
         # backward through the exit refraction: r_o depends on the oriented
         # outer normal both directly and via the incidence cosine
         eta = params.cone.eta_inside / params.cone.eta_outside
@@ -252,43 +258,41 @@ class _FitBatch:
         g[ok] = _stack_last(*(_dot(dl_dnhat, _components(dn[..., j])) for j in range(3)))
         return _field_values_adjoint(params.surface, self.cover.s_outer, self.kernel_factors, g)
 
-    def _pose_gradient(self, rotation, batch, ok, rho):
-        """One [rotation-increment, translation] block of 6 per image: the
-        per-image sums of ``2 rho^T J`` over the rows of :func:`_pose_rows`."""
-        rows = _pose_rows(rotation, batch.board_local[ok], batch.dir_out[ok])
-        grad = 2.0 * (rho[:, 0, None] * rows[:, 0] + rho[:, 1, None] * rows[:, 1])
-        image = self.image_index[ok]
-        blocks = [np.bincount(image, weights=col, minlength=self.n_images) for col in grad.T]
-        return np.stack(blocks, axis=1).ravel()
+
+def _translation_rows(axes, d) -> tuple:
+    """``T_k = du_k/dt = q_k n - a_k`` of each board landing, k = 0, 1,
+    with ``q_k = (d . a_k)/(d . n)``, as x/y/z components.
+
+    ``axes`` are the board axes ``(a_0, a_1, n)``, the columns of a
+    rotation, and ``d`` the exit directions, all as components. Every
+    derivative of a landing ``u_k`` follows from these rows: over the
+    translation ``t`` it is ``T_k``; over a left rotation increment
+    ``delta`` it is ``r x T_k``, with ``r = u_0 a_0 + u_1 a_1`` the landing
+    relative to the board origin; over the exit direction, from a fixed
+    exit point, it is ``-t_board T_k``.
+    """
+    a0, a1, n = axes
+    d_dot_n = _dot(d, n)
+    rows = []
+    for a in (a0, a1):
+        q = _dot(d, a) / d_dot_n
+        rows.append(tuple(q * n_c - a_c for n_c, a_c in zip(n, a)))
+    return tuple(rows)
 
 
-def _pose_rows(rotation, local, dir_out) -> np.ndarray:
-    """``d(board u, v)/d[delta, t]`` of each landing, shape ``(n, 2, 6)``.
+def _pose_rows(axes, local, vectors) -> np.ndarray:
+    """``[r x v, v]`` over ``[delta, t]`` for each translation-space row ``v``
+    of ``vectors`` (components), shape ``(n, len(vectors), 6)``.
 
     ``delta`` is a left rotation increment of the pose and ``t`` its
-    translation; the exit rays (``dir_out`` through fixed outer hits)
-    do not move. With the landing's board coordinates ``local = (u_0, u_1)``,
-    ``r = x_board - t``, the board axes ``a_k = R e_k``, the normal
-    ``n = R e3`` and ``q_k = (d . a_k)/(d . n)``:
-    ``du_k/d(delta) = a_k x r - q_k (n x r)`` and ``du_k/dt = q_k n - a_k``.
-    The landing lies on the board, so ``r = u_0 a_0 + u_1 a_1`` and the
-    cross products reduce to ``a_0 x r = u_1 n``, ``a_1 x r = -u_0 n`` and
-    ``n x r = u_0 a_1 - u_1 a_0``. ``rotation`` is one pose or one per
-    landing.
+    translation; ``r = u_0 a_0 + u_1 a_1`` is each landing relative to the
+    board origin, from its board coordinates ``local = (u_0, u_1)``. Over
+    the rows ``T_k`` of :func:`_translation_rows` these are the landing's
+    Jacobian rows; over ``c = sum_k 2 rho_k T_k``, the loss gradient.
     """
-    a0, a1, normal = rotation[..., 0], rotation[..., 1], rotation[..., 2]
-    u0 = local[:, 0, None]
-    u1 = local[:, 1, None]
-    d_dot_n = np.sum(dir_out * normal, axis=-1)
-    q0 = (np.sum(dir_out * a0, axis=-1) / d_dot_n)[:, None]
-    q1 = (np.sum(dir_out * a1, axis=-1) / d_dot_n)[:, None]
-    n_cross_r = u0 * a1 - u1 * a0
-    rows = np.empty((local.shape[0], 2, 6))
-    rows[:, 0, :3] = u1 * normal - q0 * n_cross_r
-    rows[:, 1, :3] = -u0 * normal - q1 * n_cross_r
-    rows[:, 0, 3:] = q0 * normal - a0
-    rows[:, 1, 3:] = q1 * normal - a1
-    return rows
+    a0, a1, _ = axes
+    r = [local[:, 0] * a0_c + local[:, 1] * a1_c for a0_c, a1_c in zip(a0, a1)]
+    return np.stack([_stack_last(*_cross(r, v), *v) for v in vectors], axis=1)
 
 
 def _batch_key(params: SceneParams) -> tuple:
@@ -438,7 +442,8 @@ def _pose_system(p, rotation0, x_o, r_o, x_cb) -> tuple:
     _, _, local, hit = _land(rot, p[3:], x_o, r_o)
     residual = np.where(hit[:, None], local - x_cb, 1e3).ravel()
     rows = np.zeros((x_o.shape[0], 2, 6))
-    rows[hit] = _pose_rows(rot, local[hit], r_o[hit])
+    axes = [_components(rot[:, k]) for k in range(3)]
+    rows[hit] = _pose_rows(axes, local[hit], _translation_rows(axes, _components(r_o[hit])))
     rows[..., :3] = rows[..., :3] @ _rotvec_left_jacobian(p[:3])
     return residual, rows.reshape(-1, 6)
 
@@ -476,38 +481,17 @@ def least_squares(p0, args) -> PoseSolve:
     return PoseSolve(x, initial_cost, cost, nfev)
 
 
-def _refine_image_pose(pose0: BoardPose, x_o, r_o, x_cb) -> tuple:
-    """One image's pose from its fixed exit rays, by one :func:`least_squares`
-    solve over ``[omega, t]``.
-
-    ``x_o`` and ``r_o`` are the outer hits and exit directions of the
-    corners that leave the cover, ``x_cb`` their board targets. The rays
-    do not depend on the pose, so each trial pose only lands them on its
-    board plane. Returns ``(pose, initial_cost, final_cost, n_valid)``;
-    the starting pose is kept when the solve does not lower the cost.
-    """
-    n_valid = x_o.shape[0]
-    if n_valid == 0:
-        return pose0, 0.0, 0.0, 0
-    sol = least_squares(
-        np.concatenate([np.zeros(3), pose0.translation]), (pose0.rotation, x_o, r_o, x_cb)
-    )
-    if sol.cost >= sol.initial_cost:
-        return pose0, sol.initial_cost, sol.initial_cost, n_valid
-    rotation = _rotvec_matrix(sol.x[:3]) @ pose0.rotation
-    pose = replace(pose0, rotation=rotation, translation=sol.x[3:])
-    return pose, sol.initial_cost, sol.cost, n_valid
-
-
 def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineResult:
     """Improve the per-image board poses under the zero-field model.
 
-    Each image's pose is a separate 6-parameter least-squares problem
-    (rotation increment and translation) started from the pose carried
-    by ``params``. Refinement never worsens an image: if an update fails
-    to lower that image's cost, its starting pose is kept. The surface
-    carried by ``params`` is preserved in the returned parameters (the
-    refinement itself always runs with amplitudes zeroed).
+    Each image's pose is one :func:`least_squares` solve over a rotation
+    increment and the translation, started from the pose carried by
+    ``params``, on the corners whose rays leave the cover. Refinement never
+    worsens an image: if the solve does not lower that image's cost, its
+    starting pose is kept. An image with no such corner has a 0x6 system,
+    which predicts no decrease, so it keeps its pose with costs 0. The
+    surface carried by ``params`` is preserved in the returned parameters
+    (the refinement itself always runs with amplitudes zeroed).
 
     The exit rays do not depend on the poses, so every image's come from
     one zero-field exit stage on the cover that :func:`loss` traces.
@@ -516,17 +500,25 @@ def refine_poses(params: SceneParams, observations: ObservationSet) -> RefineRes
     n_outer, _ = _outer_normal_linearization(params.cone, batch.cover.s_outer)
     exit_rays = _trace_exit(params.cone, batch.cover, n_outer)
     poses, reports = [], []
-    for index, (start, stop) in enumerate(zip(batch.offsets[:-1], batch.offsets[1:])):
-        rows = slice(start, stop)
+    for index, rows in enumerate(map(slice, batch.offsets[:-1], batch.offsets[1:])):
         left = exit_rays.ok[rows]
-        pose, cost0, cost1, n_valid = _refine_image_pose(
-            params.pose(index),
-            exit_rays.x_outer[rows][left],
-            exit_rays.dir_out[rows][left],
-            batch.target[rows][left],
+        pose = params.pose(index)
+        sol = least_squares(
+            np.concatenate([np.zeros(3), pose.translation]),
+            (
+                pose.rotation,
+                exit_rays.x_outer[rows][left],
+                exit_rays.dir_out[rows][left],
+                batch.target[rows][left],
+            ),
         )
+        if sol.cost < sol.initial_cost:
+            rotation = _rotvec_matrix(sol.x[:3]) @ pose.rotation
+            pose = replace(pose, rotation=rotation, translation=sol.x[3:])
         poses.append(pose)
-        reports.append(ImageRefineReport(index, cost0, cost1, n_valid))
+        reports.append(
+            ImageRefineReport(index, sol.initial_cost, sol.cost, int(np.count_nonzero(left)))
+        )
     return RefineResult(params=params.with_poses(poses), reports=tuple(reports))
 
 

@@ -22,11 +22,16 @@ class DataError(ConecalError):
     """Input data is missing, malformed, or unusable for the requested op."""
 
 
+def _check_integer(name: str, value, error: type = ConfigurationError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _check_count(name: str, value, minimum: int) -> None:
     """Raise :class:`ConfigurationError` naming ``name`` unless ``value`` is
     an integer (not a bool) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    _check_integer(name, value)
     if value < minimum:
         bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
         raise ConfigurationError(f"{name} must be {bound}")

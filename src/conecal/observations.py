@@ -22,21 +22,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, _check_count
 from .raytrace import BoardPose, SceneParams, _rotvec_matrix
 
 
 def _check_board(square_size: float, corners_per_side: int) -> None:
     """Raise :class:`ConfigurationError` unless the board has a positive,
-    finite square size and at least 2 corners per side."""
+    finite square size and an integer count of at least 2 corners per side."""
     if not (np.isfinite(square_size) and square_size > 0.0):
         raise ConfigurationError(
             f"board.square_size_m must be positive and finite, got {square_size!r}"
         )
-    if corners_per_side < 2:
-        raise ConfigurationError(
-            f"board.corners_per_side must be at least 2, got {corners_per_side!r}"
-        )
+    _check_count("board.corners_per_side", corners_per_side, 2)
 
 
 def _board_corners(square_size: float, corners_per_side: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,13 +105,13 @@ class ObservationSet:
     def __post_init__(self):
         images = tuple(sorted(self.images, key=lambda im: im.image_index))
         object.__setattr__(self, "images", images)
+        _check_board(self.square_size, self.corners_per_side)
         object.__setattr__(self, "corners_per_side", int(self.corners_per_side))
         if not images:
             raise DataError("observation set has no images")
         if [im.image_index for im in images] != list(range(len(images))):
             raise DataError("image indices must be unique and dense from 0")
         n = self.corners_per_side
-        _check_board(self.square_size, n)
         for im in images:
             ij = im.grid_ij
             if np.any(ij < 1) or np.any(ij > n):

@@ -491,19 +491,27 @@ def refine_poses_finite_difference(params, observations):
 # the amplitude gradient's backward chain on (N, 3) rows
 
 
-def amplitude_gradient_cotangents(params, fit, batch, ok, rho, dn):
-    """The cotangents ``g`` (n_corners, 3) that ``_FitBatch._amplitude_gradient``
-    hands to the field adjoint, by the chain written on ``(N, 3)`` rows with
-    ``np.sum``: board hit -> exit direction -> exit refraction -> outer normal
-    -> (phi, phi1, phi2). The library's component-array chain must return
-    the same bits, signed zeros included."""
+def exit_direction_cotangent(params, fit, batch, ok, rho):
+    """The gradient of the loss over each active row's exit direction,
+    (n_active, 3), written on ``(N, 3)`` rows with ``np.sum`` through the
+    board-plane hit: ``w3 = dL/dx_board``, then through the landing's ray
+    parameter. The library forms it from the landing's translation rows
+    instead, so the two agree to rounding, not bit for bit."""
     rotation = np.stack([params.pose(i).rotation for i in fit.image_index[ok].tolist()])
     n_b = rotation[..., 2]
     w3 = 2.0 * (rho[:, 0, None] * rotation[..., 0] + rho[:, 1, None] * rotation[..., 1])
     r_o = batch.dir_out[ok]
     scale = (np.sum(r_o * w3, axis=-1) / np.sum(r_o * n_b, axis=-1))[:, None]
-    dl_dro = batch.t_board[ok, None] * (w3 - n_b * scale)
+    return batch.t_board[ok, None] * (w3 - n_b * scale)
 
+
+def amplitude_gradient_cotangents(params, fit, batch, ok, dl_dro, dn):
+    """The cotangents ``g`` (n_corners, 3) that ``_FitBatch._amplitude_gradient``
+    hands to the field adjoint from the exit-direction cotangent ``dl_dro``
+    (n_active, 3), by the chain written on ``(N, 3)`` rows with ``np.sum``:
+    exit direction -> exit refraction -> outer normal -> (phi, phi1, phi2).
+    The library's component-array chain must return the same bits, signed
+    zeros included."""
     eta = params.cone.eta_inside / params.cone.eta_outside
     r_m = batch.dir_glass[ok]
     n_hat = batch.n_outer[ok]

@@ -130,6 +130,18 @@ class TestDistortionField:
                     distortion_vector(scene_zero, pixel, 0.9), delta, atol=1e-12
                 )
 
+    @pytest.mark.parametrize(
+        "stride",
+        [1000.5, 40.0, True, np.float64(40.0)],
+        ids=["fractional", "float", "bool", "numpy-float"],
+    )
+    def test_non_integer_stride_rejected_before_any_trace(self, scene_zero, stride, monkeypatch):
+        # 1000.5 once sampled every 1000.5 px but recorded stride 1000, and
+        # True ran a stride-1 field of 8 081 920 samples
+        monkeypatch.setattr(conecal.analysis, "_frontal_deltas", None)
+        with pytest.raises(DataError, match="^stride must be an integer"):
+            distortion_field(scene_zero, depth=1.0, stride=stride)
+
     @pytest.mark.parametrize("depth", [0.0, -1.0, np.inf, np.nan])
     def test_bad_depth_rejected(self, scene_zero, depth):
         with pytest.raises(DataError, match="depth must be positive and finite"):
@@ -224,6 +236,15 @@ class TestDepthCurve:
             distortion_vs_inverse_depth(scene_zero, [820.0, 1232.0], inv_depth_range=(2.0, 1.0))
         with pytest.raises(DataError):
             distortion_vs_inverse_depth(scene_zero, [820.0, 1232.0], n_samples=1)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 25.0, True], ids=["fractional", "float", "bool"])
+    def test_non_integer_sample_count_rejected_before_any_trace(
+        self, scene_zero, n_samples, monkeypatch
+    ):
+        # 2.5 once raised a bare TypeError from np.linspace
+        monkeypatch.setattr(conecal.analysis, "_frontal_deltas", None)
+        with pytest.raises(DataError, match="^n_samples must be an integer"):
+            distortion_vs_inverse_depth(scene_zero, [820.0, 1232.0], n_samples=n_samples)
 
     @pytest.mark.parametrize(
         "inv_range",

@@ -31,14 +31,22 @@ from conecal.calibrate import (
 from conecal.camera import CameraIntrinsics
 from conecal.config import default_config, merge_config
 from conecal.errors import ConfigurationError, DataError, DivergenceError
-from conecal.geometry import _KERNEL_BLOCK_ROWS, ConeGeometry, RbfPatch, RbfSurface
+from conecal.geometry import _KERNEL_BLOCK_ROWS, ConeGeometry, RbfPatch, RbfSurface, _components
 from conecal.observations import ImageObservations, ObservationSet
-from conecal.raytrace import BoardPose, SceneParams, _rotvec_matrix, raycast, trace_pixels
+from conecal.raytrace import (
+    BoardPose,
+    SceneParams,
+    _land,
+    _rotvec_matrix,
+    raycast,
+    trace_pixels,
+)
 from conecal.synth import AmplitudeDistribution, generate_dataset
 from conftest import count_cover_traces, count_kernel_calls, make_pose
 from oracles import (
     amplitude_gradient_cotangents,
     board_targets,
+    exit_direction_cotangent,
     project_consistent,
     refine_poses_finite_difference,
 )
@@ -386,26 +394,45 @@ class TestStackedBatch:
     def test_amplitude_chain_matches_the_row_formula_bit_for_bit(self, monkeypatch):
         params, obs = scene_with_failures(np.random.default_rng(150))
         fit = calibrate._FitBatch(params, obs)
-        batch, dn, rotation = fit.trace(params, True)
+        batch, dn, _ = fit.trace(params, True)
         ok = batch.ok
         assert not np.all(ok)
         rho = (batch.board_local - fit.target)[ok]
-        # zero residuals of either sign, so the chain carries signed zeros
-        rho[0::4] = 0.0
-        rho[1::4] = -0.0
-        rho[2::4, 0] = -0.0
-        cotangents = []
+        exit_cotangents, cotangents = [], []
+        chain = calibrate._FitBatch._amplitude_gradient
+        monkeypatch.setattr(
+            calibrate._FitBatch,
+            "_amplitude_gradient",
+            lambda self, params, batch, ok, dl_dro, dn: exit_cotangents.append(
+                np.stack(dl_dro, axis=-1)
+            )
+            or chain(self, params, batch, ok, dl_dro, dn),
+        )
         adjoint = calibrate._field_values_adjoint
         monkeypatch.setattr(
             calibrate,
             "_field_values_adjoint",
             lambda surface, s, k, g: cotangents.append(g) or adjoint(surface, s, k, g),
         )
-        fit._amplitude_gradient(params, rotation[ok], batch, ok, rho, dn[ok])
-        expected = amplitude_gradient_cotangents(params, fit, batch, ok, rho, dn[ok])
+        fit.evaluate(params, "amplitudes")
+        # the translation rows give the w3/scale form's exit-direction
+        # cotangent to rounding
+        (dl_dro,) = exit_cotangents
+        expected = exit_direction_cotangent(params, fit, batch, ok, rho)
+        err = np.linalg.norm(dl_dro - expected, axis=1)
+        assert np.all(err <= 1e-15 * np.linalg.norm(expected, axis=1))
+
+        # fed the same cotangent, the chain after it is the row formula's bits;
+        # zero rows of either sign, so the chain carries signed zeros
+        dl_dro[0::4] = 0.0
+        dl_dro[1::4] = -0.0
+        dl_dro[2::4, 0] = -0.0
+        cotangents.clear()
+        chain(fit, params, batch, ok, _components(dl_dro), dn[ok])
+        expected = amplitude_gradient_cotangents(params, fit, batch, ok, dl_dro, dn[ok])
         (got,) = cotangents
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-        # a sum that starts from +0.0 ends at +0.0 on the zero residuals
+        # a sum that starts from +0.0 ends at +0.0 on the zero rows
         assert np.all(got[ok][0::4] == 0.0) and not np.any(np.signbit(got[ok][0::4]))
 
 
@@ -703,6 +730,48 @@ class TestPoseLinearization:
     def test_rotvec_matrix_needs_three_components(self):
         with pytest.raises(ValueError):
             _rotvec_matrix([0.1, 0.2])
+
+    @pytest.mark.parametrize("wrt", ["translation", "rotation", "exit-direction"])
+    def test_landing_rows_match_central_differences(self, wrt):
+        # every derivative of a landing follows from its translation rows T_k:
+        # over t it is T_k, over a left rotation increment r x T_k, and over
+        # the exit direction from a fixed exit point -t T_k
+        rng = np.random.default_rng(520)
+        rotation = _rotvec_matrix(rng.normal(0.0, 0.3, size=3))
+        translation = np.array([0.02, -0.01, 0.6])
+        x_o = rng.normal(0.0, 0.01, size=(20, 3))
+        aim = translation + rng.uniform(-0.1, 0.1, size=(20, 2)) @ rotation[:, :2].T
+        d = (aim - x_o) / np.linalg.norm(aim - x_o, axis=1, keepdims=True)
+        t, _, local, hit = _land(rotation, translation, x_o, d)
+        assert np.all(hit)
+        axes = [_components(rotation[:, k]) for k in range(3)]
+        t_rows = calibrate._translation_rows(axes, _components(d))
+        rows = calibrate._pose_rows(axes, local, t_rows)
+        expected, landed = {
+            "translation": (rows[..., 3:], lambda e: _land(rotation, translation + e, x_o, d)),
+            "rotation": (
+                rows[..., :3],
+                lambda e: _land(_rotvec_matrix(e) @ rotation, translation, x_o, d),
+            ),
+            "exit-direction": (
+                -t[:, None, None] * np.stack([np.stack(t_k, axis=-1) for t_k in t_rows], axis=1),
+                lambda e: _land(rotation, translation, x_o, d + e),
+            ),
+        }[wrt]
+        errors = []
+        for eps in (1e-2, 5e-3, 2.5e-3):
+            steps = eps * np.eye(3)
+            fd = np.stack(
+                [(landed(h)[2] - landed(-h)[2]) / (2.0 * eps) for h in steps], axis=-1
+            )
+            errors.append(np.max(np.abs(fd - expected)))
+        if wrt == "translation":
+            # the landing is affine in the translation: exact to rounding
+            assert max(errors) <= 1e-13 * np.max(np.abs(expected))
+        else:
+            # halving the step quarters the error
+            assert all(0.24 < fine / coarse < 0.26 for coarse, fine in zip(errors, errors[1:]))
+            assert errors[-1] <= 1e-5 * np.max(np.abs(expected))
 
     def test_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(510)

@@ -172,8 +172,21 @@ class TestBoard:
             (float("nan"), 5, "board.square_size_m must be positive and finite"),
             (float("inf"), 5, "board.square_size_m must be positive and finite"),
             (0.03, 1, "board.corners_per_side must be at least 2"),
+            # a fractional count once became int() of itself: 7 and 2 corners
+            (0.03, 7.5, "board.corners_per_side must be an integer"),
+            (0.03, 2.9, "board.corners_per_side must be an integer"),
+            (0.03, True, "board.corners_per_side must be an integer"),
         ],
-        ids=["zero-square", "negative-square", "nan-square", "infinite-square", "one-corner"],
+        ids=[
+            "zero-square",
+            "negative-square",
+            "nan-square",
+            "infinite-square",
+            "one-corner",
+            "fractional-corners",
+            "fractional-corners-above-two",
+            "bool-corners",
+        ],
     )
     def test_bad_board_rejected(self, square_size, corners_per_side, message):
         images = small_set(n_images=1).images

@@ -482,8 +482,8 @@ class TestGenerateDataset:
 
     @pytest.mark.parametrize(
         "square_size, corners_per_side",
-        [(0.0, 7), (-0.03, 7), (float("nan"), 7), (0.03, 1)],
-        ids=["zero-square", "negative-square", "nan-square", "one-corner"],
+        [(0.0, 7), (-0.03, 7), (float("nan"), 7), (0.03, 1), (0.03, 7.5)],
+        ids=["zero-square", "negative-square", "nan-square", "one-corner", "fractional-corners"],
     )
     def test_bad_board_rejected_before_any_pose(
         self, intrinsics, cone, patch, monkeypatch, square_size, corners_per_side
